@@ -18,6 +18,7 @@ from itertools import groupby
 from . import enumeration
 from .errors import (
     ContainsTriple,
+    InvariantViolation,
     MultiplePreimages,
     NoPreimage,
     NotPeakless,
@@ -100,7 +101,7 @@ def _first_return(word: str) -> int:
         h += (c == "U") - (c == "D")
         if h == 0 and c == "D":
             return i + 1
-    raise AssertionError("unbalanced word")
+    raise InvariantViolation("unbalanced word")
 
 
 def chi(m: MotzkinPath) -> StanleyPolyomino:
@@ -117,7 +118,8 @@ def chi(m: MotzkinPath) -> StanleyPolyomino:
             cut = _first_return(word)
             body, tail = word[1 : cut - 1], word[cut:]
             # the same count read off the tail alone, as a consistency check
-            assert k - 2 == _steps_on_axis(tail), "axis-step bookkeeping broke"
+            if k - 2 != _steps_on_axis(tail):
+                raise InvariantViolation("axis-step bookkeeping broke")
             ops.append(("row", k))
             word = body + tail
     rows: tuple = ((0, 1),)
@@ -154,7 +156,8 @@ def chi_prime(d: DyckPath) -> StanleyPolyomino:
             cut = _first_return(word)
             body, tail = word[1 : cut - 1], word[cut:]
             # with DDD excluded the first-return body must close with a peak
-            assert body.endswith("UD"), "first-return body should end in UD"
+            if not body.endswith("UD"):
+                raise InvariantViolation("first-return body should end in UD")
             ops.append(("row", _hills(tail) + 2))
             word = body[:-2] + tail
     rows: tuple = ((0, 2),)
@@ -195,11 +198,12 @@ def f_inv(p: StanleyPolyomino) -> CoinFountain:
             rows = tuple((s - 1, l) for s, l in rows)
         else:
             # the lemma forces first = l + 2 here, with diagonal size 2l + 1
-            assert d >= r - 1, "first-diagonal dichotomy violated"
+            if d < r - 1:
+                raise InvariantViolation("first-diagonal dichotomy violated")
             sizes.append(2 * r - 3)
             rows = tuple((s - 1, l) for s, l in rows[1:])
             if not rows:
-                raise AssertionError("odd reduction emptied the polyomino")
+                raise InvariantViolation("odd reduction emptied the polyomino")
     sizes.append(1)
     return make_fountain(sizes)
 

@@ -26,6 +26,7 @@ from math import comb
 
 from .errors import (
     CancellationFailure,
+    InvariantViolation,
     MismatchBetweenForms,
     OutOfRange,
 )
@@ -103,7 +104,8 @@ def coeff_columns(n: int, k: int) -> int:
     if n < 2 or k < 1 or k > n:
         raise OutOfRange(f"coeff_columns({n}, {k}) outside n >= 2, 1 <= k <= n")
     val = Fraction(k - 1, 2 * n - k - 1) * comb(2 * n - k - 1, n - k)
-    assert val.denominator == 1, f"coeff_columns({n}, {k}) not an integer"
+    if val.denominator != 1:
+        raise InvariantViolation(f"coeff_columns({n}, {k}) not an integer")
     return int(val)
 
 
@@ -206,7 +208,8 @@ def coeff_semiperimeter(n: int, k: int) -> int:
             * (-1) ** m
             * inner
         )
-    assert total.denominator == 1, f"coeff_semiperimeter({n}, {k}) not an integer"
+    if total.denominator != 1:
+        raise InvariantViolation(f"coeff_semiperimeter({n}, {k}) not an integer")
     return int(total)
 
 

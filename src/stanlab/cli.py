@@ -293,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--value", required=True, type=int)
     p.add_argument("--group-by", default=None,
-                   help="emit counts grouped by this statistic instead")
+                   help="emit counts grouped by this integer statistic "
+                        "instead; README lists the statistics per family")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after this many objects")
     common(p, jobs=True)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -312,27 +313,22 @@ def enumerate_family(bound: FamilyBound, jobs: int = 1, cap: int = DEFAULT_CAP,
 
 # -- statistics access ---------------------------------------------------------
 
-def raw_stats(family: str, raw) -> dict:
-    return objects.stats_json(_wrap(family, raw))
-
-
-def statistic_value(family: str, raw, name: str) -> int:
-    stats = raw_stats(family, raw)
-    if name not in stats:
-        raise UnsupportedPair(f"statistic {name!r} not defined for {family}")
-    v = stats[name]
-    if isinstance(v, bool) or not isinstance(v, int):
+def _statistic(family: str, name: str):
+    """The function computing one integer statistic from the raw form."""
+    value = objects.STATISTICS.get((family, name))
+    if value is not None:
+        return value
+    if (family, name) in objects.NON_INTEGER_STATISTICS:
         raise UnsupportedPair(f"statistic {name!r} is not an integer mark")
-    return v
+    raise UnsupportedPair(f"statistic {name!r} not defined for {family}")
 
 
 def count_grouped(bound: FamilyBound, group_by: str, jobs: int = 1,
                   cap: int = DEFAULT_CAP, cache_dir=None) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for raw in iter_raw(bound, jobs=jobs, cap=cap, cache_dir=cache_dir):
-        k = statistic_value(bound.family, raw, group_by)
-        out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
+    value = _statistic(bound.family, group_by)
+    counts = Counter(map(value, iter_raw(bound, jobs=jobs, cap=cap,
+                                         cache_dir=cache_dir)))
+    return dict(sorted(counts.items()))
 
 
 def aggregate_polynomial(
@@ -347,12 +343,11 @@ def aggregate_polynomial(
     if not marks:
         raise UnsupportedPair("aggregate_polynomial needs at least one mark")
     names = tuple(v for v, _ in marks)
-    stats = tuple(s for _, s in marks)
+    values = tuple(_statistic(bound.family, s) for _, s in marks)
     terms: dict[tuple[int, ...], int] = {}
     max_grade = 0
     for raw in iter_raw(bound, jobs=jobs, cap=cap, cache_dir=cache_dir):
-        rec = raw_stats(bound.family, raw)
-        e = tuple(rec[s] for s in stats)
+        e = tuple(value(raw) for value in values)
         terms[e] = terms.get(e, 0) + 1
         max_grade = max(max_grade, e[0])
     ring = SeriesRing(names, names[0], max_grade if order is None else order)

@@ -127,3 +127,11 @@ class CancellationFailure(StanlabError, ArithmeticError):
 
 class MismatchBetweenForms(StanlabError, ArithmeticError):
     """Two independent pipelines for the same series disagree."""
+
+
+# -- internal invariants ----------------------------------------------------
+
+class InvariantViolation(StanlabError, RuntimeError):
+    """A step that the paper's lemmas guarantee did not hold: a bug in the
+    code or in the claim, never bad input.  Raised instead of ``assert``,
+    which ``python -O`` removes."""

@@ -368,18 +368,61 @@ def from_json_obj(family: str, data: dict):
 
 def stats_json(x) -> dict:
     """Statistics record for any family, used by the CLI map/enumerate output."""
-    from dataclasses import asdict
-
     if isinstance(x, StanleyPolyomino):
-        return asdict(stanley_stats(x))
+        return dict(vars(stanley_stats(x)))
     if isinstance(x, DyckPath):
-        return asdict(dyck_stats(x))
+        return dict(vars(dyck_stats(x)))
     if isinstance(x, MotzkinPath):
         return {"steps": len(x.word), "peakless": is_peakless(x)}
     if isinstance(x, CoinFountain):
-        return asdict(fountain_stats(x))
+        return dict(vars(fountain_stats(x)))
     if isinstance(x, ParallelogramPolyomino):
-        d = asdict(parallelogram_stats(x))
+        d = dict(vars(parallelogram_stats(x)))
         d["overlaps"] = list(d["overlaps"])
         return d
     raise TypeError(f"no stats for {type(x).__name__}")
+
+
+# -- one statistic from the raw encoding ----------------------------------------
+# Every integer field of each family's stats_json record, as a function of the
+# raw form the enumeration streams: rows, word, diagonals or columns.  A field
+# with a one-line formula computes it; every other field reads the family's
+# statistics record, so no compound formula is written twice.  Entries look
+# the public functions up as module globals at call time, so rebinding those
+# names reaches every entry.
+
+STATISTICS = {
+    ("stanley", "col"): lambda r: r[-1][0] + r[-1][1],
+    ("stanley", "row"): len,
+    ("stanley", "sper"): lambda r: r[-1][0] + r[-1][1] + len(r),
+    ("stanley", "area"): lambda r: sum(l for _, l in r),
+    ("stanley", "point"): lambda r: stanley_stats(StanleyPolyomino(r)).point,
+    ("stanley", "edgint"): lambda r: stanley_stats(StanleyPolyomino(r)).edgint,
+    ("stanley", "adja"): lambda r: stanley_stats(StanleyPolyomino(r)).adja,
+    ("stanley", "first"): lambda r: r[0][1],
+    ("stanley", "firstD"): lambda r: stanley_stats(StanleyPolyomino(r)).firstD,
+    ("dyck", "semilength"): lambda w: len(w) // 2,
+    ("dyck", "nbp"): lambda w: w.count("UD"),
+    ("dyck", "sump"): lambda w: dyck_stats(DyckPath(w)).sump,
+    ("dyck", "nbv"): lambda w: w.count("DU"),
+    ("dyck", "sumv"): lambda w: dyck_stats(DyckPath(w)).sumv,
+    ("dyck", "hills"): lambda w: dyck_stats(DyckPath(w)).hills,
+    ("dyck", "oneValleys"): lambda w: dyck_stats(DyckPath(w)).oneValleys,
+    ("dyck", "sumOneValleys"): lambda w: dyck_stats(DyckPath(w)).sumOneValleys,
+    ("dyck", "firstPeakHeight"):
+        lambda w: dyck_stats(DyckPath(w)).firstPeakHeight,
+    ("peaklessMotzkin", "steps"): len,
+    ("fountain", "e"): lambda d: sum((x + 1) // 2 for x in d),
+    ("fountain", "o"): lambda d: sum(x // 2 for x in d),
+    ("fountain", "m"): len,
+    ("fountain", "firstDiag"): lambda d: d[0],
+    ("parallelogram", "area"): lambda c: sum(h for _, h in c),
+    ("parallelogram", "colCount"): len,
+}
+
+# The stats_json fields that are not integers, so cannot mark a count.
+NON_INTEGER_STATISTICS = frozenset({
+    ("dyck", "avoids3"),
+    ("peaklessMotzkin", "peakless"),
+    ("parallelogram", "overlaps"),
+})

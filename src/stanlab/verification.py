@@ -732,16 +732,21 @@ def suite_corollary_2_13(max_size: int | None = None, jobs: int = 1,
     checks: list = []
     bad: list[str] = []
     triples = 0
+    # the other two sides only ever need sizes 1 .. max_size - 1
+    para_by_area = {
+        a: count_grouped(FamilyBound("parallelogram", "area", a), "colCount",
+                         jobs=jobs, cache_dir=cache_dir)
+        for a in range(1, max_size)}
+    fountain_by_evens = {
+        a: count_grouped(FamilyBound("fountain", "evenCoins", a), "o",
+                         jobs=jobs, cache_dir=cache_dir)
+        for a in range(1, max_size)}
     for n in range(2, max_size + 1):
         stanley = count_grouped(FamilyBound("stanley", "area", n), "row",
                                 jobs=jobs, cache_dir=cache_dir)
         for r in range(1, n):
-            para = count_grouped(
-                FamilyBound("parallelogram", "area", n - r), "colCount",
-                jobs=jobs, cache_dir=cache_dir).get(r, 0)
-            fountain = count_grouped(
-                FamilyBound("fountain", "evenCoins", n - r), "o",
-                jobs=jobs, cache_dir=cache_dir).get(n - 2 * r, 0)
+            para = para_by_area[n - r].get(r, 0)
+            fountain = fountain_by_evens[n - r].get(n - 2 * r, 0)
             triples += 1
             if not (stanley.get(r, 0) == para == fountain):
                 bad.append(f"(area {n}, rows {r}): "

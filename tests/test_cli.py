@@ -41,6 +41,20 @@ class TestEnumerate:
         assert code == 0
         assert out == '{"1":1,"2":4,"3":1}\n'
 
+    @pytest.mark.parametrize("family, measure, value, name, message", [
+        ("stanley", "semiperimeter", "1", "nonsense", "not defined"),
+        ("parallelogram", "area", "0", "overlaps", "not an integer mark"),
+    ])
+    def test_group_by_bad_statistic_on_empty_bound(self, capsys, family,
+                                                   measure, value, name,
+                                                   message):
+        code, out, err = run(capsys, "enumerate", "--family", family,
+                             "--measure", measure, "--value", value,
+                             "--group-by", name)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_empty_dyck_path(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "dyck",
                            "--measure", "semilength", "--value", "0")

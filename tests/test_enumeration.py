@@ -3,6 +3,7 @@ import pytest
 from stanlab import objects
 from stanlab.catalog import catalan
 from stanlab.enumeration import (
+    SUPPORTED_PAIRS,
     FamilyBound,
     aggregate_polynomial,
     cached_count,
@@ -121,9 +122,52 @@ class TestGrouping:
         assert counts == {e[0]: int(c) for e, c in poly.terms.items()}
 
     def test_unknown_statistic(self):
-        with pytest.raises(UnsupportedPair):
+        with pytest.raises(UnsupportedPair, match="not defined"):
             count_grouped(FamilyBound("stanley", "area", 5), "perimeterish")
 
     def test_boolean_statistic_rejected(self):
-        with pytest.raises(UnsupportedPair):
+        with pytest.raises(UnsupportedPair, match="not an integer mark"):
             count_grouped(FamilyBound("dyck", "semilength", 3), "avoids3")
+        with pytest.raises(UnsupportedPair, match="not an integer mark"):
+            count_grouped(FamilyBound("peaklessMotzkin", "steps", 3),
+                          "peakless")
+
+    @pytest.mark.parametrize("family, measure, value, name, message", [
+        ("stanley", "semiperimeter", 1, "nonsense", "not defined"),
+        ("fountain", "evenCoins", 0, "nonsense", "not defined"),
+        ("parallelogram", "area", 0, "overlaps", "not an integer mark"),
+    ])
+    def test_statistic_checked_on_empty_bound(self, family, measure, value,
+                                              name, message):
+        bound = FamilyBound(family, measure, value)
+        assert list(iter_raw(bound)) == []
+        with pytest.raises(UnsupportedPair, match=message):
+            count_grouped(bound, name)
+        with pytest.raises(UnsupportedPair, match=message):
+            aggregate_polynomial(bound, [("u", name)])
+
+
+class TestStatisticsTable:
+    def test_keys_are_the_integer_fields_of_each_record(self):
+        for family, measure in SUPPORTED_PAIRS:
+            x = next(enumerate_family(FamilyBound(family, measure, 4)))
+            record = objects.stats_json(x)
+            table = {n for f, n in objects.STATISTICS if f == family}
+            assert table == {n for n, v in record.items() if type(v) is int}
+            assert {n for f, n in objects.NON_INTEGER_STATISTICS
+                    if f == family} == set(record) - table
+
+    @pytest.mark.parametrize("family, measure", sorted(SUPPORTED_PAIRS))
+    def test_every_accessor_matches_the_record(self, family, measure):
+        accessors = {n: fn for (f, n), fn in objects.STATISTICS.items()
+                     if f == family}
+        seen = 0
+        for value in range(8):
+            bound = FamilyBound(family, measure, value)
+            for raw, x in zip(iter_raw(bound), enumerate_family(bound),
+                              strict=True):
+                record = objects.stats_json(x)
+                for name, fn in accessors.items():
+                    assert fn(raw) == record[name], (raw, name)
+                seen += 1
+        assert seen > 0

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,3 +298,13 @@ class TestJsonRoundTrip:
         for family, x in cases:
             data = objects.to_json_obj(x)
             assert objects.from_json_obj(family, data) == x
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so invariants must raise typed errors
+    src = Path(objects.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
