@@ -18,10 +18,9 @@ def main() -> int:
                         choices=sorted(SUITES) + ["all"])
     parser.add_argument("--max-size", type=int, default=None,
                         help="override the per-suite default size")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    report = run_suite(args.suite, max_size=args.max_size, jobs=args.jobs)
+    report = run_suite(args.suite, max_size=args.max_size)
     failed = 0
     for check in report["checks"]:
         status = check["status"].upper()

@@ -4,14 +4,14 @@ Four subcommands: enumerate (stream objects or grouped counts), map (apply a
 bijection to JSON lines), series (emit a catalog series), verify (run a named
 check suite).  Output is JSON lines on stdout, diagnostics go to stderr, and
 exit codes separate usage errors (2), resource caps (3), bad input data (4),
-and failed theorem checks (1 for verify suites, 5 for series assertions).
+failed theorem checks (1 for verify suites, 5 for series assertions), and
+unexpected internal errors (6).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -53,46 +53,6 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_config() -> dict:
-    """Defaults from the key=value file named by STANLEY_LAB_CONFIG."""
-    path = os.environ.get("STANLEY_LAB_CONFIG")
-    if not path:
-        return {}
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise UnsupportedPair(f"cannot read config {path}: {exc}")
-    config: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UnsupportedPair(f"config line {lineno} is not key=value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "jobs":
-            try:
-                config["jobs"] = int(value)
-            except ValueError:
-                raise UnsupportedPair(f"config jobs={value!r} is not an integer")
-        elif key == "cache_dir":
-            config["cache_dir"] = value
-        else:
-            _diag(f"config: ignoring unknown key {key!r}")
-    return config
-
-
-def _resolve(args, config: dict) -> tuple[int, str | None]:
-    jobs = args.jobs if getattr(args, "jobs", None) is not None \
-        else config.get("jobs", 1)
-    cache_dir = args.cache_dir if getattr(args, "cache_dir", None) is not None \
-        else config.get("cache_dir")
-    if jobs < 1:
-        raise UnsupportedPair(f"--jobs must be positive, got {jobs}")
-    return jobs, cache_dir
-
-
 def _stamp(args) -> None:
     if getattr(args, "timestamps", False):
         _emit({"timestamp": datetime.now(timezone.utc).isoformat()})
@@ -100,17 +60,15 @@ def _stamp(args) -> None:
 
 # -- enumerate ---------------------------------------------------------------------
 
-def cmd_enumerate(args, config: dict) -> int:
-    jobs, cache_dir = _resolve(args, config)
+def cmd_enumerate(args) -> int:
     bound = FamilyBound(args.family, args.measure, args.value)
     _stamp(args)
     if args.group_by:
-        counts = count_grouped(bound, args.group_by, jobs=jobs,
-                               cache_dir=cache_dir)
+        counts = count_grouped(bound, args.group_by)
         _emit({str(k): v for k, v in counts.items()})
         return 0
     emitted = 0
-    for x in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+    for x in enumerate_family(bound):
         if args.limit is not None and emitted >= args.limit:
             break
         _emit({"object": objects.to_json_obj(x), "stats": objects.stats_json(x)})
@@ -120,7 +78,7 @@ def cmd_enumerate(args, config: dict) -> int:
 
 # -- map ---------------------------------------------------------------------------
 
-def cmd_map(args, config: dict) -> int:
+def cmd_map(args) -> int:
     family, func = BIJECTIONS[args.bijection]
     if args.infile:
         try:
@@ -192,15 +150,9 @@ def _series_oracle(gf: str, order: int, result: dict) -> bool:
     """Spot-check the emitted series against brute-force enumeration."""
     if gf == "full":
         limit = min(order, 5)
-        want: dict[tuple, int] = {}
-        for n in range(1, limit + 1):
-            for p in enumerate_family(FamilyBound("stanley", "columns", n)):
-                s = objects.stanley_stats(p)
-                key = (s.col, s.row, s.area, s.edgint, s.point)
-                want[key] = want.get(key, 0) + 1
         got = {tuple(t["e"]): t["c"] for t in result["series"]["terms"]
                if t["e"][0] <= limit}
-        return got == want
+        return got == verification.full_tally(limit)
     if gf == "columns":
         return all(
             _g1_coeff(result, n) == cached_count("stanley", "columns", n)
@@ -216,16 +168,9 @@ def _series_oracle(gf: str, order: int, result: dict) -> bool:
             for n in range(1, min(order, 12) + 1))
     if gf == "cf-a":
         limit = min(order, 6)
-        want = {}
-        for m in range(1, limit + 1):
-            for d in enumerate_family(FamilyBound("dyck", "semilength", m)):
-                s = objects.dyck_stats(d)
-                if s.sump <= limit:
-                    key = (s.nbp, s.sump, s.sumv)
-                    want[key] = want.get(key, 0) + 1
         got = {tuple(t["e"]): t["c"] for t in result["series"]["terms"]
                if t["e"][1] <= limit}
-        return got == want
+        return got == verification.cf_tally(limit)
     if gf == "cf-specializations":
         coeffs = {t["e"][0]: t["c"] for t in result["a-1q1"]["terms"]}
         return all(
@@ -233,13 +178,8 @@ def _series_oracle(gf: str, order: int, result: dict) -> bool:
             for n in range(1, min(order, 9) + 1))
     # corollaries: the columns refinements hold, but the claimed Fibonacci
     # count with no internal edge by semiperimeter does not match enumeration
-    ok = True
-    for n in range(2, min(order, 10) + 1):
-        free = 0
-        for p in enumerate_family(FamilyBound("stanley", "semiperimeter", n)):
-            free += objects.stanley_stats(p).edgint == 0
-        ok = ok and free == catalog.fibonacci(n - 1)
-    return ok
+    return all(verification.edge_free_count(n) == catalog.fibonacci(n - 1)
+               for n in range(2, min(order, 10) + 1))
 
 
 def _g1_coeff(result: dict, n: int) -> int:
@@ -249,7 +189,7 @@ def _g1_coeff(result: dict, n: int) -> int:
     return 0
 
 
-def cmd_series(args, config: dict) -> int:
+def cmd_series(args) -> int:
     result = _series_result(args.gf, args.order, args.depth)
     if args.verify:
         result["verified_against_oracle"] = _series_oracle(
@@ -261,10 +201,8 @@ def cmd_series(args, config: dict) -> int:
 
 # -- verify ------------------------------------------------------------------------
 
-def cmd_verify(args, config: dict) -> int:
-    jobs, cache_dir = _resolve(args, config)
-    report = verification.run_suite(args.suite, max_size=args.max_size,
-                                    jobs=jobs, cache_dir=cache_dir)
+def cmd_verify(args) -> int:
+    report = verification.run_suite(args.suite, max_size=args.max_size)
     _stamp(args)
     _emit(report)
     return 1 if verification.report_failed(report) else 0
@@ -279,14 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "polyominoes and their relatives")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, jobs: bool) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--timestamps", action="store_true",
                        help="prepend a timestamp line to the output")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=None,
-                           help="parallel enumeration workers")
-            p.add_argument("--cache-dir", default=None,
-                           help="directory for the on-disk enumeration cache")
 
     p = sub.add_parser("enumerate", help="stream a family at a fixed size")
     p.add_argument("--family", required=True)
@@ -297,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "instead; README lists the statistics per family")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after this many objects")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("map", help="apply a bijection to JSON input lines")
@@ -306,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="input file (default: standard input)")
     p.add_argument("--skip-invalid", action="store_true",
                    help="report invalid lines on stderr and continue")
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("series", help="emit a catalog series as JSON")
@@ -316,14 +249,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="continued-fraction truncation depth")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against brute-force enumeration")
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--suite", required=True,
                    choices=sorted(verification.SUITES) + ["all"])
     p.add_argument("--max-size", type=int, default=None)
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -335,8 +268,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = _load_config()
-        return args.func(args, config)
+        return args.func(args)
     except (UnsupportedPair, OutOfRange) as exc:
         _diag(f"error: {exc}")
         return 2
@@ -348,6 +280,9 @@ def main(argv=None) -> int:
         return 5
     except BrokenPipeError:
         return 0
+    except Exception as exc:
+        _diag(f"internal error: {type(exc).__name__}: {exc}")
+        return 6
 
 
 if __name__ == "__main__":

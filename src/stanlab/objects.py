@@ -79,6 +79,12 @@ class MotzkinPath:
 
 
 @dataclass(frozen=True)
+class MotzkinStats:
+    steps: int
+    peakless: bool
+
+
+@dataclass(frozen=True)
 class CoinFountain:
     diagonals: tuple[int, ...]
 
@@ -336,51 +342,61 @@ def parallelogram_stats(q: ParallelogramPolyomino) -> ParallelogramStats:
     )
 
 
-# -- JSON encodings -----------------------------------------------------------
+# -- the family table -----------------------------------------------------------
+# family -> (class, validating constructor, statistics record).  Each class
+# has one field, named like the object's JSON key.  Entries are plain tuples
+# read by index, and the Motzkin record looks is_peakless up as a module
+# global at call time, so rebinding a public name reaches every entry.
+
+FAMILIES = {
+    "stanley": (StanleyPolyomino, make_stanley, stanley_stats),
+    "dyck": (DyckPath, make_dyck, dyck_stats),
+    "peaklessMotzkin": (MotzkinPath, make_motzkin, lambda x: MotzkinStats(
+        steps=len(x.word), peakless=is_peakless(x))),
+    "fountain": (CoinFountain, make_fountain, fountain_stats),
+    "parallelogram": (ParallelogramPolyomino, make_parallelogram,
+                      parallelogram_stats),
+}
+
+_FAMILY_OF = {entry[0]: family for family, entry in FAMILIES.items()}
+
+
+def _family_of(x) -> str:
+    try:
+        return _FAMILY_OF[type(x)]
+    except KeyError:
+        raise TypeError(f"not a family object: {type(x).__name__}") from None
+
+
+def _lists(value):
+    """JSON shape of an object's field: a tuple, and the pairs in it, become
+    lists."""
+    if not isinstance(value, tuple):
+        return value
+    if value and isinstance(value[0], tuple):
+        return [list(v) for v in value]
+    return list(value)
+
 
 def to_json_obj(x) -> dict:
-    if isinstance(x, StanleyPolyomino):
-        return {"rows": [list(r) for r in x.rows]}
-    if isinstance(x, DyckPath):
-        return {"word": x.word}
-    if isinstance(x, MotzkinPath):
-        return {"word": x.word}
-    if isinstance(x, CoinFountain):
-        return {"diagonals": list(x.diagonals)}
-    if isinstance(x, ParallelogramPolyomino):
-        return {"columns": [list(c) for c in x.columns]}
-    raise TypeError(f"no JSON encoding for {type(x).__name__}")
+    _family_of(x)  # TypeError for anything but a family object
+    return {key: _lists(value) for key, value in vars(x).items()}
 
 
 def from_json_obj(family: str, data: dict):
-    if family == "stanley":
-        return make_stanley(tuple((s, l) for s, l in data["rows"]))
-    if family == "dyck":
-        return make_dyck(data["word"])
-    if family == "peaklessMotzkin":
-        return make_motzkin(data["word"])
-    if family == "fountain":
-        return make_fountain(data["diagonals"])
-    if family == "parallelogram":
-        return make_parallelogram(tuple((b, h) for b, h in data["columns"]))
-    raise ValueError(f"unknown family {family!r}")
+    try:
+        cls, make, _ = FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+    (key,) = cls.__dataclass_fields__
+    return make(data[key])
 
 
 def stats_json(x) -> dict:
     """Statistics record for any family, used by the CLI map/enumerate output."""
-    if isinstance(x, StanleyPolyomino):
-        return dict(vars(stanley_stats(x)))
-    if isinstance(x, DyckPath):
-        return dict(vars(dyck_stats(x)))
-    if isinstance(x, MotzkinPath):
-        return {"steps": len(x.word), "peakless": is_peakless(x)}
-    if isinstance(x, CoinFountain):
-        return dict(vars(fountain_stats(x)))
-    if isinstance(x, ParallelogramPolyomino):
-        d = dict(vars(parallelogram_stats(x)))
-        d["overlaps"] = list(d["overlaps"])
-        return d
-    raise TypeError(f"no stats for {type(x).__name__}")
+    record = FAMILIES[_family_of(x)][2](x)
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(record).items()}
 
 
 # -- one statistic from the raw encoding ----------------------------------------

@@ -144,13 +144,6 @@ class TruncatedSeries:
         e = tuple(exps.get(v, 0) for v in self.vars)
         return self.terms.get(e, Fraction(0))
 
-    def grade_coeffs(self) -> dict[int, dict[Exponents, Fraction]]:
-        gi = self._gi()
-        out: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            out.setdefault(e[gi], {})[e] = c
-        return out
-
     def cofactor(self, var: str, k: int) -> "TruncatedSeries":
         """Terms with var-exponent exactly k, with that exponent zeroed out."""
         vi = self.vars.index(var)
@@ -165,16 +158,9 @@ class TruncatedSeries:
         vi = self.vars.index(var)
         return self._build({e: c for e, c in self.terms.items() if e[vi] <= max_exp})
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        return self._build(dict(self.terms), min(order, self.order))
-
     def valuation(self) -> int | None:
         gi = self._gi()
         return min((e[gi] for e in self.terms), default=None)
-
-    def min_exponent(self, var: str) -> int | None:
-        vi = self.vars.index(var)
-        return min((e[vi] for e in self.terms), default=None)
 
     def assert_no_negative_exponents(self, err=NotInvertible, what: str = "series"):
         for e in self.terms:

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable
 
 from . import bijections, catalog, objects
 from .bijections import _steps_on_axis
 from .enumeration import (
-    DEFAULT_CAP,
     FamilyBound,
     cached_count,
     count_grouped,
@@ -152,6 +150,39 @@ def _series_int_terms(s) -> dict[tuple, int]:
     return {e: int(c) for e, c in s.terms.items() if c}
 
 
+# -- brute-force tallies, shared with `stanlab series --verify` ---------------------
+
+def full_tally(max_columns: int) -> dict[tuple, int]:
+    """Polyominoes of 1 .. max_columns columns counted by
+    (columns, rows, area, edgint, point), the five-variable series' exponents."""
+    counted: dict[tuple, int] = defaultdict(int)
+    for n in range(1, max_columns + 1):
+        for p in enumerate_family(FamilyBound("stanley", "columns", n)):
+            s = objects.stanley_stats(p)
+            counted[(s.col, s.row, s.area, s.edgint, s.point)] += 1
+    return dict(counted)
+
+
+def cf_tally(max_sump: int) -> dict[tuple, int]:
+    """Dyck paths with peak height sum at most max_sump counted by
+    (peaks, peak height sum, valley height sum).  A path's semilength is at
+    most its peak height sum, so semilengths up to the same bound exhaust
+    them."""
+    counted: dict[tuple, int] = defaultdict(int)
+    for m in range(1, max_sump + 1):
+        for d in enumerate_family(FamilyBound("dyck", "semilength", m)):
+            s = objects.dyck_stats(d)
+            if s.sump <= max_sump:
+                counted[(s.nbp, s.sump, s.sumv)] += 1
+    return dict(counted)
+
+
+def edge_free_count(semiperimeter: int) -> int:
+    """Polyominoes of the given semiperimeter with no internal edge."""
+    bound = FamilyBound("stanley", "semiperimeter", semiperimeter)
+    return count_grouped(bound, "edgint").get(0, 0)
+
+
 # -- table of transported statistics ----------------------------------------------
 
 TABLE1_IDENTITIES = (
@@ -170,8 +201,7 @@ TABLE1_IDENTITIES = (
 )
 
 
-def suite_table1(max_size: int | None = None, jobs: int = 1,
-                 cache_dir=None) -> dict:
+def suite_table1(max_size: int | None = None) -> dict:
     """Statistic transport along the staircase word map, two columns and up.
 
     The single-cell polyomino corresponds to the empty word, where the row,
@@ -183,7 +213,7 @@ def suite_table1(max_size: int | None = None, jobs: int = 1,
     total = 0
     for n in range(2, max_size + 1):
         bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+        for p in enumerate_family(bound):
             total += 1
             ps = objects.stanley_stats(p)
             ds = objects.dyck_stats(bijections.phi(p))
@@ -200,13 +230,13 @@ def suite_table1(max_size: int | None = None, jobs: int = 1,
 
 # -- bijections --------------------------------------------------------------------
 
-def _phi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
+def _phi_checks(checks: list, max_size: int) -> None:
     bad_round = 0
     words: set[str] = set()
     total = 0
     for n in range(1, max_size + 1):
         bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+        for p in enumerate_family(bound):
             d = bijections.phi(p)
             total += 1
             words.add(d.word)
@@ -223,7 +253,7 @@ def _phi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
     back_total = 0
     for m in range(0, max_size):
         bound = FamilyBound("dyck", "semilength", m)
-        for d in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+        for d in enumerate_family(bound):
             back_total += 1
             if bijections.phi(bijections.phi_inv(d)).word != d.word:
                 bad_back += 1
@@ -231,7 +261,7 @@ def _phi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
            f"{back_total} round-trips", f"{back_total - bad_back} round-trips")
 
 
-def _chi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
+def _chi_checks(checks: list, max_size: int) -> None:
     bad_stats = 0
     sizes_ok = True
     detail = ""
@@ -239,7 +269,7 @@ def _chi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
         bound = FamilyBound("peaklessMotzkin", "steps", m)
         images: set[tuple] = set()
         total = 0
-        for w in iter_raw(bound, jobs=jobs, cache_dir=cache_dir):
+        for w in iter_raw(bound):
             p = bijections.chi(objects.make_motzkin(w))
             ps = objects.stanley_stats(p)
             total += 1
@@ -260,8 +290,7 @@ def _chi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
            "distinct images, counts equal")
 
 
-def _chi_prime_checks(checks: list, max_size: int, jobs: int,
-                      cache_dir) -> None:
+def _chi_prime_checks(checks: list, max_size: int) -> None:
     bad_stats = 0
     inj_detail = ""
     cnt_detail = ""
@@ -269,7 +298,7 @@ def _chi_prime_checks(checks: list, max_size: int, jobs: int,
         bound = FamilyBound("dyck", "semilength", m)
         images: set[tuple] = set()
         total = 0
-        for w in iter_raw(bound, jobs=jobs, cache_dir=cache_dir):
+        for w in iter_raw(bound):
             d = objects.DyckPath(w)
             ds = objects.dyck_stats(d)
             if not ds.avoids3:
@@ -300,12 +329,12 @@ def _chi_prime_checks(checks: list, max_size: int, jobs: int,
            "image counts equal at every size")
 
 
-def _f_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
+def _f_checks(checks: list, max_size: int) -> None:
     bad = 0
     total = 0
     for m in range(1, max_size + 1):
         bound = FamilyBound("fountain", "diagonals", m)
-        for c in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+        for c in enumerate_family(bound):
             p = bijections.f_map(c)
             ps = objects.stanley_stats(p)
             fs = objects.fountain_stats(c)
@@ -321,7 +350,7 @@ def _f_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
     back_total = 0
     for n in range(2, max_size + 2):
         bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+        for p in enumerate_family(bound):
             back_total += 1
             c = bijections.f_inv(p)
             if bijections.f_map(c).rows != p.rows:
@@ -330,7 +359,7 @@ def _f_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
            f"{back_total} round-trips", f"{back_total - bad_back} round-trips")
 
 
-def _h_psi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
+def _h_psi_checks(checks: list, max_size: int) -> None:
     limit = min(max_size, 12)
     bad_h = 0
     bad_psi = 0
@@ -343,7 +372,7 @@ def _h_psi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
         psi_images: set[tuple] = set()
         class_counts: dict[int, int] = defaultdict(int)
         size = 0
-        for q in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+        for q in enumerate_family(bound):
             qs = objects.parallelogram_stats(q)
             d = bijections.h_map(q)
             ds = objects.dyck_stats(d)
@@ -361,8 +390,7 @@ def _h_psi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
         if len(h_words) != size:
             h_images_ok = False
         fountain_classes = count_grouped(
-            FamilyBound("fountain", "evenCoins", n), "o",
-            jobs=jobs, cache_dir=cache_dir)
+            FamilyBound("fountain", "evenCoins", n), "o")
         if len(psi_images) != size or dict(class_counts) != fountain_classes:
             psi_detail = psi_detail or f"area {n}: class counts differ"
     _check(checks, "boundary word map sends area to peak height sum and "
@@ -376,7 +404,7 @@ def _h_psi_checks(checks: list, max_size: int, jobs: int, cache_dir) -> None:
            psi_detail or "classes match at every area")
 
 
-def _fountain_brute_checks(checks: list, jobs: int, cache_dir) -> None:
+def _fountain_brute_checks(checks: list) -> None:
     # independent physics check: every coin above the base rests on two
     # adjacent coins, tested on all diagonal compositions with <= 18 coins
     limit = 18
@@ -413,23 +441,21 @@ def _fountain_brute_checks(checks: list, jobs: int, cache_dir) -> None:
            f"{len(bad)} disagreements over {total} compositions")
 
 
-def suite_bijections(max_size: int | None = None, jobs: int = 1,
-                     cache_dir=None) -> dict:
+def suite_bijections(max_size: int | None = None) -> dict:
     max_size = SUITE_DEFAULT_SIZE["bijections"] if max_size is None else max_size
     checks: list = []
-    _phi_checks(checks, max_size, jobs, cache_dir)
-    _chi_checks(checks, max_size, jobs, cache_dir)
-    _chi_prime_checks(checks, max_size, jobs, cache_dir)
-    _f_checks(checks, max_size, jobs, cache_dir)
-    _h_psi_checks(checks, max_size, jobs, cache_dir)
-    _fountain_brute_checks(checks, jobs, cache_dir)
+    _phi_checks(checks, max_size)
+    _chi_checks(checks, max_size)
+    _chi_prime_checks(checks, max_size)
+    _f_checks(checks, max_size)
+    _h_psi_checks(checks, max_size)
+    _fountain_brute_checks(checks)
     return {"suite": "bijections", "checks": checks}
 
 
 # -- five-variable series ------------------------------------------------------------
 
-def suite_thm_full(max_size: int | None = None, jobs: int = 1,
-                   cache_dir=None) -> dict:
+def suite_thm_full(max_size: int | None = None) -> dict:
     max_size = SUITE_DEFAULT_SIZE["thm-full"] if max_size is None else max_size
     checks: list = []
     try:
@@ -441,14 +467,8 @@ def suite_thm_full(max_size: int | None = None, jobs: int = 1,
                "negative exponents", "agreement", f"{type(exc).__name__}: {exc}")
         return {"suite": "thm-full", "checks": checks}
 
-    counted: dict[tuple, int] = defaultdict(int)
-    for n in range(1, max_size + 1):
-        bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
-            s = objects.stanley_stats(p)
-            counted[(s.col, s.row, s.area, s.edgint, s.point)] += 1
     _check_dict(checks, "series terms equal brute-force statistics "
-                f"through {max_size} columns", dict(counted),
+                f"through {max_size} columns", full_tally(max_size),
                 _series_int_terms(series))
 
     ref_limit = min(5, max_size)
@@ -462,8 +482,7 @@ def suite_thm_full(max_size: int | None = None, jobs: int = 1,
 
 # -- columns -----------------------------------------------------------------------
 
-def suite_columns(max_size: int | None = None, jobs: int = 1,
-                  cache_dir=None) -> dict:
+def suite_columns(max_size: int | None = None) -> dict:
     max_size = SUITE_DEFAULT_SIZE["columns"] if max_size is None else max_size
     checks: list = []
     series, _ = catalog.gf_columns(max_size)
@@ -486,7 +505,7 @@ def suite_columns(max_size: int | None = None, jobs: int = 1,
         pt_free = 0
         first_sum = 0
         bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
+        for p in enumerate_family(bound):
             s = objects.stanley_stats(p)
             by_first[s.first] += 1
             first_sum += s.first
@@ -533,8 +552,7 @@ def suite_columns(max_size: int | None = None, jobs: int = 1,
 
 # -- semiperimeter -----------------------------------------------------------------
 
-def suite_semiperimeter(max_size: int | None = None, jobs: int = 1,
-                        cache_dir=None) -> dict:
+def suite_semiperimeter(max_size: int | None = None) -> dict:
     max_size = (SUITE_DEFAULT_SIZE["semiperimeter"] if max_size is None
                 else max_size)
     order = max_size + 2
@@ -572,18 +590,13 @@ def suite_semiperimeter(max_size: int | None = None, jobs: int = 1,
     edg_expected: list[int] = []
     edg_actual: list[int] = []
     for n in range(2, max_size + 1):
-        by_first: dict[int, int] = defaultdict(int)
-        edg_free = 0
-        bound = FamilyBound("stanley", "semiperimeter", n)
-        for p in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
-            s = objects.stanley_stats(p)
-            by_first[s.first] += 1
-            edg_free += s.edgint == 0
+        by_first = count_grouped(FamilyBound("stanley", "semiperimeter", n),
+                                 "first")
         for k in range(1, n):
             if by_first.get(k, 0) != catalog.coeff_semiperimeter(n, k):
                 enum_bad.append(f"({n},{k})")
         edg_expected.append(catalog.fibonacci(n - 1))
-        edg_actual.append(edg_free)
+        edg_actual.append(edge_free_count(n))
     _check(checks, "coefficient formula equals first-row counts by "
            f"semiperimeter through {max_size}", "all equal",
            "all equal" if not enum_bad else "off at " + ", ".join(enum_bad))
@@ -605,8 +618,7 @@ def suite_semiperimeter(max_size: int | None = None, jobs: int = 1,
 
 # -- area --------------------------------------------------------------------------
 
-def suite_area(max_size: int | None = None, jobs: int = 1,
-               cache_dir=None) -> dict:
+def suite_area(max_size: int | None = None) -> dict:
     max_size = SUITE_DEFAULT_SIZE["area"] if max_size is None else max_size
     checks: list = []
     series = catalog.gf_area(max_size)
@@ -615,7 +627,7 @@ def suite_area(max_size: int | None = None, jobs: int = 1,
     for n in range(1, max_size + 1):
         count = 0
         bound = FamilyBound("stanley", "area", n)
-        for _ in iter_raw(bound, jobs=jobs, cache_dir=cache_dir):
+        for _ in iter_raw(bound):
             count += 1
         if int(series.coeff({"z": n})) != count:
             enum_bad.append(str(n))
@@ -641,8 +653,7 @@ def suite_area(max_size: int | None = None, jobs: int = 1,
 
 # -- continued fraction --------------------------------------------------------------
 
-def suite_cf(max_size: int | None = None, jobs: int = 1,
-             cache_dir=None) -> dict:
+def suite_cf(max_size: int | None = None) -> dict:
     max_size = SUITE_DEFAULT_SIZE["cf"] if max_size is None else max_size
     checks: list = []
     try:
@@ -653,20 +664,14 @@ def suite_cf(max_size: int | None = None, jobs: int = 1,
         return {"suite": "cf", "checks": checks}
     a = rec["a"]
 
-    # full trivariate slice vs brute force; peak height sums of at most
-    # full_limit are exhausted by semilengths up to the same bound
+    # full trivariate slice vs brute force
+    counted = cf_tally(max_size)
     full_limit = min(6, max_size)
-    counted: dict[tuple, int] = defaultdict(int)
-    for m in range(1, full_limit + 1):
-        bound = FamilyBound("dyck", "semilength", m)
-        for d in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
-            s = objects.dyck_stats(d)
-            if s.sump <= full_limit:
-                counted[(s.nbp, s.sump, s.sumv)] += 1
+    want = {e: c for e, c in counted.items() if e[1] <= full_limit}
     got = {e: c for e, c in _series_int_terms(a).items()
            if e[1] <= full_limit}
     _check_dict(checks, "three-statistic terms equal brute-force counts "
-                f"through peak sum {full_limit}", dict(counted), got)
+                f"through peak sum {full_limit}", want, got)
 
     for deg in sorted(REFERENCE_CF):
         if deg > max_size:
@@ -677,12 +682,8 @@ def suite_cf(max_size: int | None = None, jobs: int = 1,
                     REFERENCE_CF[deg], got_deg)
 
     by_sump: dict[int, int] = defaultdict(int)
-    for m in range(1, max_size + 1):
-        bound = FamilyBound("dyck", "semilength", m)
-        for d in enumerate_family(bound, jobs=jobs, cache_dir=cache_dir):
-            s = objects.dyck_stats(d)
-            if s.sump <= max_size:
-                by_sump[s.sump] += 1
+    for (_, sump, _), c in counted.items():
+        by_sump[sump] += c
     _check(checks, f"peak-sum counts match the collapse through {max_size}",
            {n: by_sump.get(n, 0) for n in range(1, max_size + 1)},
            {n: int(rec["a-1q1"].coeff({"q": n}))
@@ -703,12 +704,13 @@ def suite_cf(max_size: int | None = None, jobs: int = 1,
 
     class_limit = min(6, max_size)
     class_counts: dict[int, int] = defaultdict(int)
+    area = objects.STATISTICS[("stanley", "area")]
+    row = objects.STATISTICS[("stanley", "row")]
     for n in range(1, 2 * class_limit + 1):
-        bound = FamilyBound("stanley", "area", n)
-        for raw in iter_raw(bound, jobs=jobs, cache_dir=cache_dir):
-            s = objects.stanley_stats(objects.StanleyPolyomino(raw))
-            if 1 <= s.area - s.row <= class_limit:
-                class_counts[s.area - s.row] += 1
+        for raw in iter_raw(FamilyBound("stanley", "area", n)):
+            k = area(raw) - row(raw)
+            if 1 <= k <= class_limit:
+                class_counts[k] += 1
     _check(checks, "peak-sum collapse counts polyominoes by cells above "
            f"the row count through {class_limit}",
            {m: int(rec["a-1q1"].coeff({"q": m}))
@@ -719,8 +721,7 @@ def suite_cf(max_size: int | None = None, jobs: int = 1,
 
 # -- area-and-rows refinement ----------------------------------------------------------
 
-def suite_corollary_2_13(max_size: int | None = None, jobs: int = 1,
-                         cache_dir=None) -> dict:
+def suite_corollary_2_13(max_size: int | None = None) -> dict:
     """Triple count identity: polyominoes by area and rows, staircase
     parallelograms by area and columns, fountains by even and odd coins.
 
@@ -734,16 +735,13 @@ def suite_corollary_2_13(max_size: int | None = None, jobs: int = 1,
     triples = 0
     # the other two sides only ever need sizes 1 .. max_size - 1
     para_by_area = {
-        a: count_grouped(FamilyBound("parallelogram", "area", a), "colCount",
-                         jobs=jobs, cache_dir=cache_dir)
+        a: count_grouped(FamilyBound("parallelogram", "area", a), "colCount")
         for a in range(1, max_size)}
     fountain_by_evens = {
-        a: count_grouped(FamilyBound("fountain", "evenCoins", a), "o",
-                         jobs=jobs, cache_dir=cache_dir)
+        a: count_grouped(FamilyBound("fountain", "evenCoins", a), "o")
         for a in range(1, max_size)}
     for n in range(2, max_size + 1):
-        stanley = count_grouped(FamilyBound("stanley", "area", n), "row",
-                                jobs=jobs, cache_dir=cache_dir)
+        stanley = count_grouped(FamilyBound("stanley", "area", n), "row")
         for r in range(1, n):
             para = para_by_area[n - r].get(r, 0)
             fountain = fountain_by_evens[n - r].get(n - 2 * r, 0)
@@ -771,19 +769,17 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_size: int | None = None, jobs: int = 1,
-              cache_dir=None) -> dict:
+def run_suite(name: str, max_size: int | None = None) -> dict:
     if name == "all":
         checks: list = []
         for sub in SUITES:
-            report = SUITES[sub](max_size=max_size, jobs=jobs,
-                                 cache_dir=cache_dir)
+            report = SUITES[sub](max_size=max_size)
             for c in report["checks"]:
                 checks.append({**c, "name": f"{sub}: {c['name']}"})
         return {"suite": "all", "checks": checks}
     if name not in SUITES:
         raise OutOfRange(f"unknown suite {name!r}")
-    return SUITES[name](max_size=max_size, jobs=jobs, cache_dir=cache_dir)
+    return SUITES[name](max_size=max_size)
 
 
 def report_failed(report: dict) -> bool:

@@ -134,7 +134,7 @@ def test_criterion_9_area_row_triple_match_suite():
 
 def test_criterion_10_fountain_physics_brute_force():
     checks: list[dict] = []
-    _fountain_brute_checks(checks, jobs=1, cache_dir=None)
+    _fountain_brute_checks(checks)
     ok = bool(checks) and all(c["status"] == "pass" for c in checks)
     assert record(10, "fountain acceptance matches gravity simulation to 18 coins",
                   ok)

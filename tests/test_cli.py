@@ -1,4 +1,4 @@
-"""End-to-end command-line behaviour: output shapes, exit codes, config."""
+"""End-to-end command-line behaviour: output shapes and exit codes."""
 
 from __future__ import annotations
 
@@ -86,14 +86,25 @@ class TestEnumerate:
         assert code == 3
         assert "too many" in err
 
-    def test_jobs_do_not_change_bytes(self, capsys):
-        _, serial, _ = run(capsys, "enumerate", "--family", "stanley",
-                           "--measure", "columns", "--value", "6",
-                           "--jobs", "1")
-        _, parallel, _ = run(capsys, "enumerate", "--family", "stanley",
-                             "--measure", "columns", "--value", "6",
-                             "--jobs", "2")
-        assert serial == parallel
+    @pytest.mark.parametrize("option, value", [("--jobs", "2"),
+                                               ("--cache-dir", "cache")])
+    def test_removed_options_exit_two(self, capsys, option, value):
+        code, out, _ = run(capsys, "enumerate", "--family", "stanley",
+                           "--measure", "columns", "--value", "3",
+                           option, value)
+        assert code == 2
+        assert out == ""
+
+    def test_internal_error_exit_six(self, capsys):
+        # the generators recurse once per row, past Python's recursion limit
+        code, out, err = run(capsys, "enumerate", "--family", "stanley",
+                             "--measure", "columns", "--value", "3000",
+                             "--limit", "1")
+        assert code == 6
+        assert out == ""
+        assert "RecursionError" in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_timestamp_prologue(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "dyck",
@@ -211,40 +222,3 @@ class TestVerify:
         assert code == 1
         statuses = {c["status"] for c in lines(out)[0]["checks"]}
         assert statuses == {"pass", "fail"}
-
-
-class TestConfig:
-    def test_config_file_sets_jobs(self, capsys, monkeypatch, tmp_path):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("jobs=2\n")
-        monkeypatch.setenv("STANLEY_LAB_CONFIG", str(cfg))
-        code, out, _ = run(capsys, "enumerate", "--family", "stanley",
-                           "--measure", "columns", "--value", "5")
-        assert code == 0
-        assert len(lines(out)) == 14
-
-    def test_unknown_key_warns(self, capsys, monkeypatch, tmp_path):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("jobs=1\ncolour=blue\n")
-        monkeypatch.setenv("STANLEY_LAB_CONFIG", str(cfg))
-        code, _, err = run(capsys, "enumerate", "--family", "dyck",
-                           "--measure", "semilength", "--value", "2")
-        assert code == 0
-        assert "colour" in err
-
-    def test_malformed_config_exit_two(self, capsys, monkeypatch, tmp_path):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("jobs two\n")
-        monkeypatch.setenv("STANLEY_LAB_CONFIG", str(cfg))
-        code, _, _ = run(capsys, "enumerate", "--family", "dyck",
-                         "--measure", "semilength", "--value", "2")
-        assert code == 2
-
-    def test_cache_dir_round_trip(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        args = ("enumerate", "--family", "parallelogram", "--measure",
-                "area", "--value", "6", "--cache-dir", str(cache))
-        _, cold, _ = run(capsys, *args)
-        assert any(cache.iterdir())
-        _, warm, _ = run(capsys, *args)
-        assert cold == warm

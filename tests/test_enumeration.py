@@ -88,26 +88,19 @@ class TestStreaming:
         bound = FamilyBound("stanley", "area", 7)
         assert list(iter_raw(bound)) == list(iter_raw(bound))
 
-    def test_jobs_preserve_order(self):
-        bound = FamilyBound("stanley", "columns", 7)
-        assert list(iter_raw(bound)) == list(iter_raw(bound, jobs=3))
-
     def test_cap(self):
         with pytest.raises(CapExceeded):
             list(iter_raw(FamilyBound("dyck", "semilength", 8), cap=100))
 
-    def test_cache_round_trip(self, tmp_path):
-        bound = FamilyBound("parallelogram", "area", 6)
-        cold = list(iter_raw(bound, cache_dir=tmp_path))
-        assert any(tmp_path.iterdir())
-        warm = list(iter_raw(bound, cache_dir=tmp_path))
-        assert cold == warm == list(iter_raw(bound))
-
-    def test_cached_words_round_trip(self, tmp_path):
-        bound = FamilyBound("dyck", "semilength", 4)
-        cold = list(iter_raw(bound, cache_dir=tmp_path))
-        warm = list(iter_raw(bound, cache_dir=tmp_path))
-        assert cold == warm
+    def test_even_coins_streams_in_canonical_order(self):
+        with pytest.raises(CapExceeded):
+            list(iter_raw(FamilyBound("fountain", "evenCoins", 14), cap=10))
+        # the first object arrives without the rest of the stream being built
+        first = next(iter_raw(FamilyBound("fountain", "evenCoins", 200)))
+        assert first == (1,) * 200
+        for e in range(13):
+            raw = list(iter_raw(FamilyBound("fountain", "evenCoins", e)))
+            assert raw == sorted(set(raw))
 
 
 class TestGrouping:

@@ -1,4 +1,5 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -288,15 +289,19 @@ class TestParallelograms:
 
 class TestJsonRoundTrip:
     def test_all_families(self):
-        cases = [
-            ("stanley", objects.make_stanley(WORKED)),
-            ("dyck", objects.make_dyck("UUDD")),
-            ("peaklessMotzkin", objects.make_motzkin("UFD")),
-            ("fountain", objects.make_fountain((2, 1))),
-            ("parallelogram", objects.make_parallelogram([(0, 2), (1, 2)])),
-        ]
-        for family, x in cases:
+        cases = {
+            "stanley": objects.make_stanley(WORKED),
+            "dyck": objects.make_dyck("UUDD"),
+            "peaklessMotzkin": objects.make_motzkin("UFD"),
+            "fountain": objects.make_fountain((2, 1)),
+            "parallelogram": objects.make_parallelogram([(0, 2), (1, 2)]),
+        }
+        assert set(cases) == set(objects.FAMILIES)
+        for family, (cls, _, _) in objects.FAMILIES.items():
+            x = cases[family]
+            assert type(x) is cls
             data = objects.to_json_obj(x)
+            assert json.loads(json.dumps(data)) == data
             assert objects.from_json_obj(family, data) == x
 
 
