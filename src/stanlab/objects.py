@@ -25,6 +25,7 @@ from .errors import (
     DiagonalDrop,
     DisconnectedColumns,
     EmptyInput,
+    InvalidObject,
     InvalidPath,
     NegativeOrZeroLength,
     NonMonotoneBoundary,
@@ -114,8 +115,11 @@ class ParallelogramStats:
 def _check_rows(rows: Sequence[Row]) -> tuple[Row, ...]:
     if not rows:
         raise EmptyInput("a Stanley polyomino needs at least one row")
-    rows = tuple((int(s), int(l)) for s, l in rows)
+    rows = tuple((s, l) for s, l in rows)
     for s, l in rows:
+        # exact type test: 1.5, "2" and true are refused, not truncated
+        if type(s) is not int or type(l) is not int:
+            raise InvalidObject(f"row ({s!r}, {l!r}) must be two integers")
         if l <= 0:
             raise NegativeOrZeroLength(f"row length {l} must be positive")
     if rows[0][0] != 0:
@@ -183,6 +187,8 @@ def stanley_cells(p: StanleyPolyomino) -> set[tuple[int, int]]:
 # -- Dyck and Motzkin paths -------------------------------------------------
 
 def make_dyck(word: str) -> DyckPath:
+    if not isinstance(word, str):
+        raise InvalidPath(f"a Dyck word must be a string, got {word!r}")
     w = word.upper()
     h = 0
     for c in w:
@@ -200,6 +206,8 @@ def make_dyck(word: str) -> DyckPath:
 
 
 def make_motzkin(word: str) -> MotzkinPath:
+    if not isinstance(word, str):
+        raise InvalidPath(f"a Motzkin word must be a string, got {word!r}")
     w = word.upper()
     h = 0
     for c in w:
@@ -258,10 +266,12 @@ def make_fountain(diagonals: Iterable[int]) -> CoinFountain:
     each diagonal to be a contiguous run from the bottom and bounds each size
     by the next size plus one.
     """
-    d = tuple(int(x) for x in diagonals)
+    d = tuple(diagonals)
     if not d:
         raise EmptyInput("a fountain needs at least one diagonal")
     for x in d:
+        if type(x) is not int:
+            raise InvalidObject(f"diagonal size {x!r} must be an integer")
         if x <= 0:
             raise NegativeOrZeroLength(f"diagonal size {x} must be positive")
     if d[-1] != 1:
@@ -312,10 +322,12 @@ def diagonals_from_levels(levels: Sequence[set[int]]) -> tuple[int, ...]:
 # -- parallelogram polyominoes ------------------------------------------------
 
 def make_parallelogram(columns: Iterable[tuple[int, int]]) -> ParallelogramPolyomino:
-    cols = tuple((int(b), int(h)) for b, h in columns)
+    cols = tuple((b, h) for b, h in columns)
     if not cols:
         raise EmptyInput("a parallelogram polyomino needs at least one column")
     for b, h in cols:
+        if type(b) is not int or type(h) is not int:
+            raise InvalidObject(f"column ({b!r}, {h!r}) must be two integers")
         if h <= 0:
             raise NegativeOrZeroLength(f"column height {h} must be positive")
     if cols[0][0] != 0:

@@ -1,8 +1,10 @@
 """Exact truncated multivariate series over the rationals.
 
-A TruncatedSeries is a sparse dict of exponent vectors with Fraction
-coefficients.  Truncation is single-graded: one designated grade variable,
-and every operation discards terms whose grade exponent exceeds the order.
+A TruncatedSeries is a sparse dict of exponent vectors with exact
+coefficients: a plain int whenever the coefficient is an integer, and a
+Fraction only where a division is inexact.  Truncation is single-graded:
+one designated grade variable, and every operation discards terms whose
+grade exponent exceeds the order.
 Variables listed as Laurent may carry negative exponents; all others must
 stay nonnegative.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -22,12 +25,18 @@ from .errors import (
 )
 
 Exponents = tuple[int, ...]
-Coeff = Fraction
+# int when integral; Fraction only where a division is inexact
+Coeff = int | Fraction
 Scalar = int | Fraction
 
 
-def _frac(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _frac(c: Scalar) -> Coeff:
+    """A coefficient in canonical form: an integral Fraction becomes an int."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class TruncatedSeries:
     def _build(self, terms: dict, order: int | None = None) -> "TruncatedSeries":
         order = self.order if order is None else order
         gi = self._gi()
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coeff] = {}
         for e, c in terms.items():
             if c == 0 or e[gi] > order:
                 continue
@@ -69,6 +78,8 @@ class TruncatedSeries:
                     raise NotInvertible(
                         f"negative exponent on non-Laurent variable {name!r}"
                     )
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
             clean[e] = c
         return TruncatedSeries(self.vars, self.grade, order, self.laurent, clean)
 
@@ -81,7 +92,7 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return self._build(terms, order)
 
     __radd__ = __add__
@@ -104,7 +115,7 @@ class TruncatedSeries:
         self._compat(other)
         order = min(self.order, other.order)
         gi = self._gi()
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         # iterate over the smaller operand outside
         a, b = (self.terms, other.terms)
         if len(a) > len(b):
@@ -114,8 +125,8 @@ class TruncatedSeries:
             for eb, cb in b.items():
                 if ga + eb[gi] > order:
                     continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
         return self._build(out, order)
 
     __rmul__ = __mul__
@@ -140,9 +151,9 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exps: Mapping[str, int]) -> Fraction:
+    def coeff(self, exps: Mapping[str, int]) -> Coeff:
         e = tuple(exps.get(v, 0) for v in self.vars)
-        return self.terms.get(e, Fraction(0))
+        return self.terms.get(e, 0)
 
     def cofactor(self, var: str, k: int) -> "TruncatedSeries":
         """Terms with var-exponent exactly k, with that exponent zeroed out."""
@@ -223,7 +234,10 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse.
 
     The grade-constant part must be a single monomial supported only on
-    Laurent variables; the rest is expanded geometrically in the grade.
+    Laurent variables.  Dividing by it leaves 1 + t with t of positive
+    grade; the inverse of 1 + t is then built one grade at a time by the
+    coefficient recurrence for the reciprocal of a power series (Knuth,
+    TAOCP vol. 2, 4.7).
     """
     gi = a._gi()
     const = {e: c for e, c in a.terms.items() if e[gi] == 0}
@@ -237,23 +251,25 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
             raise NotInvertible(
                 f"constant monomial uses non-Laurent variable {name!r}"
             )
-    ring = a.ring()
-    inv_mono = TruncatedSeries(
-        a.vars, a.grade, a.order, a.laurent, {tuple(-x for x in e0): 1 / c0}
-    )
+    inv_mono = a._build({tuple(-x for x in e0): Fraction(1) / c0})
     u = a * inv_mono  # now 1 + t with t of positive grade valuation
-    one = ring.one()
-    t = u - one
-    if not t.is_zero() and t.valuation() == 0:
-        raise NotInvertible("normalized series still has grade-constant terms")
-    out = one
-    power = one
-    for _ in range(a.order):
-        power = power * (-t)
-        if power.is_zero():
-            break
-        out = out + power
-    return out * inv_mono
+    t = u - a.ring().one()
+    if not t.is_zero() and t.valuation() <= 0:
+        raise NotInvertible("normalized series still has terms of grade 0 or below")
+    t_by_grade = [[] for _ in range(a.order + 1)]
+    for e, c in t.terms.items():
+        t_by_grade[e[gi]].append((e, c))
+    # b_0 = 1 and b_n = -(t_1 b_{n-1} + ... + t_n b_0), one grade at a time
+    b = [{(0,) * len(a.vars): 1}]
+    for n in range(1, a.order + 1):
+        bn: dict[Exponents, Coeff] = {}
+        for k in range(1, n + 1):
+            for et, ct in t_by_grade[k]:
+                for eb, cb in b[n - k].items():
+                    e = tuple(map(add, et, eb))
+                    bn[e] = bn.get(e, 0) - ct * cb
+        b.append({e: c for e, c in bn.items() if c})
+    return a._build({e: c for bn in b for e, c in bn.items()}) * inv_mono
 
 
 def substitute_monomial(
@@ -274,11 +290,11 @@ def substitute_monomial(
     vi = a.vars.index(var)
     gi = a._gi()
     mono = tuple(exps.get(v, 0) for v in a.vars)
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, Coeff] = {}
     for e, c in a.terms.items():
         k = e[vi]
         if k == 0:
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
             continue
         if c0 == 0:
             if k > 0:
@@ -299,7 +315,8 @@ def substitute_monomial(
                     f"substitution makes {name!r} exponent negative"
                 )
         ne = tuple(new_e)
-        out[ne] = out.get(ne, Fraction(0)) + c * c0**k
+        # a negative power of an int must stay exact, not become a float
+        out[ne] = out.get(ne, 0) + c * (c0**k if k > 0 else Fraction(c0) ** k)
     return a._build(out)
 
 
@@ -307,13 +324,13 @@ def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
     if var not in a.vars:
         raise VariableMismatch(f"{var!r} not a series variable")
     vi = a.vars.index(var)
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, Coeff] = {}
     for e, c in a.terms.items():
         k = e[vi]
         if k == 0:
             continue
         ne = e[:vi] + (k - 1,) + e[vi + 1 :]
-        out[ne] = out.get(ne, Fraction(0)) + c * k
+        out[ne] = out.get(ne, 0) + c * k
     return a._build(out)
 
 
@@ -323,7 +340,7 @@ def div_monomial(a: TruncatedSeries, coeff: Scalar, exps: Mapping[str, int]) -> 
     if c0 == 0:
         raise NotInvertible("division by zero monomial")
     shift = tuple(exps.get(v, 0) for v in a.vars)
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, Coeff] = {}
     for e, c in a.terms.items():
         ne = tuple(x - s for x, s in zip(e, shift))
         for name, exp in zip(a.vars, ne):
@@ -331,7 +348,7 @@ def div_monomial(a: TruncatedSeries, coeff: Scalar, exps: Mapping[str, int]) -> 
                 raise NotInvertible(
                     f"monomial division not exact: {name!r} exponent {exp}"
                 )
-        out[ne] = c / c0
+        out[ne] = Fraction(c) / c0
     return a._build(out)
 
 
@@ -360,14 +377,14 @@ def collapse(
                 "collapse needs weight >= 1 on the grade variable or an explicit order"
             )
         new_order = a.order
-    out: dict[tuple[int], Fraction] = {}
+    out: dict[tuple[int], Coeff] = {}
     for e, c in a.terms.items():
         n = sum(x * y for x, y in zip(e, w))
         if n < 0:
             raise UnsoundSubstitution("collapse produced a negative exponent")
         if n > new_order:
             continue
-        out[(n,)] = out.get((n,), Fraction(0)) + c
+        out[(n,)] = out.get((n,), 0) + c
     res = TruncatedSeries((new_var,), new_var, new_order, frozenset(), {})
     return res._build(out, new_order)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -158,6 +159,23 @@ class TestMap:
         assert code == 4
         assert "line 1" in err
 
+    @pytest.mark.parametrize("bijection, line", [
+        ("phi-inv", '{"word": 5}'),
+        ("chi", '{"word": ["U", "D"]}'),
+        ("f", '{"diagonals": [1.5, 1]}'),
+        ("f", '{"diagonals": ["2", 1]}'),
+        ("phi", '{"rows": [[0, 2], [true, 2]]}'),
+        ("h", '{"columns": [[0, 2.0]]}'),
+    ])
+    def test_wrongly_typed_field_exit_four(self, capsys, monkeypatch,
+                                           bijection, line):
+        self.feed(monkeypatch, line + "\n")
+        code, out, err = run(capsys, "map", "--bijection", bijection)
+        assert code == 4
+        assert out == ""
+        assert "line 1: invalid input" in err
+        assert "internal error" not in err
+
     def test_skip_invalid_keeps_going(self, capsys, monkeypatch):
         self.feed(monkeypatch,
                   '{"word": "UD"}\nbroken\n{"word": "UUDD"}\n')
@@ -204,6 +222,35 @@ class TestSeries:
                            "--order", "4", "--depth", "1")
         assert code == 5
         assert "theorem check failed" in err
+
+
+# sha256 of the stdout of `series --gf G --order 6`, frozen from the output
+# of the Fraction-coefficient engine: how a coefficient is stored must not
+# change a byte of what is printed
+SERIES_ORDER_6_SHA256 = {
+    "full": "2e802a69e43c1876b5c51ea9fb0b1556f328689de76bae7aa392050eac8606b8",
+    "columns":
+        "46dbf0566d4c5dbff742431e4f3e128ec0386f1515aee598f3bee8053bb0f20a",
+    "semiperimeter":
+        "37ecd5dc2a39bb2303c9c8e979761317a75e3a3ee14545798d639c8398036163",
+    "area": "94248c7377ab7db315e80e79d0dc0399c68e38c9b0c22fe77d65929e33f36edc",
+    "cf-a": "fe868b5262ec8893d59aa2f6bcacfc99d6e7e1f36592a2c8394cdd255ac6dce4",
+    "cf-specializations":
+        "5ca7466cb4cea06268ebc211f8fbf1bef081a28e16d97257d0d6cf778a72f7ea",
+    "corollaries":
+        "cd95cbd3611fbf96b2fd16e9023f5a0cce6ccb00d8682e1353b15f7647f91414",
+}
+
+
+def test_series_digests_cover_every_choice():
+    assert set(SERIES_ORDER_6_SHA256) == set(cli.GF_CHOICES)
+
+
+@pytest.mark.parametrize("gf", cli.GF_CHOICES)
+def test_series_stdout_bytes_pinned(capsys, gf):
+    code, out, _ = run(capsys, "series", "--gf", gf, "--order", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_ORDER_6_SHA256[gf]
 
 
 class TestVerify:

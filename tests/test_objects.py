@@ -12,6 +12,7 @@ from stanlab.errors import (
     DiagonalDrop,
     DisconnectedColumns,
     EmptyInput,
+    InvalidObject,
     InvalidPath,
     NegativeOrZeroLength,
     NonMonotoneBoundary,
@@ -287,6 +288,37 @@ class TestParallelograms:
             objects.make_parallelogram([(0, 2), (1, 2), (1, 1)])
 
 
+class TestNonIntegerInput:
+    # JSON decoding gives floats, strings and booleans as they are; each must
+    # be refused rather than truncated by int()
+    BAD = (1.5, 1.0, "2", True)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_stanley_coordinate(self, bad):
+        with pytest.raises(InvalidObject):
+            objects.make_stanley([(0, 2), (1, bad)])
+        with pytest.raises(InvalidObject):
+            objects.make_stanley([(bad, 2)])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_fountain_diagonal(self, bad):
+        with pytest.raises(InvalidObject):
+            objects.make_fountain([bad, 1])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_parallelogram_coordinate(self, bad):
+        with pytest.raises(InvalidObject):
+            objects.make_parallelogram([(0, 2), (bad, 2)])
+        with pytest.raises(InvalidObject):
+            objects.make_parallelogram([(0, bad)])
+
+    @pytest.mark.parametrize("make", [objects.make_dyck, objects.make_motzkin])
+    @pytest.mark.parametrize("word", [5, None, ["U", "D"]])
+    def test_path_word_must_be_a_string(self, make, word):
+        with pytest.raises(InvalidPath):
+            make(word)
+
+
 class TestJsonRoundTrip:
     def test_all_families(self):
         cases = {
@@ -301,8 +333,10 @@ class TestJsonRoundTrip:
             x = cases[family]
             assert type(x) is cls
             data = objects.to_json_obj(x)
-            assert json.loads(json.dumps(data)) == data
-            assert objects.from_json_obj(family, data) == x
+            decoded = json.loads(json.dumps(data))
+            assert decoded == data
+            # JSON integers pass the exact int type test
+            assert objects.from_json_obj(family, decoded) == x
 
 
 def test_package_has_no_assert_statements():

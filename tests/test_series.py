@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,107 @@ class TestInvert:
         x, y = r.gens()
         with pytest.raises(NotInvertible):
             invert(r.one() + y + x)
+
+    def test_negative_grade_rejected(self):
+        # a Laurent grade variable may go below grade 0, where no
+        # grade-by-grade expansion exists
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("x",))
+        with pytest.raises(NotInvertible):
+            invert(r.one() + r.monomial(1, x=-1))
+
+
+def _dict_mul(a: dict, b: dict, gi: int, order: int) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if e[gi] <= order:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _geometric_inverse(terms: dict, gi: int, order: int) -> dict:
+    """Reference inverse on plain dicts: divide by the constant monomial,
+    then sum the powers (-t)**0 .. (-t)**order."""
+    (e0, c0), = ((e, c) for e, c in terms.items() if e[gi] == 0)
+    inv_c = {tuple(-x for x in e0): Fraction(1) / c0}
+    zero = (0,) * len(e0)
+    minus_t = {e: -c for e, c in _dict_mul(terms, inv_c, gi, order).items()
+               if e != zero}
+    total = {zero: Fraction(1)}
+    power = {zero: Fraction(1)}
+    for _ in range(order):
+        power = _dict_mul(power, minus_t, gi, order)
+        for e, c in power.items():
+            total[e] = total.get(e, 0) + c
+    return _dict_mul(total, inv_c, gi, order)
+
+
+constants = st.sampled_from([1, -1, 3, Fraction(-2, 5), Fraction(7, 3)])
+small_coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)])
+
+
+class TestInvertAgainstGeometricReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), constants, st.integers(-2, 2), st.data())
+    def test_matches_geometric_expansion(self, nvars, c0, laurent_exp, data):
+        # grade x; y is Laurent, so the constant monomial may carry y**k
+        names = ("x", "y", "w")[:nvars]
+        order = 4
+        r = SeriesRing(names, grade="x", order=order, laurent=("y",))
+        other = st.tuples(st.integers(1, order), st.integers(-2, 2),
+                          st.integers(0, 2), small_coeffs)
+        terms = {(0, laurent_exp, 0)[:nvars]: c0}
+        for gx, ey, ew, c in data.draw(st.lists(other, max_size=5)):
+            e = (gx, ey, ew)[:nvars]
+            terms[e] = terms.get(e, 0) + c
+        terms = {e: c for e, c in terms.items() if c}
+        a = r.from_terms(terms)
+        inv = invert(a)
+        want = _geometric_inverse(a.terms, 0, order)
+        assert inv.terms == want
+        assert all(type(c) is int or c.denominator != 1
+                   for c in inv.terms.values())
+        assert (a * inv).terms == r.one().terms
+
+
+class TestIntegerCoefficients:
+    def test_integral_coefficients_are_ints(self):
+        r = ring2()
+        x, y = r.gens()
+        s = invert(r.one() - x - x * y) * (r.constant(Fraction(1, 2)) * 2)
+        assert s.terms
+        assert all(type(c) is int for c in s.terms.values())
+        assert type(r.monomial(Fraction(6, 3), x=1).coeff({"x": 1})) is int
+
+    def test_inexact_division_stays_a_fraction(self):
+        r = ring2()
+        x, _ = r.gens()
+        half = div_monomial(3 * x * x, 2, {"x": 1})
+        c = half.coeff({"x": 1})
+        assert type(c) is Fraction and c == Fraction(3, 2)
+        whole = div_monomial(4 * x, 2, {"x": 1})
+        assert type(whole.coeff({})) is int and whole.coeff({}) == 2
+
+    def test_inverse_of_integer_constant_is_exact(self):
+        r = ring2()
+        inv = invert(r.constant(3) + r.var("x"))
+        assert inv.coeff({}) == Fraction(1, 3)
+        assert all(type(c) is Fraction for c in inv.terms.values())
+
+    def test_negative_power_substitution_is_exact(self):
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+        s = substitute_monomial(r.monomial(1, x=1, y=-1), "y", 2)
+        c = s.coeff({"x": 1})
+        assert type(c) is Fraction and c == Fraction(1, 2)
+
+    def test_json_numbers_and_strings(self):
+        r = ring2(order=3)
+        x, _ = r.gens()
+        s = invert(r.one() - 2 * x) + r.constant(Fraction(1, 3))
+        text = json.dumps(series_json(s), separators=(",", ":"))
+        assert '{"e":[1,0],"c":2}' in text
+        assert '{"e":[0,0],"c":"4/3"}' in text
 
 
 class TestSubstitution:
