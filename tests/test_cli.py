@@ -9,6 +9,7 @@ import json
 import pytest
 
 import stanlab.cli as cli
+from stanlab import verification
 from stanlab.errors import CapExceeded
 
 WORKED_ROWS = [[0, 6], [3, 6], [4, 7], [10, 3], [11, 5]]
@@ -269,3 +270,52 @@ class TestVerify:
         assert code == 1
         statuses = {c["status"] for c in lines(out)[0]["checks"]}
         assert statuses == {"pass", "fail"}
+
+
+# exit code and sha256 of the stdout of `verify --suite NAME --max-size 5`,
+# and of `verify --suite NAME` at its default size (bijections aside: at
+# size 12 it takes over a minute), frozen from the output before the check
+# helpers were shared; semiperimeter and bijections at size 5 carry the
+# known reds
+VERIFY_SIZE_5 = {
+    "area": (0, "fdb9f5af64d2ce7c837a67f369347b17a02778dacdb843abd80748823da5677b"),
+    "bijections":
+        (1, "dc9984626adcfd324983c064a5b23c0ee5e8ba9fba173a378735351f1e639786"),
+    "cf": (0, "6ef370680c83c87ab63d78d9e8b5e7c7444b835274b3e76774eab132fccfea8f"),
+    "columns":
+        (0, "baf295492061beb6bf0d86d142097202b4af1863ba112606760134c953135bf2"),
+    "corollary-2-13":
+        (0, "2c9f7d8d0045a829c904edee495a17b18eb79bbf76b77a1b52f00ecbe9d1beaa"),
+    "semiperimeter":
+        (1, "19600bda72ce46b709bf5ed04431dbad5fa5d2276502b5060da52d2c8c277373"),
+    "table1": (0, "d540203c69d41fc57bcf217b16dc88ed366439d7bdb758454d5fb9cde3e7bf1b"),
+    "thm-full":
+        (0, "104ac050ce819d63cd82fd3710919885fbf3261654f380968dfb7130de97afd5"),
+}
+VERIFY_DEFAULT_SIZE = {
+    "area": (0, "90a1f43bfbba6d0eb8b60c6e48d1955cb62cbdcd6dcb4c224362219fd62b5232"),
+    "cf": (0, "1ada869f6986ed11d9200c34a0bc62334c517f7700b055bb50c0c9f0aac90b23"),
+    "columns":
+        (0, "5316af945d6c51b515f08c438fba5a9575274175d2535e58133634bb0384b497"),
+    "corollary-2-13":
+        (0, "16078c3f09ac932686217edfb860a50eb3165c58e2b1ad5eb272b5e1b4fb9e44"),
+    "semiperimeter":
+        (1, "4ad7f39b99d6a81c274440af471030a422c23e3f3968a3bf5bd14d64cdb00814"),
+    "table1": (0, "ad5c75a77ead5602b91264711330c5adaba1cc078f59e7b5189e96da6a1db4e6"),
+    "thm-full":
+        (0, "f2d7bbeeca312b3a4913e4513133c933698708d4f43d296142207e5a035af8f2"),
+}
+
+
+def test_verify_digests_cover_every_suite():
+    assert set(VERIFY_SIZE_5) == set(verification.SUITES)
+    assert set(VERIFY_DEFAULT_SIZE) == set(verification.SUITES) - {"bijections"}
+
+
+@pytest.mark.parametrize("name, size, pinned", [
+    *((name, ["--max-size", "5"], pin) for name, pin in VERIFY_SIZE_5.items()),
+    *((name, [], pin) for name, pin in VERIFY_DEFAULT_SIZE.items()),
+])
+def test_verify_stdout_bytes_pinned(capsys, name, size, pinned):
+    code, out, _ = run(capsys, "verify", "--suite", name, *size)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned
