@@ -398,8 +398,7 @@ def gf_full(order_x: int) -> TruncatedSeries:
 # -- continued fraction ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def gf_continued_fractions(order: int, depth: int | None = None,
-                           enum_limit: int | None = None) -> dict:
+def gf_continued_fractions(order: int, depth: int | None = None) -> dict:
     """Peak/valley continued fraction A(p, q, v) and its named specializations.
 
     The record carries the full trivariate series, the area collapse (with
@@ -438,8 +437,7 @@ def gf_continued_fractions(order: int, depth: int | None = None,
         if a_pp0.coeff({"p": n}) != fibonacci(n - 1):
             raise MismatchBetweenForms(f"valley-free coefficient at p^{n}")
 
-    if enum_limit is None:
-        enum_limit = min(order, 9)
+    enum_limit = min(order, 9)
     from . import enumeration
     for n in range(1, enum_limit + 1):
         count = enumeration.cached_count("parallelogram", "area", n)

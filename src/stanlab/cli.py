@@ -62,6 +62,8 @@ def _stamp(args) -> None:
 
 def cmd_enumerate(args) -> int:
     bound = FamilyBound(args.family, args.measure, args.value)
+    if args.limit is not None and args.limit < 0:
+        raise OutOfRange(f"--limit must be nonnegative, got {args.limit}")
     _stamp(args)
     if args.group_by:
         counts = count_grouped(bound, args.group_by)

@@ -3,21 +3,19 @@
 Streams are generated by DFS over canonical prefixes and arrive in
 lexicographic order of the canonical field encoding (rows, word, diagonals,
 columns).  Re-invoking an iterator restarts the same stream.  A safety cap
-bounds stream length.  Grouped counts and aggregate polynomials read one
-statistic per object straight from the raw encoding.
+bounds stream length.  Grouped counts read one statistic per object straight
+from the raw encoding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import objects
 from .errors import CapExceeded, UnsupportedPair
-from .series import SeriesRing, TruncatedSeries
 
 DEFAULT_CAP = 10_000_000
 
@@ -242,27 +240,6 @@ def count_grouped(bound: FamilyBound, group_by: str,
     value = _statistic(bound.family, group_by)
     counts = Counter(map(value, iter_raw(bound, cap=cap)))
     return dict(sorted(counts.items()))
-
-
-def aggregate_polynomial(
-    bound: FamilyBound,
-    marks: Sequence[tuple[str, str]],
-    cap: int = DEFAULT_CAP,
-    order: int | None = None,
-) -> TruncatedSeries:
-    """Sum prod(var**statistic) over the stream; marks are (var, statistic)."""
-    if not marks:
-        raise UnsupportedPair("aggregate_polynomial needs at least one mark")
-    names = tuple(v for v, _ in marks)
-    values = tuple(_statistic(bound.family, s) for _, s in marks)
-    terms: dict[tuple[int, ...], int] = {}
-    max_grade = 0
-    for raw in iter_raw(bound, cap=cap):
-        e = tuple(value(raw) for value in values)
-        terms[e] = terms.get(e, 0) + 1
-        max_grade = max(max_grade, e[0])
-    ring = SeriesRing(names, names[0], max_grade if order is None else order)
-    return ring.from_terms({e: Fraction(c) for e, c in terms.items()})
 
 
 @lru_cache(maxsize=512)

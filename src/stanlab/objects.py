@@ -179,11 +179,6 @@ def ab_sequences(p: StanleyPolyomino) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(a), tuple(b)
 
 
-def stanley_cells(p: StanleyPolyomino) -> set[tuple[int, int]]:
-    """Cell set as (column, row-index) pairs, row index 0 at the bottom."""
-    return {(x, y) for y, (s, l) in enumerate(p.rows) for x in range(s, s + l)}
-
-
 # -- Dyck and Motzkin paths -------------------------------------------------
 
 def make_dyck(word: str) -> DyckPath:

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping
 from .errors import (
     NoContraction,
     NotInvertible,
+    OutOfRange,
     Unstable,
     UnsoundSubstitution,
     VariableMismatch,
@@ -224,9 +225,6 @@ class SeriesRing:
     def gens(self) -> tuple[TruncatedSeries, ...]:
         return tuple(self.var(n) for n in self.names)
 
-    def from_terms(self, terms: Mapping[Exponents, Scalar]) -> TruncatedSeries:
-        return self.zero()._build({e: _frac(c) for e, c in terms.items()})
-
 
 # -- operations ---------------------------------------------------------------
 
@@ -353,17 +351,12 @@ def div_monomial(a: TruncatedSeries, coeff: Scalar, exps: Mapping[str, int]) -> 
 
 
 def collapse(
-    a: TruncatedSeries,
-    weights: Mapping[str, int],
-    new_var: str,
-    new_order: int | None = None,
+    a: TruncatedSeries, weights: Mapping[str, int], new_var: str
 ) -> TruncatedSeries:
     """Map every term to new_var**(weighted exponent sum).
 
-    With a positive weight on the grade variable the result is complete
-    through the input's order; with weight 0 the caller must pass new_order
-    and guarantee completeness from the model (e.g. a statistic dominating
-    the grade).
+    The grade variable needs a positive weight, which makes the result
+    complete through the input's order.
     """
     unknown = set(weights) - set(a.vars)
     if unknown:
@@ -371,42 +364,24 @@ def collapse(
     w = tuple(weights.get(v, 0) for v in a.vars)
     if any(x < 0 for x in w):
         raise UnsoundSubstitution("collapse weights must be nonnegative")
-    if new_order is None:
-        if weights.get(a.grade, 0) < 1:
-            raise UnsoundSubstitution(
-                "collapse needs weight >= 1 on the grade variable or an explicit order"
-            )
-        new_order = a.order
+    if weights.get(a.grade, 0) < 1:
+        raise UnsoundSubstitution("collapse needs weight >= 1 on the grade variable")
     out: dict[tuple[int], Coeff] = {}
     for e, c in a.terms.items():
         n = sum(x * y for x, y in zip(e, w))
         if n < 0:
             raise UnsoundSubstitution("collapse produced a negative exponent")
-        if n > new_order:
-            continue
         out[(n,)] = out.get((n,), 0) + c
-    res = TruncatedSeries((new_var,), new_var, new_order, frozenset(), {})
-    return res._build(out, new_order)
-
-
-def same_coefficients(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """Term-by-term equality up to variable renaming by position."""
-    if len(a.vars) != len(b.vars):
-        return False
-    lo = min(a.order, b.order)
-    ga, gb = a._gi(), b._gi()
-    ta = {e: c for e, c in a.terms.items() if e[ga] <= lo}
-    tb = {e: c for e, c in b.terms.items() if e[gb] <= lo}
-    return ta == tb
+    return TruncatedSeries((new_var,), new_var, a.order)._build(out)
 
 
 def solve_fixed_point(
     phi: Callable[[TruncatedSeries], TruncatedSeries],
     seed: TruncatedSeries,
-    max_rounds: int | None = None,
 ) -> TruncatedSeries:
-    """Iterate phi until two successive series agree exactly."""
-    rounds = (seed.order + 2) if max_rounds is None else max_rounds
+    """Iterate phi, at most order + 2 times, until two successive series
+    agree exactly."""
+    rounds = seed.order + 2
     cur = seed
     for _ in range(rounds):
         nxt = phi(cur)
@@ -431,7 +406,6 @@ def continued_fraction(
     level: Callable[[int], TruncatedSeries],
     numerator: TruncatedSeries,
     depth: int,
-    check_depth: bool = True,
 ) -> TruncatedSeries:
     """Evaluate -1 + numerator / (L_1 - numerator / (L_2 - ...)).
 
@@ -442,14 +416,10 @@ def continued_fraction(
     truncation order, else Unstable is raised.
     """
     if depth < 1:
-        raise Unstable(f"continued fraction needs depth >= 1, got {depth}")
+        raise OutOfRange(f"continued fraction needs depth >= 1, got {depth}")
     first = _cf_eval(level, numerator, depth)
-    if check_depth:
-        second = _cf_eval(level, numerator, depth + 1)
-        if first.terms != second.terms:
-            raise Unstable(
-                f"depth {depth} and {depth + 1} disagree; increase depth"
-            )
+    if first.terms != _cf_eval(level, numerator, depth + 1).terms:
+        raise Unstable(f"depth {depth} and {depth + 1} disagree; increase depth")
     return first
 
 
@@ -474,7 +444,7 @@ def _cf_eval(level, numerator, depth) -> TruncatedSeries:
 def series_json(a: TruncatedSeries) -> dict:
     # integer coefficients stay JSON numbers; true fractions become strings
     terms = [
-        {"e": list(e), "c": int(c) if c.denominator == 1 else str(c)}
+        {"e": list(e), "c": c if c.denominator == 1 else str(c)}
         for e, c in sorted(a.terms.items())
     ]
     return {

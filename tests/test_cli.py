@@ -72,6 +72,19 @@ class TestEnumerate:
         assert code == 0
         assert len(lines(out)) == 3
 
+    def test_zero_limit_emits_nothing(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--family", "dyck",
+                           "--measure", "semilength", "--value", "5",
+                           "--limit", "0")
+        assert (code, out) == (0, "")
+
+    def test_negative_limit_exit_two(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--family", "dyck",
+                             "--measure", "semilength", "--value", "5",
+                             "--limit", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_unsupported_pair_exit_two(self, capsys):
         code, _, err = run(capsys, "enumerate", "--family", "stanley",
                            "--measure", "rows", "--value", "4")
@@ -224,6 +237,13 @@ class TestSeries:
         assert code == 5
         assert "theorem check failed" in err
 
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_one_exit_two(self, capsys, depth):
+        code, out, err = run(capsys, "series", "--gf", "cf-a",
+                             "--order", "5", "--depth", depth)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "depth" in err
+
 
 # sha256 of the stdout of `series --gf G --order 6`, frozen from the output
 # of the Fraction-coefficient engine: how a coefficient is stored must not
@@ -270,6 +290,14 @@ class TestVerify:
         assert code == 1
         statuses = {c["status"] for c in lines(out)[0]["checks"]}
         assert statuses == {"pass", "fail"}
+
+    @pytest.mark.parametrize("name", sorted(verification.SUITES) + ["all"])
+    @pytest.mark.parametrize("size", ["1", "-1"])
+    def test_size_below_two_exit_two(self, capsys, name, size):
+        code, out, err = run(capsys, "verify", "--suite", name,
+                             "--max-size", size)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 # exit code and sha256 of the stdout of `verify --suite NAME --max-size 5`,

@@ -5,7 +5,6 @@ from stanlab.catalog import catalan
 from stanlab.enumeration import (
     SUPPORTED_PAIRS,
     FamilyBound,
-    aggregate_polynomial,
     cached_count,
     count_grouped,
     enumerate_family,
@@ -108,12 +107,6 @@ class TestGrouping:
         counts = count_grouped(FamilyBound("stanley", "area", 6), "row")
         assert counts == {1: 1, 2: 4, 3: 1}
 
-    def test_group_matches_aggregate(self):
-        bound = FamilyBound("stanley", "columns", 6)
-        counts = count_grouped(bound, "first")
-        poly = aggregate_polynomial(bound, [("u", "first")])
-        assert counts == {e[0]: int(c) for e, c in poly.terms.items()}
-
     def test_unknown_statistic(self):
         with pytest.raises(UnsupportedPair, match="not defined"):
             count_grouped(FamilyBound("stanley", "area", 5), "perimeterish")
@@ -136,8 +129,6 @@ class TestGrouping:
         assert list(iter_raw(bound)) == []
         with pytest.raises(UnsupportedPair, match=message):
             count_grouped(bound, name)
-        with pytest.raises(UnsupportedPair, match=message):
-            aggregate_polynomial(bound, [("u", name)])
 
 
 class TestStatisticsTable:

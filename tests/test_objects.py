@@ -1,11 +1,13 @@
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stanlab
 from stanlab import objects
 from stanlab.errors import (
     BadLastDiagonal,
@@ -128,7 +130,8 @@ def cell_oracles(p: objects.StanleyPolyomino) -> tuple[int, int, int]:
     horizontal unit edge is strictly internal when both its corners are;
     an adjacency is a vertically stacked cell pair.
     """
-    cells = objects.stanley_cells(p)
+    # (column, row index) pairs, row index 0 at the bottom
+    cells = {(x, y) for y, (s, l) in enumerate(p.rows) for x in range(s, s + l)}
     adja = sum(1 for (x, y) in cells if (x, y + 1) in cells)
 
     def interior(x: int, y: int) -> bool:
@@ -347,3 +350,33 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _identifiers(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_public_library_code_only_tests_use():
+    # every public top-level function and class is named in the package or
+    # in scripts/ outside its own definition, or exported through __all__
+    src = Path(objects.__file__).parent
+    paths = sorted(src.glob("*.py")) + sorted(
+        (src.parents[1] / "scripts").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    named = Counter(n for tree in trees.values() for n in _identifiers(tree))
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items() if path.parent == src
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in stanlab.__all__
+        and named[node.name] == Counter(_identifiers(node))[node.name]
+    ]
+    assert unused == []
