@@ -8,12 +8,18 @@ h_map reads a parallelogram polyomino as a Dyck path through its column
 heights and overlaps.  psi chains h_map, phi_inv and f_inv.
 
 The recursive definitions are unrolled into peel/replay loops so deep inputs
-never hit the interpreter recursion limit.
+never hit the interpreter recursion limit.  The row surgery of f_map, f_inv,
+chi and chi_prime keeps the rows in a list with the bottom row last, so adding
+or dropping the bottom row is an append or a pop, and carries "shift every
+row one column" as one running offset added back when the final rows are
+built.  Each step then touches only the rows it changes, and the maps run in
+time linear in their output.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from typing import Iterable
 
 from . import enumeration
 from .errors import (
@@ -66,20 +72,23 @@ def phi_inv(d: DyckPath) -> StanleyPolyomino:
 
 # -- shared row surgery --------------------------------------------------------
 
-def _add_bottom_row(rows: tuple, k: int) -> tuple:
-    # new bottom row of k cells, one unit left of the current first row
-    return ((0, k),) + tuple((s + 1, l) for s, l in rows)
-
-
-def _prepend_cells(rows: tuple, m: int) -> tuple:
-    # one extra leading cell on each of the first m rows, then renormalize
-    new = [(s - 1, l + 1) if i < m else (s, l) for i, (s, l) in enumerate(rows)]
-    return tuple((s + 1, l) for s, l in new)
-
-
-def _grow_bottom_left(rows: tuple) -> tuple:
-    # one extra cell at the left end of the bottom row only
-    return _prepend_cells(rows, 1)
+def _replay(ops: Iterable[tuple[str, int]], first_len: int) -> StanleyPolyomino:
+    """Grow rows from one row of first_len cells by ops, in order: ("row", k)
+    adds a bottom row of k cells one column left of the old bottom row,
+    ("cells", m) adds a cell at the left end of each of the m lowest rows, and
+    both then shift every row one column right (through off)."""
+    rows = [(0, first_len)]  # bottom row last; true start = start + off
+    off = 0
+    for kind, n in ops:
+        off += 1
+        if kind == "row":
+            rows.append((-off, n))
+        else:
+            k = len(rows)
+            for i in range(k - n if n < k else 0, k):
+                s, l = rows[i]
+                rows[i] = (s - 1, l + 1)
+    return make_stanley([(s + off, l) for s, l in reversed(rows)])
 
 
 # -- chi: peakless Motzkin paths -> Stanley polyominoes -------------------------
@@ -111,7 +120,7 @@ def chi(m: MotzkinPath) -> StanleyPolyomino:
     word = m.word
     while word:
         if word[0] == "F":
-            ops.append(("cell",))
+            ops.append(("cells", 1))
             word = word[1:]
         else:
             k = _steps_on_axis(word) + 1
@@ -122,13 +131,7 @@ def chi(m: MotzkinPath) -> StanleyPolyomino:
                 raise InvariantViolation("axis-step bookkeeping broke")
             ops.append(("row", k))
             word = body + tail
-    rows: tuple = ((0, 1),)
-    for op in reversed(ops):
-        if op[0] == "cell":
-            rows = _grow_bottom_left(rows)
-        else:
-            rows = _add_bottom_row(rows, op[1])
-    return make_stanley(rows)
+    return _replay(reversed(ops), 1)
 
 
 # -- chi_prime: Dyck paths avoiding UUU and DDD -> Stanley polyominoes ----------
@@ -150,7 +153,7 @@ def chi_prime(d: DyckPath) -> StanleyPolyomino:
     word = d.word
     while word:
         if word.startswith("UD"):
-            ops.append(("cell",))
+            ops.append(("cells", 1))
             word = word[2:]
         else:
             cut = _first_return(word)
@@ -160,48 +163,43 @@ def chi_prime(d: DyckPath) -> StanleyPolyomino:
                 raise InvariantViolation("first-return body should end in UD")
             ops.append(("row", _hills(tail) + 2))
             word = body[:-2] + tail
-    rows: tuple = ((0, 2),)
-    for op in reversed(ops):
-        if op[0] == "cell":
-            rows = _grow_bottom_left(rows)
-        else:
-            rows = _add_bottom_row(rows, op[1])
-    return make_stanley(rows)
+    return _replay(reversed(ops), 2)
 
 
 # -- f: coin fountains <-> Stanley polyominoes ----------------------------------
 
 def f_map(c: CoinFountain) -> StanleyPolyomino:
-    sizes = c.diagonals
-    rows: tuple = ((0, 2),)
-    for k in reversed(sizes[:-1]):
-        if k % 2:
-            rows = _add_bottom_row(rows, (k - 1) // 2 + 2)
-        else:
-            rows = _prepend_cells(rows, k // 2)
-    return make_stanley(rows)
+    return _replay([("row", (k - 1) // 2 + 2) if k % 2 else ("cells", k // 2)
+                    for k in reversed(c.diagonals[:-1])], 2)
 
 
 def f_inv(p: StanleyPolyomino) -> CoinFountain:
-    rows = p.rows
-    if stanley_stats(p).col < 2:
+    top_start, top_len = p.rows[-1]
+    if top_start + top_len < 2:
         raise TooSmall("f_inv needs at least two columns")
+    rows = list(reversed(p.rows))  # bottom row last; true start = start + off
+    off = 0
     sizes: list[int] = []
-    while rows != ((0, 2),):
-        st = stanley_stats(StanleyPolyomino(rows))
-        d, r = st.firstD, st.first
-        if r >= d + 2:
+    while len(rows) > 1 or rows[0] != (-off, 2):
+        k = len(rows)
+        r = rows[-1][1]
+        # firstD, counted only up to first - 1: the branch below only asks
+        # whether firstD <= first - 2
+        d = 1
+        stop = k if k < r else r - 1
+        while d < stop and rows[-1 - d][0] + off == d:
+            d += 1
+        off -= 1  # both branches shift every remaining row one column left
+        if d <= r - 2:
             sizes.append(2 * d)
-            rows = tuple(
-                (s + 1, l - 1) if i < d else (s, l) for i, (s, l) in enumerate(rows)
-            )
-            rows = tuple((s - 1, l) for s, l in rows)
+            for i in range(k - d, k):
+                s, l = rows[i]
+                rows[i] = (s + 1, l - 1)
         else:
-            # the lemma forces first = l + 2 here, with diagonal size 2l + 1
-            if d < r - 1:
-                raise InvariantViolation("first-diagonal dichotomy violated")
+            # here firstD >= first - 1, and the bottom row of first = l + 2
+            # cells gives a diagonal of size 2l + 1
             sizes.append(2 * r - 3)
-            rows = tuple((s - 1, l) for s, l in rows[1:])
+            rows.pop()
             if not rows:
                 raise InvariantViolation("odd reduction emptied the polyomino")
     sizes.append(1)

@@ -44,6 +44,22 @@ BIJECTIONS = {
 GF_CHOICES = ("full", "columns", "semiperimeter", "area", "cf-a",
               "cf-specializations", "corollaries")
 
+# Largest `series --order` per --gf, the series counterpart of the
+# enumeration cap: each takes about 10 s or less on a 2-vCPU machine, and
+# gf_full grows about 3x per order past it.
+SERIES_MAX_ORDER = {
+    "full": 12,
+    "columns": 150,
+    "semiperimeter": 150,
+    "area": 400,
+    "cf-a": 40,
+    "cf-specializations": 40,
+    "corollaries": 40,
+}
+
+# the only --gf choices that read --depth
+DEPTH_CHOICES = ("cf-a", "cf-specializations")
+
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -64,6 +80,8 @@ def cmd_enumerate(args) -> int:
     bound = FamilyBound(args.family, args.measure, args.value)
     if args.limit is not None and args.limit < 0:
         raise OutOfRange(f"--limit must be nonnegative, got {args.limit}")
+    if args.limit is not None and args.group_by:
+        raise UnsupportedPair("--limit does not apply with --group-by")
     _stamp(args)
     if args.group_by:
         counts = count_grouped(bound, args.group_by)
@@ -192,6 +210,13 @@ def _g1_coeff(result: dict, n: int) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.depth is not None and args.gf not in DEPTH_CHOICES:
+        raise UnsupportedPair(f"--depth applies only to --gf "
+                              f"{' and '.join(DEPTH_CHOICES)}, not {args.gf}")
+    cap = SERIES_MAX_ORDER[args.gf]
+    if args.order > cap:
+        raise CapExceeded(f"--order {args.order} exceeds the cap of {cap} "
+                          f"for --gf {args.gf}")
     result = _series_result(args.gf, args.order, args.depth)
     if args.verify:
         result["verified_against_oracle"] = _series_oracle(
@@ -231,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit counts grouped by this integer statistic "
                         "instead; README lists the statistics per family")
     p.add_argument("--limit", type=int, default=None,
-                   help="stop after this many objects")
+                   help="stop after this many objects (not with --group-by)")
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -246,9 +271,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="emit a catalog series as JSON")
     p.add_argument("--gf", required=True, choices=GF_CHOICES)
-    p.add_argument("--order", required=True, type=int)
+    p.add_argument("--order", required=True, type=int,
+                   help="truncation order, capped per --gf (README lists "
+                        "the caps)")
     p.add_argument("--depth", type=int, default=None,
-                   help="continued-fraction truncation depth")
+                   help="continued-fraction truncation depth (cf-a and "
+                        "cf-specializations only)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against brute-force enumeration")
     common(p)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stanlab import bijections
 from stanlab.bijections import (
     chi,
     chi_prime,
@@ -17,8 +21,9 @@ from stanlab.bijections import (
     table_inverse,
 )
 from stanlab.enumeration import FamilyBound, cached_count, iter_raw
-from stanlab.errors import ContainsTriple, MultiplePreimages, NoPreimage
+from stanlab.errors import ContainsTriple, MultiplePreimages, NoPreimage, TooSmall
 from stanlab.objects import (
+    StanleyPolyomino,
     dyck_stats,
     fountain_stats,
     make_dyck,
@@ -54,6 +59,142 @@ def random_stanley(draw):
         end = draw(st.integers(end_prev + 1, end_prev + 4))
         rows.append((start, end - start))
     return make_stanley(rows)
+
+
+# -- large objects, built valid step by step --------------------------------------
+
+@st.composite
+def large_stanley(draw):
+    """30-60 columns; every row but the last has two or more cells, so the
+    next row can start strictly inside it and end strictly past it."""
+    n = draw(st.integers(30, 60))
+    s, e = 0, draw(st.integers(2, 6))
+    rows = [(s, e)]
+    while e < n:
+        s2 = draw(st.integers(s + 1, e - 1))
+        e2 = draw(st.integers(e + 1, min(n, e + 6)))
+        rows.append((s2, e2 - s2))
+        s, e = s2, e2
+    return make_stanley(rows)
+
+
+@st.composite
+def large_fountain(draw):
+    """40-60 diagonals: d_m = 1 and d_j <= d_{j+1} + 1, built right to left."""
+    d = [1]
+    for _ in range(draw(st.integers(39, 59))):
+        d.append(draw(st.integers(1, d[-1] + 1)))
+    return make_fountain(d[::-1])
+
+
+@lru_cache(maxsize=None)
+def _next_steps(alphabet: str, h: int, left: int, last: str, run: int) -> tuple:
+    """Steps from height h with `left` steps to go that can still end on the
+    axis: "UD" words avoid UUU and DDD, "UFD" words avoid the factor UD."""
+    out = []
+    for c in alphabet:
+        h2 = h + (c == "U") - (c == "D")
+        if h2 < 0 or h2 > left - 1:
+            continue
+        if alphabet == "UD" and c == last and run == 2:
+            continue
+        if alphabet == "UFD" and last + c == "UD":
+            continue
+        run2 = run + 1 if c == last else 1
+        if left == 1:
+            if h2 == 0:
+                out.append(c)
+        elif _next_steps(alphabet, h2, left - 1, c, run2):
+            out.append(c)
+    return tuple(out)
+
+
+@st.composite
+def long_word(draw, alphabet: str):
+    """A word of length 60-120 (even for Dyck words) drawn one feasible step
+    at a time."""
+    if alphabet == "UD":
+        length = 2 * draw(st.integers(30, 60))
+    else:
+        length = draw(st.integers(60, 120))
+    word, h, last, run = [], 0, "", 0
+    for left in range(length, 0, -1):
+        c = draw(st.sampled_from(_next_steps(alphabet, h, left, last, run)))
+        h += (c == "U") - (c == "D")
+        run = run + 1 if c == last else 1
+        last = c
+        word.append(c)
+    return "".join(word)
+
+
+# -- the tuple-based maps these replaced, one full row rewrite per step -----------
+
+def _tuple_add_bottom_row(rows: tuple, k: int) -> tuple:
+    return ((0, k),) + tuple((s + 1, l) for s, l in rows)
+
+
+def _tuple_prepend_cells(rows: tuple, m: int) -> tuple:
+    new = [(s - 1, l + 1) if i < m else (s, l) for i, (s, l) in enumerate(rows)]
+    return tuple((s + 1, l) for s, l in new)
+
+
+def tuple_replay(ops, first_len: int) -> StanleyPolyomino:
+    rows: tuple = ((0, first_len),)
+    for kind, n in ops:
+        if kind == "row":
+            rows = _tuple_add_bottom_row(rows, n)
+        else:
+            rows = _tuple_prepend_cells(rows, n)
+    return make_stanley(rows)
+
+
+def tuple_f_map(c):
+    rows: tuple = ((0, 2),)
+    for k in reversed(c.diagonals[:-1]):
+        if k % 2:
+            rows = _tuple_add_bottom_row(rows, (k - 1) // 2 + 2)
+        else:
+            rows = _tuple_prepend_cells(rows, k // 2)
+    return make_stanley(rows)
+
+
+def tuple_f_inv(p):
+    rows = p.rows
+    sizes = []
+    while rows != ((0, 2),):
+        ps = stanley_stats(StanleyPolyomino(rows))
+        d, r = ps.firstD, ps.first
+        if r >= d + 2:
+            sizes.append(2 * d)
+            rows = tuple((s + 1, l - 1) if i < d else (s, l)
+                         for i, (s, l) in enumerate(rows))
+            rows = tuple((s - 1, l) for s, l in rows)
+        else:
+            sizes.append(2 * r - 3)
+            rows = tuple((s - 1, l) for s, l in rows[1:])
+    sizes.append(1)
+    return make_fountain(sizes)
+
+
+def tuple_chi(fn, x):
+    """fn (chi or chi_prime) with its row surgery done by tuple_replay."""
+    with mock.patch.object(bijections, "_replay", tuple_replay):
+        return fn(x)
+
+
+def fountains(diagonals: int):
+    bound = FamilyBound("fountain", "diagonals", diagonals)
+    return (make_fountain(d) for d in iter_raw(bound))
+
+
+def triple_free_dycks(semilength: int):
+    return (d for d in dycks(semilength)
+            if "UUU" not in d.word and "DDD" not in d.word)
+
+
+def motzkins(steps: int):
+    bound = FamilyBound("peaklessMotzkin", "steps", steps)
+    return (make_motzkin(w) for w in iter_raw(bound))
 
 
 class TestPhi:
@@ -148,6 +289,75 @@ class TestFountainMap:
     def test_reverse_round_trip(self, n: int):
         for p in stanleys(n):
             assert f_map(f_inv(p)) == p
+
+
+class TestLargeObjects:
+    @given(large_fountain())
+    @settings(max_examples=60, deadline=None)
+    def test_fountain_round_trip_and_marks(self, c):
+        p = f_map(c)
+        ps = stanley_stats(p)
+        cs = fountain_stats(c)
+        assert ps.col == cs.m + 1
+        assert ps.area == 2 * cs.e - cs.o
+        assert f_inv(p) == c
+
+    @given(large_stanley())
+    @settings(max_examples=60, deadline=None)
+    def test_polyomino_round_trip(self, p):
+        assert f_map(f_inv(p)) == p
+
+    @given(long_word("UFD"))
+    @settings(max_examples=40, deadline=None)
+    def test_chi_semiperimeter(self, w):
+        assert stanley_stats(chi(make_motzkin(w))).sper == len(w) + 2
+
+    @given(long_word("UD"))
+    @settings(max_examples=40, deadline=None)
+    def test_chi_prime_semiperimeter_and_first_row(self, w):
+        d = make_dyck(w)
+        ps = stanley_stats(chi_prime(d))
+        assert ps.sper == len(w) // 2 + 3
+        assert ps.first == dyck_stats(d).hills + 2
+
+
+class TestTupleReference:
+    """The list-plus-offset row surgery gives the same rows as the tuple
+    rewrites it replaced."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_f_map_exhaustive(self, m: int):
+        for c in fountains(m):
+            assert f_map(c) == tuple_f_map(c)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_f_inv_exhaustive(self, n: int):
+        for p in stanleys(n):
+            assert f_inv(p) == tuple_f_inv(p)
+
+    @pytest.mark.parametrize("size", range(0, 9))
+    def test_chi_and_chi_prime_exhaustive(self, size: int):
+        for m in motzkins(size):
+            assert chi(m) == tuple_chi(chi, m)
+        for d in triple_free_dycks(size):
+            assert chi_prime(d) == tuple_chi(chi_prime, d)
+
+    @given(large_fountain(), large_stanley())
+    @settings(max_examples=40, deadline=None)
+    def test_f_maps_large(self, c, p):
+        assert f_map(c) == tuple_f_map(c)
+        assert f_inv(p) == tuple_f_inv(p)
+
+    @given(long_word("UFD"), long_word("UD"))
+    @settings(max_examples=40, deadline=None)
+    def test_chi_maps_large(self, w, v):
+        m, d = make_motzkin(w), make_dyck(v)
+        assert chi(m) == tuple_chi(chi, m)
+        assert chi_prime(d) == tuple_chi(chi_prime, d)
+
+    def test_one_column_too_small(self):
+        with pytest.raises(TooSmall):
+            f_inv(make_stanley(((0, 1),)))
 
 
 class TestParallelogramMaps:

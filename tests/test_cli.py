@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,14 @@ class TestEnumerate:
                              "--limit", "-1")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    def test_limit_with_group_by_exit_two(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--family", "dyck",
+                             "--measure", "semilength", "--value", "2",
+                             "--group-by", "nbp", "--limit", "0")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "--limit" in err
 
     def test_unsupported_pair_exit_two(self, capsys):
         code, _, err = run(capsys, "enumerate", "--family", "stanley",
@@ -243,6 +253,39 @@ class TestSeries:
                              "--order", "5", "--depth", depth)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "depth" in err
+
+    @pytest.mark.parametrize("gf", sorted(set(cli.GF_CHOICES)
+                                          - set(cli.DEPTH_CHOICES)))
+    def test_depth_on_other_series_exit_two(self, capsys, gf):
+        code, out, err = run(capsys, "series", "--gf", gf,
+                             "--order", "2", "--depth", "-2")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "--depth" in err
+
+    def test_order_caps_cover_every_choice(self):
+        assert set(cli.SERIES_MAX_ORDER) == set(cli.GF_CHOICES)
+
+    def test_order_caps_admit_benchmark_orders(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for size in workloads.SIZES.values():
+            for gf, order in size["series"].items():
+                assert order <= cli.SERIES_MAX_ORDER[gf], (gf, order)
+
+    @pytest.mark.parametrize("gf", cli.GF_CHOICES)
+    def test_order_over_cap_exit_three(self, capsys, monkeypatch, gf):
+        def no_series(*args):
+            raise AssertionError("the cap must refuse before any series is built")
+
+        monkeypatch.setattr(cli, "_series_result", no_series)
+        over = str(cli.SERIES_MAX_ORDER[gf] + 1)
+        code, out, err = run(capsys, "series", "--gf", gf, "--order", over)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "cap" in err
 
 
 # sha256 of the stdout of `series --gf G --order 6`, frozen from the output
