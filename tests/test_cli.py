@@ -263,9 +263,6 @@ class TestSeries:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "--depth" in err
 
-    def test_order_caps_cover_every_choice(self):
-        assert set(cli.SERIES_MAX_ORDER) == set(cli.GF_CHOICES)
-
     def test_order_caps_admit_benchmark_orders(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("workloads", path)
