@@ -421,7 +421,7 @@ def gf_continued_fractions(order: int, depth: int | None = None) -> dict:
     a.assert_integer_coefficients(MismatchBetweenForms, "continued fraction")
 
     a_qq1 = collapse(a, {"q": 1, "p": 1}, "z")
-    area_series = a_qq1 + a_qq1.ring().monomial(1, z=1)
+    area_series = a_qq1 + a_qq1.ring.monomial(1, z=1)
     _assert_equal(area_series, gf_area(order), "area ratio vs collapsed fraction")
 
     a_1q1 = collapse(a, {"q": 1}, "q")

@@ -1,20 +1,22 @@
 """Exact truncated multivariate series over the rationals.
 
-A TruncatedSeries is a sparse dict of exponent vectors with exact
-coefficients: a plain int whenever the coefficient is an integer, and a
-Fraction only where a division is inexact.  Truncation is single-graded:
-one designated grade variable, and every operation discards terms whose
-grade exponent exceeds the order.
-Variables listed as Laurent may carry negative exponents; all others must
-stay nonnegative.
+A TruncatedSeries is its ring plus its terms.  The SeriesRing holds the
+variable names, the one grade variable, the truncation order and the
+variables that may carry negative (Laurent) exponents; it checks them once
+and builds every series, dropping each term whose grade exponent exceeds
+the order.  Arithmetic needs both operands in one ring.
+The terms are a sparse dict of exponent vectors with exact coefficients: a
+plain int whenever the coefficient is an integer, and a Fraction only where
+a division is inexact.
+Substitution means evaluating one variable at a constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     NoContraction,
@@ -41,40 +43,34 @@ def _frac(c: Scalar) -> Coeff:
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
-    vars: tuple[str, ...]
+class SeriesRing:
+    """Variables, grade, order and Laurent variables shared by its series."""
+
+    names: tuple[str, ...]
     grade: str
     order: int
     laurent: frozenset[str] = frozenset()
-    terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.grade not in self.vars:
-            raise VariableMismatch(f"grade {self.grade!r} not among vars {self.vars}")
-
-    # -- ring plumbing ------------------------------------------------------
-
-    def _gi(self) -> int:
-        return self.vars.index(self.grade)
-
-    def _compat(self, other: "TruncatedSeries") -> None:
-        if (
-            self.vars != other.vars
-            or self.grade != other.grade
-            or self.laurent != other.laurent
-        ):
+        names, laurent = tuple(self.names), frozenset(self.laurent)
+        if self.grade not in names:
+            raise VariableMismatch(f"grade {self.grade!r} not among {names}")
+        unknown = laurent - set(names)
+        if unknown:
             raise VariableMismatch(
-                f"incompatible series: {self.vars}/{self.grade} vs {other.vars}/{other.grade}"
-            )
+                f"Laurent variables {sorted(unknown)} not among {names}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "laurent", laurent)
 
-    def _build(self, terms: dict, order: int | None = None) -> "TruncatedSeries":
-        order = self.order if order is None else order
-        gi = self._gi()
+    def _build(self, terms: dict) -> "TruncatedSeries":
+        """The series of these terms, truncated at the order, with zero
+        coefficients dropped and integral Fractions made ints."""
+        gi, order = self.names.index(self.grade), self.order
         clean: dict[Exponents, Coeff] = {}
         for e, c in terms.items():
             if c == 0 or e[gi] > order:
                 continue
-            for name, exp in zip(self.vars, e):
+            for name, exp in zip(self.names, e):
                 if exp < 0 and name not in self.laurent:
                     raise NotInvertible(
                         f"negative exponent on non-Laurent variable {name!r}"
@@ -82,40 +78,73 @@ class TruncatedSeries:
             if type(c) is Fraction and c.denominator == 1:
                 c = c.numerator
             clean[e] = c
-        return TruncatedSeries(self.vars, self.grade, order, self.laurent, clean)
+        return TruncatedSeries(self, clean)
+
+    def zero(self) -> "TruncatedSeries":
+        return TruncatedSeries(self, {})
+
+    def constant(self, c: Scalar) -> "TruncatedSeries":
+        return self.monomial(c)
+
+    def one(self) -> "TruncatedSeries":
+        return self.constant(1)
+
+    def monomial(self, coeff: Scalar = 1, **exps: int) -> "TruncatedSeries":
+        unknown = set(exps) - set(self.names)
+        if unknown:
+            raise VariableMismatch(f"unknown variables {sorted(unknown)}")
+        e = tuple(exps.get(v, 0) for v in self.names)
+        return self._build({e: _frac(coeff)})
+
+    def var(self, name: str) -> "TruncatedSeries":
+        return self.monomial(1, **{name: 1})
+
+    def gens(self) -> tuple["TruncatedSeries", ...]:
+        return tuple(self.var(n) for n in self.names)
+
+
+@dataclass(frozen=True)
+class TruncatedSeries:
+    ring: SeriesRing
+    terms: dict
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        return self.ring.names
+
+    def _compat(self, other: "TruncatedSeries") -> None:
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise VariableMismatch(f"incompatible series: {self.ring} vs {other.ring}")
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring().constant(other)
+            other = self.ring.constant(other)
         self._compat(other)
-        order = min(self.order, other.order)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return self._build(terms, order)
+        return self.ring._build(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._build({e: -c for e, c in self.terms.items()})
+        return self.ring._build({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring().constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            return self._build({e: v * c for e, v in self.terms.items()})
+            return ring._build({e: v * c for e, v in self.terms.items()})
         self._compat(other)
-        order = min(self.order, other.order)
-        gi = self._gi()
+        gi, order = ring.names.index(ring.grade), ring.order
         out: dict[Exponents, Coeff] = {}
         # iterate over the smaller operand outside
         a, b = (self.terms, other.terms)
@@ -128,14 +157,14 @@ class TruncatedSeries:
                     continue
                 e = tuple(map(add, ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
-        return self._build(out, order)
+        return ring._build(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise NotInvertible("negative powers: use invert")
-        out = self.ring().one()
+        out = self.ring.one()
         base = self
         while n:
             if n & 1:
@@ -146,84 +175,39 @@ class TruncatedSeries:
 
     # -- views ---------------------------------------------------------------
 
-    def ring(self) -> "SeriesRing":
-        return SeriesRing(self.vars, self.grade, self.order, tuple(sorted(self.laurent)))
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, exps: Mapping[str, int]) -> Coeff:
-        e = tuple(exps.get(v, 0) for v in self.vars)
+        e = tuple(exps.get(v, 0) for v in self.ring.names)
         return self.terms.get(e, 0)
 
     def cofactor(self, var: str, k: int) -> "TruncatedSeries":
         """Terms with var-exponent exactly k, with that exponent zeroed out."""
-        vi = self.vars.index(var)
+        vi = self.ring.names.index(var)
         terms = {
             e[:vi] + (0,) + e[vi + 1 :]: c
             for e, c in self.terms.items()
             if e[vi] == k
         }
-        return self._build(terms)
+        return self.ring._build(terms)
 
     def restrict(self, var: str, max_exp: int) -> "TruncatedSeries":
-        vi = self.vars.index(var)
-        return self._build({e: c for e, c in self.terms.items() if e[vi] <= max_exp})
+        vi = self.ring.names.index(var)
+        return self.ring._build(
+            {e: c for e, c in self.terms.items() if e[vi] <= max_exp})
 
-    def valuation(self) -> int | None:
-        gi = self._gi()
-        return min((e[gi] for e in self.terms), default=None)
-
-    def assert_no_negative_exponents(self, err=NotInvertible, what: str = "series"):
+    def assert_no_negative_exponents(self, err, what: str):
         for e in self.terms:
             if any(x < 0 for x in e):
                 raise err(f"{what} kept a negative exponent: {dict(zip(self.vars, e))}")
         return self
 
-    def assert_integer_coefficients(self, err=NotInvertible, what: str = "series"):
+    def assert_integer_coefficients(self, err, what: str):
         for e, c in self.terms.items():
             if c.denominator != 1:
                 raise err(f"{what} has non-integer coefficient {c} at {e}")
         return self
-
-
-class SeriesRing:
-    """Factory for series sharing one variable tuple, grade, and order."""
-
-    def __init__(self, names: Iterable[str], grade: str, order: int, laurent: Iterable[str] = ()):
-        self.names = tuple(names)
-        self.grade = grade
-        self.order = order
-        self.laurent = frozenset(laurent)
-        if self.grade not in self.names:
-            raise VariableMismatch(f"grade {grade!r} not among {self.names}")
-        unknown = self.laurent - set(self.names)
-        if unknown:
-            raise VariableMismatch(f"Laurent variables {sorted(unknown)} not among vars")
-
-    def zero(self) -> TruncatedSeries:
-        return TruncatedSeries(self.names, self.grade, self.order, self.laurent, {})
-
-    def constant(self, c: Scalar) -> TruncatedSeries:
-        return self.monomial(c)
-
-    def one(self) -> TruncatedSeries:
-        return self.constant(1)
-
-    def monomial(self, coeff: Scalar = 1, **exps: int) -> TruncatedSeries:
-        unknown = set(exps) - set(self.names)
-        if unknown:
-            raise VariableMismatch(f"unknown variables {sorted(unknown)}")
-        e = tuple(exps.get(v, 0) for v in self.names)
-        c = _frac(coeff)
-        s = self.zero()
-        return s._build({e: c})
-
-    def var(self, name: str) -> TruncatedSeries:
-        return self.monomial(1, **{name: 1})
-
-    def gens(self) -> tuple[TruncatedSeries, ...]:
-        return tuple(self.var(n) for n in self.names)
 
 
 # -- operations ---------------------------------------------------------------
@@ -237,29 +221,30 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     coefficient recurrence for the reciprocal of a power series (Knuth,
     TAOCP vol. 2, 4.7).
     """
-    gi = a._gi()
+    ring = a.ring
+    gi = ring.names.index(ring.grade)
     const = {e: c for e, c in a.terms.items() if e[gi] == 0}
     if len(const) != 1:
         raise NotInvertible(
             f"grade-constant part has {len(const)} terms; need exactly one monomial"
         )
     (e0, c0), = const.items()
-    for name, exp in zip(a.vars, e0):
-        if exp != 0 and name not in a.laurent:
+    for name, exp in zip(ring.names, e0):
+        if exp != 0 and name not in ring.laurent:
             raise NotInvertible(
                 f"constant monomial uses non-Laurent variable {name!r}"
             )
-    inv_mono = a._build({tuple(-x for x in e0): Fraction(1) / c0})
+    inv_mono = ring._build({tuple(-x for x in e0): Fraction(1) / c0})
     u = a * inv_mono  # now 1 + t with t of positive grade valuation
-    t = u - a.ring().one()
-    if not t.is_zero() and t.valuation() <= 0:
+    t = u - ring.one()
+    if any(e[gi] <= 0 for e in t.terms):
         raise NotInvertible("normalized series still has terms of grade 0 or below")
-    t_by_grade = [[] for _ in range(a.order + 1)]
+    t_by_grade = [[] for _ in range(ring.order + 1)]
     for e, c in t.terms.items():
         t_by_grade[e[gi]].append((e, c))
     # b_0 = 1 and b_n = -(t_1 b_{n-1} + ... + t_n b_0), one grade at a time
-    b = [{(0,) * len(a.vars): 1}]
-    for n in range(1, a.order + 1):
+    b = [{(0,) * len(ring.names): 1}]
+    for n in range(1, ring.order + 1):
         bn: dict[Exponents, Coeff] = {}
         for k in range(1, n + 1):
             for et, ct in t_by_grade[k]:
@@ -267,27 +252,21 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
                     e = tuple(map(add, et, eb))
                     bn[e] = bn.get(e, 0) - ct * cb
         b.append({e: c for e, c in bn.items() if c})
-    return a._build({e: c for bn in b for e, c in bn.items()}) * inv_mono
+    return ring._build({e: c for bn in b for e, c in bn.items()}) * inv_mono
 
 
-def substitute_monomial(
-    a: TruncatedSeries, var: str, coeff: Scalar, exps: Mapping[str, int] | None = None
-) -> TruncatedSeries:
-    """Replace var by coeff * prod(vars**exps).  Also evaluates at constants.
+def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> TruncatedSeries:
+    """Evaluate var at the constant coeff.
 
-    Unsound if any term's grade exponent would decrease (it would pull
-    unknown truncated terms below the order).
+    Setting var to 0 drops its positive powers and is unsound on a negative
+    power.  Evaluating the grade variable is unsound on a positive power:
+    it would pull unknown truncated terms below the order.
     """
-    exps = dict(exps or {})
-    if var not in a.vars:
+    ring = a.ring
+    if var not in ring.names:
         raise VariableMismatch(f"{var!r} not a series variable")
-    unknown = set(exps) - set(a.vars)
-    if unknown:
-        raise VariableMismatch(f"unknown target variables {sorted(unknown)}")
     c0 = _frac(coeff)
-    vi = a.vars.index(var)
-    gi = a._gi()
-    mono = tuple(exps.get(v, 0) for v in a.vars)
+    vi = ring.names.index(var)
     out: dict[Exponents, Coeff] = {}
     for e, c in a.terms.items():
         k = e[vi]
@@ -298,30 +277,21 @@ def substitute_monomial(
             if k > 0:
                 continue
             raise UnsoundSubstitution("negative power of a variable sent to zero")
-        new_e = list(e)
-        new_e[vi] = 0
-        for i, m in enumerate(mono):
-            new_e[i] += k * m
-        delta = new_e[gi] - e[gi]
-        if delta < 0:
+        if var == ring.grade and k > 0:
             raise UnsoundSubstitution(
-                f"substitution lowers grade degree by {-delta} on {dict(zip(a.vars, e))}"
+                f"substitution lowers grade degree by {k} on {dict(zip(ring.names, e))}"
             )
-        for name, exp in zip(a.vars, new_e):
-            if exp < 0 and name not in a.laurent:
-                raise UnsoundSubstitution(
-                    f"substitution makes {name!r} exponent negative"
-                )
-        ne = tuple(new_e)
+        ne = e[:vi] + (0,) + e[vi + 1 :]
         # a negative power of an int must stay exact, not become a float
         out[ne] = out.get(ne, 0) + c * (c0**k if k > 0 else Fraction(c0) ** k)
-    return a._build(out)
+    return ring._build(out)
 
 
 def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
-    if var not in a.vars:
+    ring = a.ring
+    if var not in ring.names:
         raise VariableMismatch(f"{var!r} not a series variable")
-    vi = a.vars.index(var)
+    vi = ring.names.index(var)
     out: dict[Exponents, Coeff] = {}
     for e, c in a.terms.items():
         k = e[vi]
@@ -329,25 +299,22 @@ def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
             continue
         ne = e[:vi] + (k - 1,) + e[vi + 1 :]
         out[ne] = out.get(ne, 0) + c * k
-    return a._build(out)
+    return ring._build(out)
 
 
 def div_monomial(a: TruncatedSeries, coeff: Scalar, exps: Mapping[str, int]) -> TruncatedSeries:
-    """Exact division by a monomial; exponents must stay in range."""
+    """Exact division by a monomial; exponents must stay in range, which
+    the ring checks."""
     c0 = _frac(coeff)
     if c0 == 0:
         raise NotInvertible("division by zero monomial")
-    shift = tuple(exps.get(v, 0) for v in a.vars)
+    ring = a.ring
+    shift = tuple(exps.get(v, 0) for v in ring.names)
     out: dict[Exponents, Coeff] = {}
     for e, c in a.terms.items():
         ne = tuple(x - s for x, s in zip(e, shift))
-        for name, exp in zip(a.vars, ne):
-            if exp < 0 and name not in a.laurent:
-                raise NotInvertible(
-                    f"monomial division not exact: {name!r} exponent {exp}"
-                )
         out[ne] = Fraction(c) / c0
-    return a._build(out)
+    return ring._build(out)
 
 
 def collapse(
@@ -358,13 +325,13 @@ def collapse(
     The grade variable needs a positive weight, which makes the result
     complete through the input's order.
     """
-    unknown = set(weights) - set(a.vars)
+    unknown = set(weights) - set(a.ring.names)
     if unknown:
         raise VariableMismatch(f"unknown collapse variables {sorted(unknown)}")
-    w = tuple(weights.get(v, 0) for v in a.vars)
+    w = tuple(weights.get(v, 0) for v in a.ring.names)
     if any(x < 0 for x in w):
         raise UnsoundSubstitution("collapse weights must be nonnegative")
-    if weights.get(a.grade, 0) < 1:
+    if weights.get(a.ring.grade, 0) < 1:
         raise UnsoundSubstitution("collapse needs weight >= 1 on the grade variable")
     out: dict[tuple[int], Coeff] = {}
     for e, c in a.terms.items():
@@ -372,7 +339,7 @@ def collapse(
         if n < 0:
             raise UnsoundSubstitution("collapse produced a negative exponent")
         out[(n,)] = out.get((n,), 0) + c
-    return TruncatedSeries((new_var,), new_var, a.order)._build(out)
+    return SeriesRing((new_var,), new_var, a.ring.order)._build(out)
 
 
 def solve_fixed_point(
@@ -381,11 +348,11 @@ def solve_fixed_point(
 ) -> TruncatedSeries:
     """Iterate phi, at most order + 2 times, until two successive series
     agree exactly."""
-    rounds = seed.order + 2
+    rounds = seed.ring.order + 2
     cur = seed
     for _ in range(rounds):
         nxt = phi(cur)
-        if nxt.terms == cur.terms and nxt.order == cur.order:
+        if nxt.terms == cur.terms:
             return cur
         cur = nxt
     raise NoContraction(f"no fixed point after {rounds} rounds")
@@ -393,11 +360,10 @@ def solve_fixed_point(
 
 def pochhammer(a: TruncatedSeries, b: TruncatedSeries, k: int) -> TruncatedSeries:
     """prod_{j=0}^{k-1} (1 - a * b**j)."""
-    ring = a.ring()
-    out = ring.one()
-    bj = ring.one()
+    one = a.ring.one()
+    out = bj = one
     for _ in range(k):
-        out = out * (ring.one() - a * bj)
+        out = out * (one - a * bj)
         bj = bj * b
     return out
 
@@ -428,9 +394,8 @@ def _cf_eval(level, numerator, depth) -> TruncatedSeries:
     if len(nu_terms) != 1:
         raise NotInvertible("continued-fraction numerator must be a monomial")
     (nu_e, nu_c), = nu_terms
-    nu_exps = dict(zip(numerator.vars, nu_e))
-    ring = numerator.ring()
-    one = ring.one()
+    nu_exps = dict(zip(numerator.ring.names, nu_e))
+    one = numerator.ring.one()
     # E_k = S_k / numerator - 1 where S_k is the k-th tail denominator
     ek = div_monomial(level(depth) - one - numerator, nu_c, nu_exps)
     for k in range(depth - 1, 0, -1):
@@ -448,8 +413,8 @@ def series_json(a: TruncatedSeries) -> dict:
         for e, c in sorted(a.terms.items())
     ]
     return {
-        "vars": list(a.vars),
-        "grade": a.grade,
-        "order": a.order,
+        "vars": list(a.ring.names),
+        "grade": a.ring.grade,
+        "order": a.ring.order,
         "terms": terms,
     }

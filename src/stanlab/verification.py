@@ -333,17 +333,21 @@ def _chi_prime_checks(checks: list, max_size: int) -> None:
 
 
 def _f_checks(checks: list, max_size: int) -> None:
+    col = objects.STATISTICS[("stanley", "col")]
+    area = objects.STATISTICS[("stanley", "area")]
+    coins_e = objects.STATISTICS[("fountain", "e")]
+    coins_o = objects.STATISTICS[("fountain", "o")]
     bad = 0
     total = 0
     for m in range(1, max_size + 1):
         bound = FamilyBound("fountain", "diagonals", m)
         for c in enumerate_family(bound):
             p = bijections.f_map(c)
-            ps = objects.stanley_stats(p)
-            fs = objects.fountain_stats(c)
+            rows, diagonals = p.rows, c.diagonals
             total += 1
-            if (ps.col != m + 1 or ps.area != 2 * fs.e - fs.o
-                    or bijections.f_inv(p).diagonals != c.diagonals):
+            if (col(rows) != m + 1
+                    or area(rows) != 2 * coins_e(diagonals) - coins_o(diagonals)
+                    or bijections.f_inv(p).diagonals != diagonals):
                 bad += 1
     _check(checks, "coin diagonal map round-trips with the stated column "
            "and area marks", f"{total} clean round-trips",

@@ -34,6 +34,7 @@ from stanlab.objects import (
     parallelogram_stats,
     stanley_stats,
 )
+from stanlab.verification import TABLE1_IDENTITIES
 
 WORKED = ((0, 6), (3, 6), (4, 7), (10, 3), (11, 5))
 WORKED_WORD = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
@@ -85,6 +86,21 @@ def large_fountain(draw):
     for _ in range(draw(st.integers(39, 59))):
         d.append(draw(st.integers(1, d[-1] + 1)))
     return make_fountain(d[::-1])
+
+
+@st.composite
+def large_parallelogram(draw):
+    """Area 70-90 or a little more: each column starts inside the last one
+    and ends no lower."""
+    target = draw(st.integers(70, 90))
+    b, h = 0, draw(st.integers(1, 6))
+    cols, area = [(b, h)], h
+    while area < target:
+        b2 = draw(st.integers(b, b + h - 1))
+        h2 = draw(st.integers(b + h - b2, b + h - b2 + 3))
+        cols.append((b2, h2))
+        b, h, area = b2, h2, area + h2
+    return make_parallelogram(cols)
 
 
 @lru_cache(maxsize=None)
@@ -306,6 +322,30 @@ class TestLargeObjects:
     @settings(max_examples=60, deadline=None)
     def test_polyomino_round_trip(self, p):
         assert f_map(f_inv(p)) == p
+
+    @given(large_stanley())
+    @settings(max_examples=60, deadline=None)
+    def test_phi_round_trip_and_table1_transport(self, p):
+        d = phi(p)
+        assert phi_inv(d) == p
+        ps, ds = stanley_stats(p), dyck_stats(d)
+        for label, attr, rhs in TABLE1_IDENTITIES:
+            assert getattr(ps, attr) == rhs(ds), label
+
+    @given(long_word("UD"))
+    @settings(max_examples=40, deadline=None)
+    def test_phi_inv_round_trip(self, w):
+        d = make_dyck(w)
+        assert phi(phi_inv(d)) == d
+
+    @given(large_parallelogram())
+    @settings(max_examples=60, deadline=None)
+    def test_h_and_psi_transport(self, q):
+        qs = parallelogram_stats(q)
+        ds = dyck_stats(h_map(q))
+        assert (ds.sump, ds.nbp) == (qs.area, qs.colCount)
+        cs = fountain_stats(psi(q))
+        assert (cs.e, cs.o) == (qs.area, qs.area - qs.colCount)
 
     @given(long_word("UFD"))
     @settings(max_examples=40, deadline=None)

@@ -314,6 +314,29 @@ def test_series_stdout_bytes_pinned(capsys, gf):
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_ORDER_6_SHA256[gf]
 
 
+def test_corollaries_build_no_continued_fraction(capsys, monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("corollaries print no continued fraction")
+
+    monkeypatch.setattr(cli.catalog, "gf_continued_fractions", no_fraction)
+    code, out, _ = run(capsys, "series", "--gf", "corollaries", "--order", "6")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SERIES_ORDER_6_SHA256["corollaries"])
+
+
+def test_cf_specializations_oracle_reads_the_area_series(capsys):
+    code, out, _ = run(capsys, "series", "--gf", "cf-specializations",
+                       "--order", "8", "--verify")
+    assert code == 0
+    result = lines(out)[0]
+    assert result.pop("verified_against_oracle") is True
+    assert cli._series_oracle("cf-specializations", 8, result) is True
+    term = next(t for t in result["area"]["terms"] if t["e"] == [7])
+    term["c"] += 1
+    assert cli._series_oracle("cf-specializations", 8, result) is False
+
+
 class TestVerify:
     def test_passing_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "table1",
