@@ -288,24 +288,16 @@ def full_order_z(order_x: int) -> int:
     return max(k * (order_x - k + 1) for k in range(1, order_x + 1))
 
 
-def _full_closed(ring: SeriesRing, order_x: int, order_z: int) -> TruncatedSeries:
+def _full_closed(ring: SeriesRing) -> TruncatedSeries:
     x, y, z, p, q = ring.gens()
     one = ring.one()
     v = ring.monomial(1, z=1, p=1, q=1)
-
-    def inv(a: TruncatedSeries) -> TruncatedSeries:
-        return invert(a.restrict("x", order_x)).restrict("x", order_x)
-
-    g_tot = ring.zero()
-    h_tot = ring.zero()
+    g_tot = h_tot = ring.zero()
     level = 0
-    while (level + 2) * (level + 1) // 2 <= order_z:
+    while (level + 2) * (level + 1) // 2 <= ring.order:
         sign = -1 if level % 2 else 1
-        vl = v ** level
-        kernel_inv = inv(x * z * vl - one)
-        delta = sign * inv(
-            pochhammer(x * z, v, level) * pochhammer(v, v, level)
-        )
+        kernel_inv = invert(x * z * v ** level - one)
+        delta = sign * invert(pochhammer(x * z, v, level) * pochhammer(v, v, level))
         tri = level * (level + 3) // 2
         g_num = (
             ring.monomial(1, x=level + 2, y=level + 2, p=tri, q=tri,
@@ -314,11 +306,9 @@ def _full_closed(ring: SeriesRing, order_x: int, order_z: int) -> TruncatedSerie
                             q=level * (level + 1) // 2,
                             z=(level + 2) * (level + 1) // 2) * p
         )
-        g_term = div_monomial(
-            (g_num * kernel_inv * delta).restrict("x", order_x),
-            1, {"p": 2 * level + 1, "q": level},
-        )
-        kernel_inv2 = inv(v ** (level + 1) - one)
+        g_tot = g_tot + div_monomial(g_num * kernel_inv * delta,
+                                     {"p": 2 * level + 1, "q": level})
+        kernel_inv2 = invert(v ** (level + 1) - one)
         h_num = (
             -ring.monomial(1, x=level + 1, y=level + 1, p=tri, q=tri,
                            z=(level + 4) * (level + 1) // 2)
@@ -327,49 +317,40 @@ def _full_closed(ring: SeriesRing, order_x: int, order_z: int) -> TruncatedSerie
                             q=level * (level + 5) // 2 + 1,
                             z=(level + 6) * (level + 1) // 2) * (p - one)
         )
-        h_term = div_monomial(
-            (h_num * kernel_inv * kernel_inv2 * delta).restrict("x", order_x),
-            1, {"p": 2 * level, "q": level},
-        )
-        g_tot = (g_tot + g_term).restrict("x", order_x)
-        h_tot = (h_tot + h_term).restrict("x", order_x)
+        h_tot = h_tot + div_monomial(h_num * kernel_inv * kernel_inv2 * delta,
+                                     {"p": 2 * level, "q": level})
         level += 1
-    return (g_tot * invert(one + h_tot)).restrict("x", order_x)
+    return g_tot * invert(one + h_tot)
 
 
-def _full_iterated(ring: SeriesRing, order_x: int, order_z: int) -> TruncatedSeries:
+def _full_iterated(ring: SeriesRing) -> TruncatedSeries:
     x, y, z, p, q = ring.gens()
     one = ring.one()
     v = ring.monomial(1, z=1, p=1, q=1)
 
-    def inv(a: TruncatedSeries) -> TruncatedSeries:
-        return invert(a.restrict("x", order_x)).restrict("x", order_x)
-
     def a_of(big_u: TruncatedSeries) -> TruncatedSeries:
         num = x * z * big_u * (x * y * z * z * (p - one) * big_u - p) * y
-        return (num * inv(p * (big_u * x * z - one))).restrict("x", order_x)
+        return num * invert(p * (big_u * x * z - one))
 
     def b_of(big_u: TruncatedSeries) -> TruncatedSeries:
         num = big_u * big_u * z * z * (one - q * z * (p - one) * big_u) * y * x
-        return (num * inv((big_u * x * z - one) * (big_u * z * q * p - one))
-                ).restrict("x", order_x)
+        return num * invert((big_u * x * z - one) * (big_u * z * q * p - one))
 
     def c_of(big_u: TruncatedSeries) -> TruncatedSeries:
         num = y * x * big_u * z
-        core = num * inv((one - big_u * x * z) * (big_u * z * q * p - one))
-        return div_monomial(core.restrict("x", order_x), 1, {"q": 1, "p": 2})
+        core = num * invert((one - big_u * x * z) * (big_u * z * q * p - one))
+        return div_monomial(core, {"q": 1, "p": 2})
 
-    sum_a = ring.zero()
-    sum_b = ring.zero()
+    sum_a = sum_b = ring.zero()
     c_prod = one
     level = 0
-    while (level + 1) * (level + 2) // 2 <= order_z:
+    while (level + 1) * (level + 2) // 2 <= ring.order:
         big_u = v ** level
-        sum_a = (sum_a + a_of(big_u) * c_prod).restrict("x", order_x)
-        sum_b = (sum_b + b_of(big_u) * c_prod).restrict("x", order_x)
-        c_prod = (c_prod * c_of(big_u)).restrict("x", order_x)
+        sum_a = sum_a + a_of(big_u) * c_prod
+        sum_b = sum_b + b_of(big_u) * c_prod
+        c_prod = c_prod * c_of(big_u)
         level += 1
-    return (sum_a * invert(one - sum_b)).restrict("x", order_x)
+    return sum_a * invert(one - sum_b)
 
 
 @lru_cache(maxsize=None)
@@ -383,11 +364,11 @@ def gf_full(order_x: int) -> TruncatedSeries:
     """
     if order_x < 1:
         raise OutOfRange(f"order {order_x} < 1")
-    order_z = full_order_z(order_x)
-    ring = SeriesRing(("x", "y", "z", "p", "q"), grade="z", order=order_z,
-                      laurent=("p", "q"))
-    closed = _full_closed(ring, order_x, order_z)
-    iterated = _full_iterated(ring, order_x, order_z)
+    ring = SeriesRing(("x", "y", "z", "p", "q"), grade="z",
+                      order=full_order_z(order_x), laurent=("p", "q"),
+                      caps={"x": order_x})
+    closed = _full_closed(ring)
+    iterated = _full_iterated(ring)
     closed.assert_no_negative_exponents(CancellationFailure, "closed form")
     iterated.assert_no_negative_exponents(CancellationFailure, "iterated form")
     closed.assert_integer_coefficients(CancellationFailure, "closed form")

@@ -100,24 +100,27 @@ def cmd_enumerate(args) -> int:
 
 def cmd_map(args) -> int:
     family, func = BIJECTIONS[args.bijection]
+    # bytes decoded line by line: bytes that are not UTF-8 spoil one line
     if args.infile:
         try:
-            stream = open(args.infile, encoding="utf-8")
+            stream = open(args.infile, "rb")
         except OSError as exc:
             raise UnsupportedPair(f"cannot read {args.infile}: {exc}")
     else:
-        stream = sys.stdin
+        stream = sys.stdin.buffer
     _stamp(args)
-    status = 0
     with stream:
-        for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
+        for lineno, raw in enumerate(stream, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 data = json.loads(line)
                 src = objects.from_json_obj(family, data)
                 dst = func(src)
-            except (StanlabError, ValueError, KeyError, TypeError) as exc:
+            # the JSON decoder raises RecursionError on over-deep nesting
+            except (StanlabError, ValueError, KeyError, TypeError,
+                    RecursionError) as exc:
                 if args.skip_invalid:
                     _diag(f"line {lineno}: skipped ({exc})")
                     continue
@@ -129,7 +132,7 @@ def cmd_map(args) -> int:
                 "stats_in": objects.stats_json(src),
                 "stats_out": objects.stats_json(dst),
             })
-    return status
+    return 0
 
 
 # -- series ------------------------------------------------------------------------

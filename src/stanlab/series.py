@@ -1,10 +1,10 @@
 """Exact truncated multivariate series over the rationals.
 
 A TruncatedSeries is its ring plus its terms.  The SeriesRing holds the
-variable names, the one grade variable, the truncation order and the
-variables that may carry negative (Laurent) exponents; it checks them once
-and builds every series, dropping each term whose grade exponent exceeds
-the order.  Arithmetic needs both operands in one ring.
+variable names, the one grade variable, the truncation order, the variables
+that may carry negative (Laurent) exponents and caps on other exponents; it
+checks them once and builds every series, dropping each term whose grade
+exponent exceeds the order or whose exponent exceeds a cap.
 The terms are a sparse dict of exponent vectors with exact coefficients: a
 plain int whenever the coefficient is an integer, and a Fraction only where
 a division is inexact.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Callable, Mapping
 
 from .errors import (
@@ -44,12 +44,16 @@ def _frac(c: Scalar) -> Coeff:
 
 @dataclass(frozen=True)
 class SeriesRing:
-    """Variables, grade, order and Laurent variables shared by its series."""
+    """Variables, grade, order, Laurent variables and caps shared by its
+    series.  A cap is the largest exponent a non-grade, non-Laurent
+    variable may keep; no operation may lower a capped exponent."""
 
     names: tuple[str, ...]
     grade: str
     order: int
     laurent: frozenset[str] = frozenset()
+    # given as a mapping, kept as (name, cap) pairs in the order of names
+    caps: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         names, laurent = tuple(self.names), frozenset(self.laurent)
@@ -59,16 +63,27 @@ class SeriesRing:
         if unknown:
             raise VariableMismatch(
                 f"Laurent variables {sorted(unknown)} not among {names}")
+        caps = dict(self.caps)
+        for name, cap in caps.items():
+            if name not in names or name == self.grade or name in laurent:
+                raise VariableMismatch(f"cap on {name!r}: not a variable of "
+                                       f"{names} besides grade and Laurent")
+            if cap < 0:
+                raise OutOfRange(f"negative cap on {name!r}: {cap}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "laurent", laurent)
+        object.__setattr__(self, "caps",
+                           tuple((n, caps[n]) for n in names if n in caps))
 
     def _build(self, terms: dict) -> "TruncatedSeries":
-        """The series of these terms, truncated at the order, with zero
-        coefficients dropped and integral Fractions made ints."""
+        """The series of these terms, truncated at the order and the caps,
+        with zero coefficients dropped and integral Fractions made ints."""
         gi, order = self.names.index(self.grade), self.order
+        cap_at = [(self.names.index(n), m) for n, m in self.caps]
         clean: dict[Exponents, Coeff] = {}
         for e, c in terms.items():
-            if c == 0 or e[gi] > order:
+            if c == 0 or e[gi] > order or (
+                    cap_at and any(e[i] > m for i, m in cap_at)):
                 continue
             for name, exp in zip(self.names, e):
                 if exp < 0 and name not in self.laurent:
@@ -79,6 +94,10 @@ class SeriesRing:
                 c = c.numerator
             clean[e] = c
         return TruncatedSeries(self, clean)
+
+    def _bounded(self, var: str) -> bool:
+        """Whether var's exponent is truncated, so may never be lowered."""
+        return var == self.grade or any(n == var for n, _ in self.caps)
 
     def zero(self) -> "TruncatedSeries":
         return TruncatedSeries(self, {})
@@ -192,22 +211,15 @@ class TruncatedSeries:
         }
         return self.ring._build(terms)
 
-    def restrict(self, var: str, max_exp: int) -> "TruncatedSeries":
-        vi = self.ring.names.index(var)
-        return self.ring._build(
-            {e: c for e, c in self.terms.items() if e[vi] <= max_exp})
-
     def assert_no_negative_exponents(self, err, what: str):
         for e in self.terms:
             if any(x < 0 for x in e):
                 raise err(f"{what} kept a negative exponent: {dict(zip(self.vars, e))}")
-        return self
 
     def assert_integer_coefficients(self, err, what: str):
         for e, c in self.terms.items():
             if c.denominator != 1:
                 raise err(f"{what} has non-integer coefficient {c} at {e}")
-        return self
 
 
 # -- operations ---------------------------------------------------------------
@@ -229,11 +241,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
             f"grade-constant part has {len(const)} terms; need exactly one monomial"
         )
     (e0, c0), = const.items()
-    for name, exp in zip(ring.names, e0):
-        if exp != 0 and name not in ring.laurent:
-            raise NotInvertible(
-                f"constant monomial uses non-Laurent variable {name!r}"
-            )
+    # the ring refuses its negative exponents unless e0 is on Laurent variables
     inv_mono = ring._build({tuple(-x for x in e0): Fraction(1) / c0})
     u = a * inv_mono  # now 1 + t with t of positive grade valuation
     t = u - ring.one()
@@ -259,8 +267,8 @@ def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> Truncate
     """Evaluate var at the constant coeff.
 
     Setting var to 0 drops its positive powers and is unsound on a negative
-    power.  Evaluating the grade variable is unsound on a positive power:
-    it would pull unknown truncated terms below the order.
+    power.  Evaluating the grade or a capped variable is unsound on a
+    positive power: it would pull unknown truncated terms into range.
     """
     ring = a.ring
     if var not in ring.names:
@@ -277,9 +285,10 @@ def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> Truncate
             if k > 0:
                 continue
             raise UnsoundSubstitution("negative power of a variable sent to zero")
-        if var == ring.grade and k > 0:
+        if k > 0 and ring._bounded(var):
             raise UnsoundSubstitution(
-                f"substitution lowers grade degree by {k} on {dict(zip(ring.names, e))}"
+                f"substitution lowers the degree in {var} by {k} on "
+                f"{dict(zip(ring.names, e))}"
             )
         ne = e[:vi] + (0,) + e[vi + 1 :]
         # a negative power of an int must stay exact, not become a float
@@ -288,6 +297,7 @@ def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> Truncate
 
 
 def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
+    """Partial derivative; unsound in the grade or a capped variable."""
     ring = a.ring
     if var not in ring.names:
         raise VariableMismatch(f"{var!r} not a series variable")
@@ -297,24 +307,24 @@ def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
         k = e[vi]
         if k == 0:
             continue
+        if ring._bounded(var):
+            raise UnsoundSubstitution(f"derivative lowers the degree in {var}")
         ne = e[:vi] + (k - 1,) + e[vi + 1 :]
         out[ne] = out.get(ne, 0) + c * k
     return ring._build(out)
 
 
-def div_monomial(a: TruncatedSeries, coeff: Scalar, exps: Mapping[str, int]) -> TruncatedSeries:
-    """Exact division by a monomial; exponents must stay in range, which
-    the ring checks."""
-    c0 = _frac(coeff)
-    if c0 == 0:
-        raise NotInvertible("division by zero monomial")
+def div_monomial(a: TruncatedSeries, exps: Mapping[str, int]) -> TruncatedSeries:
+    """Division by the monomial with these exponents and coefficient 1: a
+    shift of every exponent vector.  The ring checks that exponents stay in
+    range; a positive shift on the grade or a capped variable is unsound."""
     ring = a.ring
+    for var, k in exps.items():
+        if k > 0 and ring._bounded(var):
+            raise UnsoundSubstitution(
+                f"division lowers the degree in {var} by {k}")
     shift = tuple(exps.get(v, 0) for v in ring.names)
-    out: dict[Exponents, Coeff] = {}
-    for e, c in a.terms.items():
-        ne = tuple(x - s for x, s in zip(e, shift))
-        out[ne] = Fraction(c) / c0
-    return ring._build(out)
+    return ring._build({tuple(map(sub, e, shift)): c for e, c in a.terms.items()})
 
 
 def collapse(
@@ -323,8 +333,11 @@ def collapse(
     """Map every term to new_var**(weighted exponent sum).
 
     The grade variable needs a positive weight, which makes the result
-    complete through the input's order.
+    complete through the input's order; a ring with caps is refused, since
+    its dropped terms would be missing at every order.
     """
+    if a.ring.caps:
+        raise UnsoundSubstitution("collapse of a series with capped variables")
     unknown = set(weights) - set(a.ring.names)
     if unknown:
         raise VariableMismatch(f"unknown collapse variables {sorted(unknown)}")
@@ -391,16 +404,16 @@ def continued_fraction(
 
 def _cf_eval(level, numerator, depth) -> TruncatedSeries:
     nu_terms = list(numerator.terms.items())
-    if len(nu_terms) != 1:
-        raise NotInvertible("continued-fraction numerator must be a monomial")
-    (nu_e, nu_c), = nu_terms
-    nu_exps = dict(zip(numerator.ring.names, nu_e))
+    if len(nu_terms) != 1 or nu_terms[0][1] != 1:
+        raise NotInvertible(
+            "continued-fraction numerator must be a monomial with coefficient 1")
+    nu_exps = dict(zip(numerator.ring.names, nu_terms[0][0]))
     one = numerator.ring.one()
     # E_k = S_k / numerator - 1 where S_k is the k-th tail denominator
-    ek = div_monomial(level(depth) - one - numerator, nu_c, nu_exps)
+    ek = div_monomial(level(depth) - one - numerator, nu_exps)
     for k in range(depth - 1, 0, -1):
         s_minus_nu = level(k) - one - numerator + (one - invert(one + ek))
-        ek = div_monomial(s_minus_nu, nu_c, nu_exps)
+        ek = div_monomial(s_minus_nu, nu_exps)
     return invert(one + ek) - one
 
 

@@ -22,6 +22,7 @@ from stanlab.catalog import (
     record_json,
 )
 from stanlab.errors import OutOfRange
+from stanlab.verification import full_tally
 
 
 def series_ints(series, var: str = "x") -> dict[int, int]:
@@ -159,6 +160,12 @@ class TestFullSeries:
             (1, 3, 0, 0): 1,
             (2, 4, 0, 0): 1,
         }
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_matches_brute_force_past_the_suite_size(self, n):
+        # the column bound is the ring's cap on x: every class through n
+        # columns is present and nothing beyond
+        assert gf_full(n).terms == full_tally(n)
 
     def test_area_order_schedule(self):
         assert [full_order_z(n) for n in (6, 7, 8)] == [12, 16, 20]

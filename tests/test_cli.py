@@ -143,7 +143,8 @@ class TestEnumerate:
 
 class TestMap:
     def feed(self, monkeypatch, text: str) -> None:
-        monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(cli.sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8"))
 
     def test_phi_on_worked_example(self, capsys, monkeypatch):
         self.feed(monkeypatch, json.dumps({"rows": WORKED_ROWS}) + "\n")
@@ -208,6 +209,30 @@ class TestMap:
         assert code == 0
         assert len(lines(out)) == 2
         assert "line 2" in err
+
+    UNDECODABLE = b'{"word": "UD"}\n\xff\xfe\n{"word": "UUDD"}\n'
+    OVER_DEEP = ('{"word": "UD"}\n' + "[" * 100_000 + '\n{"word": "UUDD"}\n'
+                 ).encode()
+
+    @pytest.mark.parametrize("data", [UNDECODABLE, OVER_DEEP],
+                             ids=["undecodable", "over-deep"])
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_unreadable_line_is_one_invalid_line(self, capsys, monkeypatch,
+                                                 tmp_path, data, source, skip):
+        argv = ["map", "--bijection", "phi-inv"]
+        if source == "file":
+            path = tmp_path / "in.jsonl"
+            path.write_bytes(data)
+            argv += ["--in", str(path)]
+        else:
+            monkeypatch.setattr(cli.sys, "stdin",
+                                io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+        code, out, err = run(capsys, *argv, *(["--skip-invalid"] if skip else []))
+        assert "internal error" not in err
+        assert "line 2" in err
+        assert code == (0 if skip else 4)
+        assert len(lines(out)) == (2 if skip else 1)
 
 
 class TestSeries:

@@ -362,9 +362,21 @@ def _identifiers(tree: ast.AST):
             yield node.name
 
 
+def _public_definitions(tree: ast.Module):
+    """Top-level functions and classes not exported through __all__, and
+    the methods of every top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name not in stanlab.__all__:
+            yield node
+
+
 def test_no_public_library_code_only_tests_use():
-    # every public top-level function and class is named in the package or
-    # in scripts/ outside its own definition, or exported through __all__
+    # every public top-level function and class, and every public method,
+    # is named in the package or in scripts/ outside its own definition, or
+    # (top level only) exported through __all__
     src = Path(objects.__file__).parent
     paths = sorted(src.glob("*.py")) + sorted(
         (src.parents[1] / "scripts").glob("*.py"))
@@ -373,10 +385,8 @@ def test_no_public_library_code_only_tests_use():
     unused = [
         f"{path.name}:{node.name}"
         for path, tree in trees.items() if path.parent == src
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in stanlab.__all__
+        for node in _public_definitions(tree)
+        if not node.name.startswith("_")
         and named[node.name] == Counter(_identifiers(node))[node.name]
     ]
     assert unused == []

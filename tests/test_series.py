@@ -185,6 +185,78 @@ class TestInvertAgainstGeometricReference:
         assert (a * inv).terms == r.one().terms
 
 
+def _capped_pair(cap: int):
+    names = ("x", "y", "w")
+    free = SeriesRing(names, grade="x", order=4)
+    return free, SeriesRing(names, grade="x", order=4, caps={"y": cap})
+
+
+def _series(ring, terms):
+    return sum((ring.monomial(c, **dict(zip(ring.names, e)))
+                for e, c in terms), ring.zero())
+
+
+def _under_cap(terms: dict, cap: int) -> dict:
+    return {e: c for e, c in terms.items() if e[1] <= cap}
+
+
+cap_terms = st.lists(st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                         st.integers(0, 2)), small_coeffs),
+                     max_size=6)
+
+
+class TestCaps:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3), cap_terms, cap_terms)
+    def test_mul_equals_uncapped_then_dropped(self, cap, ta, tb):
+        free, capped = _capped_pair(cap)
+        want = _series(free, ta) * _series(free, tb)
+        got = _series(capped, ta) * _series(capped, tb)
+        assert got.terms == _under_cap(want.terms, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3), constants, cap_terms)
+    def test_invert_equals_uncapped_then_dropped(self, cap, c0, ta):
+        # the grade-constant part of an invertible series is one constant
+        free, capped = _capped_pair(cap)
+        ta = [((max(gx, 1), ey, ew), c) for (gx, ey, ew), c in ta]
+        want = invert(c0 + _series(free, ta))
+        got = invert(c0 + _series(capped, ta))
+        assert got.terms == _under_cap(want.terms, cap)
+
+    @pytest.mark.parametrize("caps, laurent, err", [
+        ({"x": 2}, (), VariableMismatch),
+        ({"y": 2}, ("y",), VariableMismatch),
+        ({"v": 2}, (), VariableMismatch),
+        ({"y": -1}, (), OutOfRange),
+    ])
+    def test_ring_refuses_cap(self, caps, laurent, err):
+        with pytest.raises(err):
+            SeriesRing(("x", "y"), grade="x", order=4, laurent=laurent,
+                       caps=caps)
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_capped_and_uncapped_rings_do_not_mix(self, op):
+        free, capped = _capped_pair(2)
+        a, b = free.var("y"), capped.var("y")
+        with pytest.raises(VariableMismatch):
+            a + b if op == "add" else a * b
+
+    def test_operations_that_lower_a_capped_exponent_rejected(self):
+        _, capped = _capped_pair(2)
+        x, y, w = capped.gens()
+        s = x * y + w
+        with pytest.raises(UnsoundSubstitution):
+            substitute_monomial(s, "y", 1)
+        with pytest.raises(UnsoundSubstitution):
+            derivative(s, "y")
+        with pytest.raises(UnsoundSubstitution):
+            div_monomial(s * y, {"y": 1})
+        with pytest.raises(UnsoundSubstitution):
+            collapse(s, {"x": 1, "y": 1}, "t")
+        assert substitute_monomial(s, "y", 0).terms == w.terms
+
+
 class TestIntegerCoefficients:
     def test_integral_coefficients_are_ints(self):
         r = ring2()
@@ -193,15 +265,6 @@ class TestIntegerCoefficients:
         assert s.terms
         assert all(type(c) is int for c in s.terms.values())
         assert type(r.monomial(Fraction(6, 3), x=1).coeff({"x": 1})) is int
-
-    def test_inexact_division_stays_a_fraction(self):
-        r = ring2()
-        x, _ = r.gens()
-        half = div_monomial(3 * x * x, 2, {"x": 1})
-        c = half.coeff({"x": 1})
-        assert type(c) is Fraction and c == Fraction(3, 2)
-        whole = div_monomial(4 * x, 2, {"x": 1})
-        assert type(whole.coeff({})) is int and whole.coeff({}) == 2
 
     def test_inverse_of_integer_constant_is_exact(self):
         r = ring2()
@@ -266,14 +329,34 @@ class TestDerivativeAndDivision:
     def test_div_monomial_exact(self):
         r = ring2()
         x, y = r.gens()
-        s = div_monomial(2 * x * x * y, 2, {"x": 1})
-        assert s.coeff({"x": 1, "y": 1}) == 1
+        s = div_monomial(2 * x * x * y, {"y": 1})
+        assert s.terms == {(2, 0): 2}
 
     def test_div_monomial_requires_divisibility(self):
         r = ring2()
         x, y = r.gens()
         with pytest.raises(NotInvertible):
-            div_monomial(x + y * x, 1, {"y": 1})
+            div_monomial(x + y * x, {"y": 1})
+
+    def test_div_monomial_by_grade_rejected(self):
+        # [x^3] of (1/(1-x) - 1)/x is 1, but the order-3 input lacks x^4
+        r = SeriesRing(("x",), grade="x", order=3)
+        x = r.var("x")
+        with pytest.raises(UnsoundSubstitution):
+            div_monomial(invert(r.one() - x) - r.one(), {"x": 1})
+
+    def test_div_monomial_raising_the_grade_is_sound(self):
+        # a negative shift multiplies by x*y
+        r = ring2(order=3)
+        s = div_monomial(invert(r.one() - r.var("x")), {"x": -1, "y": -1})
+        assert s.terms == {(1, 1): 1, (2, 1): 1, (3, 1): 1}
+
+    def test_derivative_in_grade_rejected(self):
+        # [x^3] of d/dx 1/(1-x) is 4, but the order-3 input lacks x^4
+        r = SeriesRing(("x",), grade="x", order=3)
+        x = r.var("x")
+        with pytest.raises(UnsoundSubstitution):
+            derivative(invert(r.one() - x), "x")
 
 
 class TestCollapse:
@@ -338,6 +421,16 @@ class TestContinuedFraction:
         v = r.var("v")
         with pytest.raises(OutOfRange):
             continued_fraction(lambda k: r.one() + v, v, depth=depth)
+
+    def test_numerator_needs_coefficient_one(self):
+        r = SeriesRing(("q", "v"), grade="q", order=4)
+        v = r.var("v")
+
+        def level(k):
+            return r.one() + 2 * v - r.monomial(1, q=k, v=k)
+
+        with pytest.raises(NotInvertible):
+            continued_fraction(level, 2 * v, depth=8)
 
     def test_stable_depth_is_idempotent(self):
         r = SeriesRing(("q", "v"), grade="q", order=6)
