@@ -92,77 +92,83 @@ def _replay(ops: Iterable[tuple[str, int]], first_len: int) -> StanleyPolyomino:
 
 
 # -- chi: peakless Motzkin paths -> Stanley polyominoes -------------------------
-
-def _steps_on_axis(word: str) -> int:
-    h = 0
-    n = 0
-    for c in word:
-        h += (c == "U") - (c == "D")
-        if h == 0:
-            n += 1
-    return n
-
-
-def _first_return(word: str) -> int:
-    """Index just past the D closing the initial U."""
-    h = 0
-    for i, c in enumerate(word):
-        h += (c == "U") - (c == "D")
-        if h == 0 and c == "D":
-            return i + 1
-    raise InvariantViolation("unbalanced word")
-
+#
+# A word is a list of blocks at height 0: F, or U body D with body a word one
+# level up.  Both maps peel the first block and put its body's blocks in its
+# place, so every block reaches the front once, in the order its first letter
+# has in the input: one scan of the input, with a count of the blocks (chi)
+# or of the UD blocks (chi_prime) in the current word, replays the peeling.
+# A first scan counts those directly inside each U, keyed by its index;
+# index -1 (the list's last slot, never a U) is the top level.
 
 def chi(m: MotzkinPath) -> StanleyPolyomino:
     if not is_peakless(m):
         raise NotPeakless("chi expects a Motzkin path with no UD factor")
-    ops: list[tuple] = []
     word = m.word
-    while word:
-        if word[0] == "F":
-            ops.append(("cells", 1))
-            word = word[1:]
+    inside = [0] * (len(word) + 1)
+    open_at = [-1]
+    for i, c in enumerate(word):
+        if c == "D":
+            if len(open_at) == 1:
+                raise InvariantViolation("unbalanced word")
+            open_at.pop()
         else:
-            k = _steps_on_axis(word) + 1
-            cut = _first_return(word)
-            body, tail = word[1 : cut - 1], word[cut:]
-            # the same count read off the tail alone, as a consistency check
-            if k - 2 != _steps_on_axis(tail):
-                raise InvariantViolation("axis-step bookkeeping broke")
-            ops.append(("row", k))
-            word = body + tail
+            inside[open_at[-1]] += 1
+            if c == "U":
+                open_at.append(i)
+    if len(open_at) != 1:
+        raise InvariantViolation("unbalanced word")
+    ops: list[tuple] = []
+    blocks = inside[-1]  # the current word's steps on the axis
+    for i, c in enumerate(word):
+        if c == "F":
+            blocks -= 1
+            ops.append(("cells", 1))
+        elif c == "U":
+            # a row of one more cell than the axis steps from U to the end
+            blocks -= 1
+            ops.append(("row", blocks + 2))
+            blocks += inside[i]
     return _replay(reversed(ops), 1)
 
 
 # -- chi_prime: Dyck paths avoiding UUU and DDD -> Stanley polyominoes ----------
 
-def _hills(word: str) -> int:
-    h = 0
-    n = 0
-    for i, c in enumerate(word):
-        if c == "U" and h == 0 and i + 1 < len(word) and word[i + 1] == "D":
-            n += 1
-        h += (c == "U") - (c == "D")
-    return n
-
-
 def chi_prime(d: DyckPath) -> StanleyPolyomino:
     if "UUU" in d.word or "DDD" in d.word:
         raise ContainsTriple("chi_prime expects a Dyck path avoiding UUU and DDD")
-    ops: list[tuple] = []
     word = d.word
-    while word:
-        if word.startswith("UD"):
-            ops.append(("cells", 1))
-            word = word[2:]
-        else:
-            cut = _first_return(word)
-            body, tail = word[1 : cut - 1], word[cut:]
-            # with DDD excluded the first-return body must close with a peak
-            if not body.endswith("UD"):
+    hills = [0] * (len(word) + 1)
+    dropped = set()
+    open_at = [-1]
+    for i, c in enumerate(word):
+        if c == "U":
+            if word[i + 1 : i + 2] == "D":
+                hills[open_at[-1]] += 1
+            open_at.append(i)
+            continue
+        if len(open_at) == 1:
+            raise InvariantViolation("unbalanced word")
+        u = open_at.pop()
+        if i - u > 1:
+            # with DDD excluded the first-return body must close with a
+            # peak, which the peel drops with the block's own U and D
+            if word[i - 2 : i] != "UD":
                 raise InvariantViolation("first-return body should end in UD")
-            ops.append(("row", _hills(tail) + 2))
-            word = body[:-2] + tail
+            dropped.add(i - 2)
+    if len(open_at) != 1:
+        raise InvariantViolation("unbalanced word")
+    ops: list[tuple] = []
+    left = hills[-1]  # the current word's hills
+    for i, c in enumerate(word):
+        if c != "U" or i in dropped:
+            continue
+        if word[i + 1] == "D":
+            left -= 1
+            ops.append(("cells", 1))
+        else:
+            ops.append(("row", left + 2))
+            left += hills[i] - 1
     return _replay(reversed(ops), 2)
 
 

@@ -61,7 +61,7 @@ def catalan(n: int) -> int:
 
 
 def _assert_equal(a: TruncatedSeries, b: TruncatedSeries, what: str) -> None:
-    if a.terms != b.terms:
+    if a != b:
         raise MismatchBetweenForms(f"{what}: the two forms disagree")
 
 
@@ -412,7 +412,7 @@ def gf_continued_fractions(order: int, depth: int | None = None) -> dict:
     fib_ring = SeriesRing(("p",), grade="p", order=order)
     pp = fib_ring.var("p")
     fib_form = pp * pp * invert(fib_ring.one() - pp - pp * pp)
-    if a_pp0.terms != fib_form.terms:
+    if a_pp0 != fib_form:
         raise MismatchBetweenForms("valley-free slice vs p^2/(1-p-p^2)")
     for n in range(2, order + 1):
         if a_pp0.coeff({"p": n}) != fibonacci(n - 1):

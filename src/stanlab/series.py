@@ -5,18 +5,44 @@ variable names, the one grade variable, the truncation order, the variables
 that may carry negative (Laurent) exponents and caps on other exponents; it
 checks them once and builds every series, dropping each term whose grade
 exponent exceeds the order or whose exponent exceeds a cap.
-The terms are a sparse dict of exponent vectors with exact coefficients: a
-plain int whenever the coefficient is an integer, and a Fraction only where
-a division is inexact.
+Coefficients are exact: a plain int whenever the coefficient is an integer,
+and a Fraction only where a division is inexact.
 Substitution means evaluating one variable at a constant.
+
+Packed layout.  A series stores its terms as a dict from one packed int per
+exponent vector (Kronecker substitution) to the coefficient.  Each variable
+owns a SLOT_BITS-wide slot holding its exponent plus a bias; the grade owns
+the top slot, so keys sort by grade and "grade within the order" is the one
+compare ``key < ring._limit``.  With the zero vector's key taken off one
+operand, the key of a product of terms is one int add.  A capped variable's
+bias is chosen so that an exponent sum over its cap sets the slot's top bit.
+Products and inverses group terms by the capped slots of their keys, so one
+add and one mask skip a whole pair of groups over a cap: no over-cap product
+is ever formed.
+Tuples appear only at the boundary: ``SeriesRing._build`` packs a dict of
+exponent tuples, and ``TruncatedSeries.terms`` is a cached, read-only view
+keyed by exponent tuples in the order of the ring's names.
+
+Range guard.  An uncapped exponent must stay below 2**(SLOT_BITS-1) in
+absolute value.  Every series carries a bound on the absolute value of
+its uncapped exponents: the sum of the operands' bounds for a product and
+order times the bound for an inverse.  When that bound would leave the
+range it is recomputed exactly from the keys, per grade and per slot, over
+the products the operation forms within the order and, since a slot sum out
+of range borrows at most one from the grade, one grade past it; OutOfRange
+is raised if one of those reaches outside the range, so no key ever carries
+into its neighbour slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 from operator import add, sub
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     NoContraction,
@@ -32,6 +58,10 @@ Exponents = tuple[int, ...]
 Coeff = int | Fraction
 Scalar = int | Fraction
 
+SLOT_BITS = 32
+_HALF = 1 << (SLOT_BITS - 1)  # every exponent's absolute value stays below it
+_MASK = (1 << SLOT_BITS) - 1
+
 
 def _frac(c: Scalar) -> Coeff:
     """A coefficient in canonical form: an integral Fraction becomes an int."""
@@ -40,6 +70,10 @@ def _frac(c: Scalar) -> Coeff:
         if c.denominator == 1:
             return c.numerator
     return c
+
+
+def _widest(x: tuple, y: tuple) -> tuple:
+    return tuple(map(max, x, y))
 
 
 @dataclass(frozen=True)
@@ -68,39 +102,105 @@ class SeriesRing:
             if name not in names or name == self.grade or name in laurent:
                 raise VariableMismatch(f"cap on {name!r}: not a variable of "
                                        f"{names} besides grade and Laurent")
-            if cap < 0:
-                raise OutOfRange(f"negative cap on {name!r}: {cap}")
+            if not 0 <= cap < _HALF:
+                raise OutOfRange(f"cap on {name!r} outside [0, {_HALF}): {cap}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "laurent", laurent)
         object.__setattr__(self, "caps",
                            tuple((n, caps[n]) for n in names if n in caps))
+        # the packing: slots in the order of names, the grade's on top; a
+        # capped slot's bias puts a sum over the cap in the slot's top bit
+        below = [n for n in names if n != self.grade]
+        shift = {n: SLOT_BITS * i for i, n in enumerate(below)}
+        top = shift[self.grade] = SLOT_BITS * len(below)
+        bias = {n: _HALF - 1 - caps[n] if n in caps else _HALF for n in names}
+        packing = {
+            "_slots": tuple((shift[n], bias[n]) for n in names),
+            "_free": tuple(shift[n] for n in names if n not in caps),
+            "_capmask": sum(_MASK << shift[n] for n in caps),
+            "_capzero": sum(bias[n] << shift[n] for n in caps),
+            "_capbits": sum(1 << (shift[n] + SLOT_BITS - 1) for n in caps),
+            "_top": top,
+            "_zero": sum(bias[n] << shift[n] for n in names),
+            "_limit": (self.order + 1 + _HALF) << top,
+        }
+        for attr, value in packing.items():
+            object.__setattr__(self, attr, value)
+
+    def _unpack(self, key: int) -> Exponents:
+        return tuple(((key >> s) & _MASK) - b for s, b in self._slots)
+
+    def _by_caps(self, items: Iterable) -> dict[int, list]:
+        """(key, coefficient) pairs grouped by the capped slots of the key.
+        For groups x and y, x + y - _capzero is the capped slots of their
+        products' keys, and it has a _capbits bit set when one is over its
+        cap."""
+        mask = self._capmask
+        if not mask:
+            return {0: list(items)}
+        out: dict[int, list] = {}
+        for k, c in items:
+            out.setdefault(k & mask, []).append((k, c))
+        return out
 
     def _build(self, terms: dict) -> "TruncatedSeries":
-        """The series of these terms, truncated at the order and the caps,
-        with zero coefficients dropped and integral Fractions made ints."""
+        """The series of these exponent-tuple terms, truncated at the order
+        and the caps, with zero coefficients dropped and integral Fractions
+        made ints.  Raises OutOfRange on an exponent outside its slot."""
         gi, order = self.names.index(self.grade), self.order
         cap_at = [(self.names.index(n), m) for n, m in self.caps]
-        clean: dict[Exponents, Coeff] = {}
+        packed: dict[int, Coeff] = {}
+        bound = 0
         for e, c in terms.items():
             if c == 0 or e[gi] > order or (
                     cap_at and any(e[i] > m for i, m in cap_at)):
                 continue
-            for name, exp in zip(self.names, e):
+            key = 0
+            for name, exp, (s, b) in zip(self.names, e, self._slots):
                 if exp < 0 and name not in self.laurent:
                     raise NotInvertible(
-                        f"negative exponent on non-Laurent variable {name!r}"
-                    )
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            clean[e] = c
-        return TruncatedSeries(self, clean)
+                        f"negative exponent on non-Laurent variable {name!r}")
+                if abs(exp) >= _HALF:
+                    raise OutOfRange(f"exponent {exp} on {name!r} outside "
+                                     f"the {SLOT_BITS}-bit slot")
+                key += (exp + b) << s
+                bound = max(bound, abs(exp))
+            packed[key] = c
+        return self._make(packed, bound)
+
+    def _make(self, packed: dict, bound: int) -> "TruncatedSeries":
+        """The series of these packed terms, all in range, with zero
+        coefficients dropped and integral Fractions made ints."""
+        return TruncatedSeries(self, {
+            k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for k, c in packed.items() if c}, bound)
+
+    def _reach(self, packed: dict) -> dict[int, tuple[int, ...]]:
+        """Per grade, the largest value of each uncapped exponent and of its
+        negative over these keys."""
+        out: dict[int, tuple[int, ...]] = {}
+        for k in packed:
+            e = [((k >> s) & _MASK) - _HALF for s in self._free]
+            v = (*e, *(-x for x in e))
+            g = (k >> self._top) - _HALF
+            out[g] = _widest(out[g], v) if g in out else v
+        return out
+
+    def _fit(self, reaches: Iterable[tuple[int, ...]]) -> int:
+        """The exact bound these reaches give; OutOfRange if it leaves the
+        slot range."""
+        bound = max(map(max, reaches), default=0)
+        if bound >= _HALF:
+            raise OutOfRange(f"an exponent reaches {bound}, outside the "
+                             f"{SLOT_BITS}-bit exponent slot")
+        return bound
 
     def _bounded(self, var: str) -> bool:
         """Whether var's exponent is truncated, so may never be lowered."""
         return var == self.grade or any(n == var for n, _ in self.caps)
 
     def zero(self) -> "TruncatedSeries":
-        return TruncatedSeries(self, {})
+        return TruncatedSeries(self, {}, 0)
 
     def constant(self, c: Scalar) -> "TruncatedSeries":
         return self.monomial(c)
@@ -124,12 +224,23 @@ class SeriesRing:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
+    """Packed key -> nonzero coefficient, and a bound on the absolute value
+    of every uncapped exponent.  Two series are equal when their rings and
+    terms are."""
+
     ring: SeriesRing
-    terms: dict
+    packed: dict
+    bound: int = field(compare=False)
 
     @property
     def vars(self) -> tuple[str, ...]:
         return self.ring.names
+
+    @cached_property
+    def terms(self) -> Mapping[Exponents, Coeff]:
+        """Read-only view of the terms keyed by exponent tuples."""
+        unpack = self.ring._unpack
+        return MappingProxyType({unpack(k): c for k, c in self.packed.items()})
 
     def _compat(self, other: "TruncatedSeries") -> None:
         if other.ring is not self.ring and other.ring != self.ring:
@@ -141,15 +252,17 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return self.ring._build(terms)
+        terms = dict(self.packed)
+        get = terms.get
+        for k, c in other.packed.items():
+            terms[k] = get(k, 0) + c
+        return self.ring._make(terms, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring._build({e: -c for e, c in self.terms.items()})
+        return TruncatedSeries(
+            self.ring, {k: -c for k, c in self.packed.items()}, self.bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -161,22 +274,42 @@ class TruncatedSeries:
         ring = self.ring
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            return ring._build({e: v * c for e, v in self.terms.items()})
+            return ring._make({k: v * c for k, v in self.packed.items()},
+                              self.bound)
         self._compat(other)
-        gi, order = ring.names.index(ring.grade), ring.order
-        out: dict[Exponents, Coeff] = {}
+        a, b = self.packed, other.packed
+        bound = self.bound + other.bound
+        if bound >= _HALF:
+            # an out-of-range slot sum borrows at most one from the grade,
+            # so a pair one grade past the order may pass the compare below
+            rb = ring._reach(b)
+            bound = ring._fit(
+                tuple(map(add, va, vb))
+                for ga, va in ring._reach(a).items()
+                for gb, vb in rb.items() if ga + gb <= ring.order + 1)
         # iterate over the smaller operand outside
-        a, b = (self.terms, other.terms)
         if len(a) > len(b):
             a, b = b, a
-        for ea, ca in a.items():
-            ga = ea[gi]
-            for eb, cb in b.items():
-                if ga + eb[gi] > order:
+        # both operands grouped by their capped slots, so no pair over a cap
+        # is formed.  In a group of the inner operand the keys less the zero
+        # key are sorted, so by grade: ka + kb is the product's key, and the
+        # products within the order are those with kb < limit - ka, a prefix
+        zero, limit, capbits = ring._zero, ring._limit, ring._capbits
+        inner = []
+        for xb, terms in ring._by_caps(b.items()).items():
+            terms = sorted((k - zero, c) for k, c in terms)
+            inner.append((xb - ring._capzero, [k for k, _ in terms], terms))
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for xa, outer in ring._by_caps(a.items()).items():
+            for xb, keys, terms in inner:
+                if (xa + xb) & capbits:
                     continue
-                e = tuple(map(add, ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return ring._build(out)
+                for ka, ca in outer:
+                    for kb, cb in terms[:bisect_left(keys, limit - ka)]:
+                        k = ka + kb
+                        out[k] = get(k, 0) + ca * cb
+        return ring._make(out, bound)
 
     __rmul__ = __mul__
 
@@ -195,7 +328,7 @@ class TruncatedSeries:
     # -- views ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def coeff(self, exps: Mapping[str, int]) -> Coeff:
         e = tuple(exps.get(v, 0) for v in self.ring.names)
@@ -234,33 +367,59 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     TAOCP vol. 2, 4.7).
     """
     ring = a.ring
-    gi = ring.names.index(ring.grade)
-    const = {e: c for e, c in a.terms.items() if e[gi] == 0}
+    top, zero, order = ring._top, ring._zero, ring.order
+    capmask, capzero, capbits = ring._capmask, ring._capzero, ring._capbits
+    const = [(k, c) for k, c in a.packed.items() if k >> top == _HALF]
     if len(const) != 1:
         raise NotInvertible(
             f"grade-constant part has {len(const)} terms; need exactly one monomial"
         )
-    (e0, c0), = const.items()
-    # the ring refuses its negative exponents unless e0 is on Laurent variables
-    inv_mono = ring._build({tuple(-x for x in e0): Fraction(1) / c0})
+    (k0, c0), = const
+    # the ring refuses its negative exponents unless k0 is on Laurent variables
+    inv_mono = ring._build(
+        {tuple(-x for x in ring._unpack(k0)): Fraction(1) / c0})
     u = a * inv_mono  # now 1 + t with t of positive grade valuation
     t = u - ring.one()
-    if any(e[gi] <= 0 for e in t.terms):
+    if t.packed and min(t.packed) < (_HALF + 1) << top:
         raise NotInvertible("normalized series still has terms of grade 0 or below")
-    t_by_grade = [[] for _ in range(ring.order + 1)]
-    for e, c in t.terms.items():
-        t_by_grade[e[gi]].append((e, c))
-    # b_0 = 1 and b_n = -(t_1 b_{n-1} + ... + t_n b_0), one grade at a time
-    b = [{(0,) * len(ring.names): 1}]
-    for n in range(1, ring.order + 1):
-        bn: dict[Exponents, Coeff] = {}
+    # b_n is a sum of products of at most n terms of t
+    bound = order * t.bound
+    if bound >= _HALF:
+        reach = {0: (0,) * (2 * len(ring._free))}
+        t_reach = ring._reach(t.packed)
+        for n in range(1, order + 1):
+            got = [tuple(map(add, v, reach[n - g]))
+                   for g, v in t_reach.items() if n - g in reach]
+            if got:
+                reach[n] = reduce(_widest, got)
+        bound = ring._fit(reach.values())
+    # terms of t by grade and of each b_n grouped by their capped slots,
+    # so that no product over a cap is formed
+    t_by_grade = [{} for _ in range(order + 1)]
+    for k, c in t.packed.items():
+        t_by_grade[(k >> top) - _HALF].setdefault(
+            (k & capmask) - capzero, []).append((k - zero, c))
+    # b_0 = 1 and b_n = -(t_1 b_{n-1} + ... + t_n b_0), one grade at a time;
+    # every product has grade n, so only the caps can drop it
+    b = [{capzero: {zero: 1}}]
+    for n in range(1, order + 1):
+        bn: dict[int, dict] = {}
         for k in range(1, n + 1):
-            for et, ct in t_by_grade[k]:
-                for eb, cb in b[n - k].items():
-                    e = tuple(map(add, et, eb))
-                    bn[e] = bn.get(e, 0) - ct * cb
-        b.append({e: c for e, c in bn.items() if c})
-    return ring._build({e: c for bn in b for e, c in bn.items()}) * inv_mono
+            for xt, terms in t_by_grade[k].items():
+                for xb, bx in b[n - k].items():
+                    x = xt + xb
+                    if x & capbits:
+                        continue
+                    out = bn.setdefault(x, {})
+                    get = out.get
+                    for kt, ct in terms:
+                        for kb, cb in bx.items():
+                            key = kt + kb
+                            out[key] = get(key, 0) - ct * cb
+        b.append({x: nz for x, out in bn.items()
+                  if (nz := {k: c for k, c in out.items() if c})})
+    return ring._make({k: c for bn in b for out in bn.values()
+                       for k, c in out.items()}, bound) * inv_mono
 
 
 def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> TruncatedSeries:
@@ -365,7 +524,7 @@ def solve_fixed_point(
     cur = seed
     for _ in range(rounds):
         nxt = phi(cur)
-        if nxt.terms == cur.terms:
+        if nxt == cur:
             return cur
         cur = nxt
     raise NoContraction(f"no fixed point after {rounds} rounds")
@@ -397,7 +556,7 @@ def continued_fraction(
     if depth < 1:
         raise OutOfRange(f"continued fraction needs depth >= 1, got {depth}")
     first = _cf_eval(level, numerator, depth)
-    if first.terms != _cf_eval(level, numerator, depth + 1).terms:
+    if first != _cf_eval(level, numerator, depth + 1):
         raise Unstable(f"depth {depth} and {depth + 1} disagree; increase depth")
     return first
 

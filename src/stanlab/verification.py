@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from . import bijections, catalog, objects
-from .bijections import _steps_on_axis
 from .enumeration import (
     FamilyBound,
     cached_count,
@@ -262,6 +261,16 @@ def _phi_checks(checks: list, max_size: int) -> None:
                 bad_back += 1
     _check(checks, "staircase word map round-trips from words",
            f"{back_total} round-trips", f"{back_total - bad_back} round-trips")
+
+
+def _steps_on_axis(word: str) -> int:
+    h = 0
+    n = 0
+    for c in word:
+        h += (c == "U") - (c == "D")
+        if h == 0:
+            n += 1
+    return n
 
 
 def _chi_checks(checks: list, max_size: int) -> None:

@@ -21,8 +21,16 @@ from stanlab.bijections import (
     table_inverse,
 )
 from stanlab.enumeration import FamilyBound, cached_count, iter_raw
-from stanlab.errors import ContainsTriple, MultiplePreimages, NoPreimage, TooSmall
+from stanlab.errors import (
+    ContainsTriple,
+    InvariantViolation,
+    MultiplePreimages,
+    NoPreimage,
+    TooSmall,
+)
 from stanlab.objects import (
+    DyckPath,
+    MotzkinPath,
     StanleyPolyomino,
     dyck_stats,
     fountain_stats,
@@ -196,6 +204,62 @@ def tuple_chi(fn, x):
     """fn (chi or chi_prime) with its row surgery done by tuple_replay."""
     with mock.patch.object(bijections, "_replay", tuple_replay):
         return fn(x)
+
+
+# -- the word-rebuilding peels chi and chi_prime replaced, quadratic in length --
+
+def _steps_on_axis(word: str) -> int:
+    h = n = 0
+    for c in word:
+        h += (c == "U") - (c == "D")
+        n += h == 0
+    return n
+
+
+def _first_return(word: str) -> int:
+    h = 0
+    for i, c in enumerate(word):
+        h += (c == "U") - (c == "D")
+        if h == 0 and c == "D":
+            return i + 1
+    raise AssertionError("unbalanced word")
+
+
+def _hills(word: str) -> int:
+    h = n = 0
+    for i, c in enumerate(word):
+        if c == "U" and h == 0 and word[i + 1 : i + 2] == "D":
+            n += 1
+        h += (c == "U") - (c == "D")
+    return n
+
+
+def word_peel_chi(m):
+    ops, word = [], m.word
+    while word:
+        if word[0] == "F":
+            ops.append(("cells", 1))
+            word = word[1:]
+        else:
+            cut = _first_return(word)
+            ops.append(("row", _steps_on_axis(word) + 1))
+            word = word[1 : cut - 1] + word[cut:]
+    return bijections._replay(reversed(ops), 1)
+
+
+def word_peel_chi_prime(d):
+    ops, word = [], d.word
+    while word:
+        if word.startswith("UD"):
+            ops.append(("cells", 1))
+            word = word[2:]
+        else:
+            cut = _first_return(word)
+            body, tail = word[1 : cut - 1], word[cut:]
+            assert body.endswith("UD")
+            ops.append(("row", _hills(tail) + 2))
+            word = body[:-2] + tail
+    return bijections._replay(reversed(ops), 2)
 
 
 def fountains(diagonals: int):
@@ -398,6 +462,32 @@ class TestTupleReference:
     def test_one_column_too_small(self):
         with pytest.raises(TooSmall):
             f_inv(make_stanley(((0, 1),)))
+
+
+class TestWordPeelReference:
+    """The one-scan peels of chi and chi_prime give the same polyominoes as
+    the peels that rebuilt and rescanned the word at every step."""
+
+    @pytest.mark.parametrize("size", range(0, 9))
+    def test_exhaustive(self, size: int):
+        for m in motzkins(size):
+            assert chi(m) == word_peel_chi(m)
+        for d in triple_free_dycks(size):
+            assert chi_prime(d) == word_peel_chi_prime(d)
+
+    @given(long_word("UFD"), long_word("UD"))
+    @settings(max_examples=40, deadline=None)
+    def test_large(self, w, v):
+        m, d = make_motzkin(w), make_dyck(v)
+        assert chi(m) == word_peel_chi(m)
+        assert chi_prime(d) == word_peel_chi_prime(d)
+
+    @pytest.mark.parametrize("fn, word", [
+        (chi, "UFDD"), (chi, "UF"), (chi_prime, "UDD"), (chi_prime, "UUDUD")])
+    def test_unbalanced_words_rejected(self, fn, word):
+        path = MotzkinPath(word) if fn is chi else DyckPath(word)
+        with pytest.raises(InvariantViolation):
+            fn(path)
 
 
 class TestParallelogramMaps:

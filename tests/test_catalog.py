@@ -161,7 +161,7 @@ class TestFullSeries:
             (2, 4, 0, 0): 1,
         }
 
-    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
     def test_matches_brute_force_past_the_suite_size(self, n):
         # the column bound is the ring's cap on x: every class through n
         # columns is present and nothing beyond

@@ -1,5 +1,7 @@
 import json
 from fractions import Fraction
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from stanlab.errors import (
     VariableMismatch,
 )
 from stanlab.series import (
+    SLOT_BITS,
     SeriesRing,
     collapse,
     continued_fraction,
@@ -456,3 +459,201 @@ class TestJson:
         r = ring2(order=3)
         data = series_json(r.constant(Fraction(1, 2)))
         assert data["terms"][0]["c"] == "1/2"
+
+
+# -- the tuple-keyed kernel the packed keys replaced ---------------------------
+
+def tuple_build(ring, terms: dict) -> dict:
+    gi = ring.names.index(ring.grade)
+    cap_at = [(ring.names.index(n), m) for n, m in ring.caps]
+    clean = {}
+    for e, c in terms.items():
+        if c == 0 or e[gi] > ring.order or any(e[i] > m for i, m in cap_at):
+            continue
+        for name, exp in zip(ring.names, e):
+            if exp < 0 and name not in ring.laurent:
+                raise NotInvertible(f"negative exponent on {name!r}")
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        clean[e] = c
+    return clean
+
+
+def tuple_add(ring, a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return tuple_build(ring, out)
+
+
+def tuple_neg(ring, a: dict) -> dict:
+    return tuple_build(ring, {e: -c for e, c in a.items()})
+
+
+def tuple_mul(ring, a: dict, b: dict) -> dict:
+    gi = ring.names.index(ring.grade)
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea[gi] + eb[gi] > ring.order:
+                continue
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return tuple_build(ring, out)
+
+
+def tuple_invert(ring, a: dict) -> dict:
+    gi = ring.names.index(ring.grade)
+    (e0, c0), = ((e, c) for e, c in a.items() if e[gi] == 0)
+    inv_mono = tuple_build(ring, {tuple(-x for x in e0): Fraction(1) / c0})
+    u = tuple_mul(ring, a, inv_mono)
+    one = (0,) * len(ring.names)
+    t = tuple_add(ring, u, {one: -1})
+    t_by_grade = [[] for _ in range(ring.order + 1)]
+    for e, c in t.items():
+        t_by_grade[e[gi]].append((e, c))
+    b = [{one: 1}]
+    for n in range(1, ring.order + 1):
+        bn = {}
+        for k in range(1, n + 1):
+            for et, ct in t_by_grade[k]:
+                for eb, cb in b[n - k].items():
+                    e = tuple(x + y for x, y in zip(et, eb))
+                    bn[e] = bn.get(e, 0) - ct * cb
+        b.append({e: c for e, c in bn.items() if c})
+    total = tuple_build(ring, {e: c for bn in b for e, c in bn.items()})
+    return tuple_mul(ring, total, inv_mono)
+
+
+def typed(terms) -> dict:
+    """Terms with each coefficient's type, so 2 and Fraction(2) differ."""
+    return {e: (type(c), c) for e, c in terms.items()}
+
+
+# grade x; y Laurent; w capped at 2; v free
+KERNEL_RING = SeriesRing(("x", "y", "w", "v"), grade="x", order=4,
+                         laurent=("y",), caps={"w": 2})
+kernel_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(-3, 3), st.integers(0, 3),
+              st.integers(0, 2)),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3),
+                     Fraction(6, 4)]),
+    max_size=6)
+
+
+@st.composite
+def kernel_pair(draw):
+    """Two term dicts; b may repeat some of a's terms negated or scaled, so
+    sums and products cancel."""
+    a = draw(kernel_terms)
+    b = draw(kernel_terms)
+    for e in draw(st.lists(st.sampled_from(sorted(a)), max_size=3)
+                  if a else st.just([])):
+        b[e] = -a[e] * draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+    return a, b
+
+
+class TestPackedAgainstTupleKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_pair())
+    def test_build_add_neg_mul(self, pair):
+        r = KERNEL_RING
+        ta, tb = (tuple_build(r, t) for t in pair)
+        a, b = (r._build(t) for t in pair)
+        assert typed(a.terms) == typed(ta)
+        assert typed((a + b).terms) == typed(tuple_add(r, ta, tb))
+        assert typed((-a).terms) == typed(tuple_neg(r, ta))
+        assert typed((a - b).terms) == typed(tuple_add(r, ta, tuple_neg(r, tb)))
+        assert typed((a * b).terms) == typed(tuple_mul(r, ta, tb))
+        assert typed((a * Fraction(2, 3)).terms) == typed(
+            tuple_mul(r, ta, {(0, 0, 0, 0): Fraction(2, 3)}))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, -2, Fraction(3, 2), Fraction(-1, 3)]),
+           st.integers(-2, 2), kernel_terms)
+    def test_invert(self, c0, laurent_exp, rest):
+        r = KERNEL_RING
+        raw = {(0, laurent_exp, 0, 0): c0}
+        for (gx, ey, ew, ev), c in rest.items():
+            e = (max(gx, 1), ey, ew, ev)
+            raw[e] = raw.get(e, 0) + c
+        a = r._build(raw)
+        want = tuple_invert(r, tuple_build(r, raw))
+        assert typed(invert(a).terms) == typed(want)
+
+    def test_terms_view_is_read_only(self):
+        s = KERNEL_RING.var("y")
+        with pytest.raises(TypeError):
+            s.terms[(0, 0, 0, 0)] = 1
+
+
+HALF = 1 << (SLOT_BITS - 1)
+
+
+class TestRangeGuard:
+    @pytest.mark.parametrize("exp", [HALF, -HALF, 3 * HALF])
+    def test_monomial_outside_the_slot_rejected(self, exp):
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+        with pytest.raises(OutOfRange):
+            r.monomial(1, y=exp)
+
+    @pytest.mark.parametrize("exp", [HALF - 1, 1 - HALF])
+    def test_monomial_at_the_slot_edge_kept(self, exp):
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+        assert r.monomial(3, y=exp).terms == {(0, exp): 3}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_squaring_past_the_slot_raises(self, sign):
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+        s = r.monomial(1, y=sign) + r.var("x")
+        k = 0
+        with pytest.raises(OutOfRange):
+            while True:
+                # y**e + ... : every term so far is exact, none wrapped
+                e = sign << k
+                assert s.coeff({"y": e}) == 1
+                assert all(abs(ey) <= abs(e) and 0 <= ex <= 4
+                           for ex, ey in s.terms)
+                s = s * s
+                k += 1
+        assert 1 << k == HALF // 2
+
+    def test_borrow_past_the_order_never_wraps(self):
+        # the y-slot sum borrows from the grade slot, so the x**2 product
+        # would pass for x**1 y**2 if its keys were formed
+        r = SeriesRing(("x", "y"), grade="x", order=1, laurent=("y",))
+        a = r.monomial(1, x=1, y=1 - HALF)
+        with pytest.raises(OutOfRange):
+            a * a
+
+    def test_inverse_past_the_slot_raises(self):
+        r = SeriesRing(("x", "y"), grade="x", order=40)
+        with pytest.raises(OutOfRange):
+            invert(r.one() - r.monomial(1, x=1, y=1 << 26))
+
+    def test_inverse_with_a_loose_bound_but_small_exponents(self):
+        # 4 * 2**30 overflows the carried bound, but the x**4 term fits once
+        r = SeriesRing(("x", "y"), grade="x", order=4)
+        big = r.monomial(1, x=4, y=1 << 30)
+        inv = invert(r.one() - r.var("x") - big)
+        want = {(n, 0): 1 for n in range(5)}
+        want[(4, 1 << 30)] = 1
+        assert inv.terms == want
+
+    def test_loose_bound_on_a_small_fixed_point_is_recomputed(self):
+        r = SeriesRing(("x",), grade="x", order=60)
+        x, one = r.var("x"), r.one()
+        fits = []
+        real_fit = SeriesRing._fit
+
+        def spy(ring, reaches):
+            fits.append(real_fit(ring, reaches))
+            return fits[-1]
+
+        with mock.patch.object(SeriesRing, "_fit", spy):
+            c = solve_fixed_point(lambda w: one + x * w * w, one)
+        # the refit also covers the products one grade past the order
+        assert fits and max(fits) <= 61
+        assert c.bound < HALF
+        assert [c.coeff({"x": n}) for n in range(61)] == [
+            comb(2 * n, n) // (n + 1) for n in range(61)]
