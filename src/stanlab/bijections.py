@@ -231,7 +231,11 @@ def psi(q: ParallelogramPolyomino) -> CoinFountain:
 
 # -- generic inversion by enumeration --------------------------------------------
 
-def table_inverse(map_name: str, target: StanleyPolyomino, size_bound: int = 64):
+# the largest source size table_inverse scans
+MAX_SOURCE_SIZE = 64
+
+
+def table_inverse(map_name: str, target: StanleyPolyomino):
     """Invert chi or chi_prime by scanning all sources of the matching size.
 
     The source size is read off the target semiperimeter, so the scan is
@@ -246,8 +250,8 @@ def table_inverse(map_name: str, target: StanleyPolyomino, size_bound: int = 64)
         size = st.sper - 3
     else:
         raise KeyError(f"table_inverse does not cover {map_name!r}")
-    if size < 0 or size > size_bound:
-        raise NoPreimage(f"source size {size} outside bound {size_bound}")
+    if size < 0 or size > MAX_SOURCE_SIZE:
+        raise NoPreimage(f"source size {size} outside bound {MAX_SOURCE_SIZE}")
     if map_name == "chi":
         sources = (
             make_motzkin(w)

@@ -216,11 +216,11 @@ def iter_raw(bound: FamilyBound, cap: int = DEFAULT_CAP) -> Iterator:
         yield raw
 
 
-def enumerate_family(bound: FamilyBound, cap: int = DEFAULT_CAP) -> Iterator:
+def enumerate_family(bound: FamilyBound) -> Iterator:
     """Stream the bound's objects in canonical order; the generators only
     build valid objects, so they are wrapped without validation."""
     cls = objects.FAMILIES[bound.family][0]
-    yield from map(cls, iter_raw(bound, cap=cap))
+    yield from map(cls, iter_raw(bound))
 
 
 # -- statistics access ---------------------------------------------------------
@@ -235,10 +235,9 @@ def _statistic(family: str, name: str):
     raise UnsupportedPair(f"statistic {name!r} not defined for {family}")
 
 
-def count_grouped(bound: FamilyBound, group_by: str,
-                  cap: int = DEFAULT_CAP) -> dict[int, int]:
+def count_grouped(bound: FamilyBound, group_by: str) -> dict[int, int]:
     value = _statistic(bound.family, group_by)
-    counts = Counter(map(value, iter_raw(bound, cap=cap)))
+    counts = Counter(map(value, iter_raw(bound)))
     return dict(sorted(counts.items()))
 
 

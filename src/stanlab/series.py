@@ -11,11 +11,11 @@ Substitution means evaluating one variable at a constant.
 
 Packed layout.  A series stores its terms as a dict from one packed int per
 exponent vector (Kronecker substitution) to the coefficient.  Each variable
-owns a SLOT_BITS-wide slot holding its exponent plus a bias; the grade owns
-the top slot, so keys sort by grade and "grade within the order" is the one
-compare ``key < ring._limit``.  With the zero vector's key taken off one
-operand, the key of a product of terms is one int add.  A capped variable's
-bias is chosen so that an exponent sum over its cap sets the slot's top bit.
+owns a slot of SLOT_BITS bits plus a guard bit holding its exponent plus a
+bias; the grade owns the top slot, so keys sort by grade and "grade within
+the order" is the one compare ``key < ring._limit``.  With the zero vector's
+key taken off one operand, the key of a product of terms is one int add.  A
+capped variable's bias puts an exponent sum over its cap in the guard bit.
 Products and inverses group terms by the capped slots of their keys, so one
 add and one mask skip a whole pair of groups over a cap: no over-cap product
 is ever formed.
@@ -23,24 +23,23 @@ Tuples appear only at the boundary: ``SeriesRing._build`` packs a dict of
 exponent tuples, and ``TruncatedSeries.terms`` is a cached, read-only view
 keyed by exponent tuples in the order of the ring's names.
 
-Range guard.  An uncapped exponent must stay below 2**(SLOT_BITS-1) in
-absolute value.  Every series carries a bound on the absolute value of
-its uncapped exponents: the sum of the operands' bounds for a product and
-order times the bound for an inverse.  When that bound would leave the
-range it is recomputed exactly from the keys, per grade and per slot, over
-the products the operation forms within the order and, since a slot sum out
-of range borrows at most one from the grade, one grade past it; OutOfRange
-is raised if one of those reaches outside the range, so no key ever carries
-into its neighbour slot.
+Range guard.  Every exponent must stay below 2**(SLOT_BITS-1) in absolute
+value.  Thanks to the guard bit the sum of two in-range exponents fits its
+slot, so a product's key is exact: no slot carries into or borrows from its
+neighbour.  The key is in range when no slot is below its low or above its
+high value, tested as ``(key - _lo | _hi - key) & _guards``: the lowest slot
+out of range sets its guard bit in one of the two differences.  ``__mul__``
+tests the terms of its result and ``invert`` each grade's terms before a
+later grade uses them; a nonzero term out of range raises OutOfRange.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add, sub
+from functools import cached_property
+from operator import sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -60,7 +59,10 @@ Scalar = int | Fraction
 
 SLOT_BITS = 32
 _HALF = 1 << (SLOT_BITS - 1)  # every exponent's absolute value stays below it
-_MASK = (1 << SLOT_BITS) - 1
+# a slot is SLOT_BITS bits and a guard bit; an uncapped slot holds its
+# exponent plus _BIAS, so the sum of two in-range exponents fits the slot
+_BIAS = 1 << SLOT_BITS
+_MASK = (1 << (SLOT_BITS + 1)) - 1
 
 
 def _frac(c: Scalar) -> Coeff:
@@ -70,10 +72,6 @@ def _frac(c: Scalar) -> Coeff:
         if c.denominator == 1:
             return c.numerator
     return c
-
-
-def _widest(x: tuple, y: tuple) -> tuple:
-    return tuple(map(max, x, y))
 
 
 @dataclass(frozen=True)
@@ -109,20 +107,24 @@ class SeriesRing:
         object.__setattr__(self, "caps",
                            tuple((n, caps[n]) for n in names if n in caps))
         # the packing: slots in the order of names, the grade's on top; a
-        # capped slot's bias puts a sum over the cap in the slot's top bit
+        # capped slot's bias puts a sum over the cap in the slot's guard bit
         below = [n for n in names if n != self.grade]
-        shift = {n: SLOT_BITS * i for i, n in enumerate(below)}
-        top = shift[self.grade] = SLOT_BITS * len(below)
-        bias = {n: _HALF - 1 - caps[n] if n in caps else _HALF for n in names}
+        shift = {n: (SLOT_BITS + 1) * i for i, n in enumerate(below)}
+        top = shift[self.grade] = (SLOT_BITS + 1) * len(below)
+        bias = {n: _BIAS - 1 - caps[n] if n in caps else _BIAS for n in names}
         packing = {
             "_slots": tuple((shift[n], bias[n]) for n in names),
-            "_free": tuple(shift[n] for n in names if n not in caps),
             "_capmask": sum(_MASK << shift[n] for n in caps),
             "_capzero": sum(bias[n] << shift[n] for n in caps),
-            "_capbits": sum(1 << (shift[n] + SLOT_BITS - 1) for n in caps),
+            "_capbits": sum(_BIAS << shift[n] for n in caps),
+            # in range, a slot holds its bias plus an exponent in (-_HALF,
+            # _HALF); a capped one keeps [0, cap], within that
+            "_lo": sum((bias[n] + 1 - _HALF) << shift[n] for n in names),
+            "_hi": sum((bias[n] + _HALF - 1) << shift[n] for n in names),
+            "_guards": sum(_BIAS << shift[n] for n in names),
             "_top": top,
             "_zero": sum(bias[n] << shift[n] for n in names),
-            "_limit": (self.order + 1 + _HALF) << top,
+            "_limit": (self.order + 1 + _BIAS) << top,
         }
         for attr, value in packing.items():
             object.__setattr__(self, attr, value)
@@ -143,14 +145,23 @@ class SeriesRing:
             out.setdefault(k & mask, []).append((k, c))
         return out
 
+    def _in_range(self, packed: dict) -> dict:
+        """These exactly packed terms; OutOfRange if a nonzero one has an
+        exponent outside (-_HALF, _HALF)."""
+        lo, hi, guards = self._lo, self._hi, self._guards
+        for k, c in packed.items():
+            if (k - lo | hi - k) & guards and c:
+                raise OutOfRange(f"exponents {self._unpack(k)} outside the "
+                                 f"{SLOT_BITS}-bit range")
+        return packed
+
     def _build(self, terms: dict) -> "TruncatedSeries":
         """The series of these exponent-tuple terms, truncated at the order
         and the caps, with zero coefficients dropped and integral Fractions
-        made ints.  Raises OutOfRange on an exponent outside its slot."""
+        made ints.  Raises OutOfRange on an exponent out of range."""
         gi, order = self.names.index(self.grade), self.order
         cap_at = [(self.names.index(n), m) for n, m in self.caps]
         packed: dict[int, Coeff] = {}
-        bound = 0
         for e, c in terms.items():
             if c == 0 or e[gi] > order or (
                     cap_at and any(e[i] > m for i, m in cap_at)):
@@ -162,45 +173,25 @@ class SeriesRing:
                         f"negative exponent on non-Laurent variable {name!r}")
                 if abs(exp) >= _HALF:
                     raise OutOfRange(f"exponent {exp} on {name!r} outside "
-                                     f"the {SLOT_BITS}-bit slot")
+                                     f"the {SLOT_BITS}-bit range")
                 key += (exp + b) << s
-                bound = max(bound, abs(exp))
             packed[key] = c
-        return self._make(packed, bound)
+        return self._make(packed)
 
-    def _make(self, packed: dict, bound: int) -> "TruncatedSeries":
-        """The series of these packed terms, all in range, with zero
-        coefficients dropped and integral Fractions made ints."""
+    def _make(self, packed: dict) -> "TruncatedSeries":
+        """The series of these packed terms, whose nonzero ones are in range
+        and within the order and caps, with zero coefficients dropped and
+        integral Fractions made ints."""
         return TruncatedSeries(self, {
             k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for k, c in packed.items() if c}, bound)
-
-    def _reach(self, packed: dict) -> dict[int, tuple[int, ...]]:
-        """Per grade, the largest value of each uncapped exponent and of its
-        negative over these keys."""
-        out: dict[int, tuple[int, ...]] = {}
-        for k in packed:
-            e = [((k >> s) & _MASK) - _HALF for s in self._free]
-            v = (*e, *(-x for x in e))
-            g = (k >> self._top) - _HALF
-            out[g] = _widest(out[g], v) if g in out else v
-        return out
-
-    def _fit(self, reaches: Iterable[tuple[int, ...]]) -> int:
-        """The exact bound these reaches give; OutOfRange if it leaves the
-        slot range."""
-        bound = max(map(max, reaches), default=0)
-        if bound >= _HALF:
-            raise OutOfRange(f"an exponent reaches {bound}, outside the "
-                             f"{SLOT_BITS}-bit exponent slot")
-        return bound
+            for k, c in packed.items() if c})
 
     def _bounded(self, var: str) -> bool:
         """Whether var's exponent is truncated, so may never be lowered."""
         return var == self.grade or any(n == var for n, _ in self.caps)
 
     def zero(self) -> "TruncatedSeries":
-        return TruncatedSeries(self, {}, 0)
+        return TruncatedSeries(self, {})
 
     def constant(self, c: Scalar) -> "TruncatedSeries":
         return self.monomial(c)
@@ -224,13 +215,11 @@ class SeriesRing:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Packed key -> nonzero coefficient, and a bound on the absolute value
-    of every uncapped exponent.  Two series are equal when their rings and
-    terms are."""
+    """Packed key -> nonzero coefficient.  Two series are equal when their
+    rings and terms are."""
 
     ring: SeriesRing
     packed: dict
-    bound: int = field(compare=False)
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -256,13 +245,12 @@ class TruncatedSeries:
         get = terms.get
         for k, c in other.packed.items():
             terms[k] = get(k, 0) + c
-        return self.ring._make(terms, max(self.bound, other.bound))
+        return self.ring._make(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.ring, {k: -c for k, c in self.packed.items()}, self.bound)
+        return TruncatedSeries(self.ring, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -274,19 +262,9 @@ class TruncatedSeries:
         ring = self.ring
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            return ring._make({k: v * c for k, v in self.packed.items()},
-                              self.bound)
+            return ring._make({k: v * c for k, v in self.packed.items()})
         self._compat(other)
         a, b = self.packed, other.packed
-        bound = self.bound + other.bound
-        if bound >= _HALF:
-            # an out-of-range slot sum borrows at most one from the grade,
-            # so a pair one grade past the order may pass the compare below
-            rb = ring._reach(b)
-            bound = ring._fit(
-                tuple(map(add, va, vb))
-                for ga, va in ring._reach(a).items()
-                for gb, vb in rb.items() if ga + gb <= ring.order + 1)
         # iterate over the smaller operand outside
         if len(a) > len(b):
             a, b = b, a
@@ -309,7 +287,7 @@ class TruncatedSeries:
                     for kb, cb in terms[:bisect_left(keys, limit - ka)]:
                         k = ka + kb
                         out[k] = get(k, 0) + ca * cb
-        return ring._make(out, bound)
+        return ring._make(ring._in_range(out))
 
     __rmul__ = __mul__
 
@@ -336,13 +314,10 @@ class TruncatedSeries:
 
     def cofactor(self, var: str, k: int) -> "TruncatedSeries":
         """Terms with var-exponent exactly k, with that exponent zeroed out."""
-        vi = self.ring.names.index(var)
-        terms = {
-            e[:vi] + (0,) + e[vi + 1 :]: c
-            for e, c in self.terms.items()
-            if e[vi] == k
-        }
-        return self.ring._build(terms)
+        ring = self.ring
+        s, b = ring._slots[ring.names.index(var)]
+        return ring._make({key - (k << s): c for key, c in self.packed.items()
+                           if (key >> s) & _MASK == k + b})
 
     def assert_no_negative_exponents(self, err, what: str):
         for e in self.terms:
@@ -369,7 +344,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     ring = a.ring
     top, zero, order = ring._top, ring._zero, ring.order
     capmask, capzero, capbits = ring._capmask, ring._capzero, ring._capbits
-    const = [(k, c) for k, c in a.packed.items() if k >> top == _HALF]
+    const = [(k, c) for k, c in a.packed.items() if k >> top == _BIAS]
     if len(const) != 1:
         raise NotInvertible(
             f"grade-constant part has {len(const)} terms; need exactly one monomial"
@@ -380,27 +355,17 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
         {tuple(-x for x in ring._unpack(k0)): Fraction(1) / c0})
     u = a * inv_mono  # now 1 + t with t of positive grade valuation
     t = u - ring.one()
-    if t.packed and min(t.packed) < (_HALF + 1) << top:
+    if t.packed and min(t.packed) < (_BIAS + 1) << top:
         raise NotInvertible("normalized series still has terms of grade 0 or below")
-    # b_n is a sum of products of at most n terms of t
-    bound = order * t.bound
-    if bound >= _HALF:
-        reach = {0: (0,) * (2 * len(ring._free))}
-        t_reach = ring._reach(t.packed)
-        for n in range(1, order + 1):
-            got = [tuple(map(add, v, reach[n - g]))
-                   for g, v in t_reach.items() if n - g in reach]
-            if got:
-                reach[n] = reduce(_widest, got)
-        bound = ring._fit(reach.values())
     # terms of t by grade and of each b_n grouped by their capped slots,
     # so that no product over a cap is formed
     t_by_grade = [{} for _ in range(order + 1)]
     for k, c in t.packed.items():
-        t_by_grade[(k >> top) - _HALF].setdefault(
+        t_by_grade[(k >> top) - _BIAS].setdefault(
             (k & capmask) - capzero, []).append((k - zero, c))
     # b_0 = 1 and b_n = -(t_1 b_{n-1} + ... + t_n b_0), one grade at a time;
-    # every product has grade n, so only the caps can drop it
+    # every product has grade n, so only the caps can drop it; b_n's keys
+    # are exact while b_{n-1}, ..., b_0 are in range
     b = [{capzero: {zero: 1}}]
     for n in range(1, order + 1):
         bn: dict[int, dict] = {}
@@ -417,9 +382,9 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
                             key = kt + kb
                             out[key] = get(key, 0) - ct * cb
         b.append({x: nz for x, out in bn.items()
-                  if (nz := {k: c for k, c in out.items() if c})})
+                  if (nz := ring._in_range({k: c for k, c in out.items() if c}))})
     return ring._make({k: c for bn in b for out in bn.values()
-                       for k, c in out.items()}, bound) * inv_mono
+                       for k, c in out.items()}) * inv_mono
 
 
 def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> TruncatedSeries:

@@ -242,7 +242,7 @@ def _phi_checks(checks: list, max_size: int) -> None:
             d = bijections.phi(p)
             total += 1
             words.add(d.word)
-            if objects.dyck_stats(d).semilength != n - 1:
+            if len(d.word) != 2 * (n - 1):
                 bad_round += 1
             elif bijections.phi_inv(d).rows != p.rows:
                 bad_round += 1

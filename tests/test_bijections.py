@@ -539,6 +539,7 @@ class TestTableInverse:
             table_inverse("phi", make_stanley(((0, 1),)))
 
     def test_size_bound(self):
-        target = chi(make_motzkin("UFFFD"))
+        # source size 65, one past the bound: refused before any scan
+        target = chi(make_motzkin("U" + "F" * 63 + "D"))
         with pytest.raises(NoPreimage):
-            table_inverse("chi", target, size_bound=2)
+            table_inverse("chi", target)

@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 from math import comb
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -463,7 +462,12 @@ class TestJson:
 
 # -- the tuple-keyed kernel the packed keys replaced ---------------------------
 
+HALF = 1 << (SLOT_BITS - 1)
+
+
 def tuple_build(ring, terms: dict) -> dict:
+    """The reference's truncation and checks: OutOfRange when a nonzero
+    term kept within the order and caps has an exponent out of range."""
     gi = ring.names.index(ring.grade)
     cap_at = [(ring.names.index(n), m) for n, m in ring.caps]
     clean = {}
@@ -473,6 +477,8 @@ def tuple_build(ring, terms: dict) -> dict:
         for name, exp in zip(ring.names, e):
             if exp < 0 and name not in ring.laurent:
                 raise NotInvertible(f"negative exponent on {name!r}")
+            if abs(exp) >= HALF:
+                raise OutOfRange(f"exponent {exp} on {name!r}")
         if type(c) is Fraction and c.denominator == 1:
             c = c.numerator
         clean[e] = c
@@ -581,13 +587,19 @@ class TestPackedAgainstTupleKernel:
         want = tuple_invert(r, tuple_build(r, raw))
         assert typed(invert(a).terms) == typed(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_terms, st.sampled_from(KERNEL_RING.names), st.integers(-3, 4))
+    def test_cofactor(self, terms, var, k):
+        r = KERNEL_RING
+        vi = r.names.index(var)
+        want = {e[:vi] + (0,) + e[vi + 1:]: c
+                for e, c in tuple_build(r, terms).items() if e[vi] == k}
+        assert typed(r._build(terms).cofactor(var, k).terms) == typed(want)
+
     def test_terms_view_is_read_only(self):
         s = KERNEL_RING.var("y")
         with pytest.raises(TypeError):
             s.terms[(0, 0, 0, 0)] = 1
-
-
-HALF = 1 << (SLOT_BITS - 1)
 
 
 class TestRangeGuard:
@@ -619,12 +631,31 @@ class TestRangeGuard:
         assert 1 << k == HALF // 2
 
     def test_borrow_past_the_order_never_wraps(self):
-        # the y-slot sum borrows from the grade slot, so the x**2 product
-        # would pass for x**1 y**2 if its keys were formed
+        # the y-slot sum 2 - 2**32 fits its slot, so the x**2 product is
+        # truncated at order 1 and never passes for an x**1 term
         r = SeriesRing(("x", "y"), grade="x", order=1, laurent=("y",))
+        a = r.monomial(1, x=1, y=1 - HALF)
+        assert (a * a).is_zero()
+        # within the order, the same product leaves the range
+        r = SeriesRing(("x", "y"), grade="x", order=2, laurent=("y",))
         a = r.monomial(1, x=1, y=1 - HALF)
         with pytest.raises(OutOfRange):
             a * a
+
+    def test_laurent_grade_past_the_slot_raises(self):
+        r = SeriesRing(("x",), grade="x", order=4, laurent=("x",))
+        a = r.monomial(1, x=1 - HALF)
+        assert (a * r.var("x")).terms == {(2 - HALF,): 1}
+        with pytest.raises(OutOfRange):
+            a * a
+
+    def test_inverse_checks_each_grade(self):
+        # 1 / (y**3 + x y**(2**30 + 3)) has x**2 y**(2**31 - 3), but the
+        # recurrence's grade-2 term y**(2**31) is out of range first
+        r = SeriesRing(("x", "y"), grade="x", order=2, laurent=("y",))
+        a = r.monomial(1, y=3) + r.monomial(1, x=1, y=HALF // 2 + 3)
+        with pytest.raises(OutOfRange):
+            invert(a)
 
     def test_inverse_past_the_slot_raises(self):
         r = SeriesRing(("x", "y"), grade="x", order=40)
@@ -632,7 +663,7 @@ class TestRangeGuard:
             invert(r.one() - r.monomial(1, x=1, y=1 << 26))
 
     def test_inverse_with_a_loose_bound_but_small_exponents(self):
-        # 4 * 2**30 overflows the carried bound, but the x**4 term fits once
+        # the x**4 term is at 2**30 in y, and no product of it is in order
         r = SeriesRing(("x", "y"), grade="x", order=4)
         big = r.monomial(1, x=4, y=1 << 30)
         inv = invert(r.one() - r.var("x") - big)
@@ -640,20 +671,61 @@ class TestRangeGuard:
         want[(4, 1 << 30)] = 1
         assert inv.terms == want
 
-    def test_loose_bound_on_a_small_fixed_point_is_recomputed(self):
+    def test_small_fixed_point_through_order_60(self):
         r = SeriesRing(("x",), grade="x", order=60)
         x, one = r.var("x"), r.one()
-        fits = []
-        real_fit = SeriesRing._fit
-
-        def spy(ring, reaches):
-            fits.append(real_fit(ring, reaches))
-            return fits[-1]
-
-        with mock.patch.object(SeriesRing, "_fit", spy):
-            c = solve_fixed_point(lambda w: one + x * w * w, one)
-        # the refit also covers the products one grade past the order
-        assert fits and max(fits) <= 61
-        assert c.bound < HALF
+        c = solve_fixed_point(lambda w: one + x * w * w, one)
         assert [c.coeff({"x": n}) for n in range(61)] == [
             comb(2 * n, n) // (n + 1) for n in range(61)]
+
+
+# grade x; y Laurent; w capped just below the slot edge; v free
+EDGE_RING = SeriesRing(("x", "y", "w", "v"), grade="x", order=3,
+                       laurent=("y",), caps={"w": HALF - 3})
+
+
+def near(*centers):
+    """Integers within a few units of one of these centers."""
+    return st.builds(lambda c, d: c + d, st.sampled_from(centers),
+                     st.integers(-3, 3))
+
+
+laurent_near_edge = near(-HALF, -HALF // 2, 0, HALF // 2, HALF).filter(
+    lambda e: abs(e) < HALF)
+edge_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), laurent_near_edge,
+              near(0, HALF // 2, HALF - 3).filter(
+                  lambda e: 0 <= e <= HALF - 3),
+              near(0, HALF // 2, HALF).filter(lambda e: 0 <= e < HALF)),
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+    min_size=1, max_size=4)
+
+
+def outcome(build):
+    """The typed terms build returns, or OutOfRange if it raises that."""
+    try:
+        return typed(build())
+    except OutOfRange:
+        return OutOfRange
+
+
+class TestRangeGuardNearTheEdge:
+    """Against the tuple reference: the exact truncated terms when every
+    nonzero term the reference forms is in range, else OutOfRange."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_terms, edge_terms)
+    def test_mul(self, ta, tb):
+        r = EDGE_RING
+        got = outcome(lambda: (r._build(ta) * r._build(tb)).terms)
+        assert got == outcome(lambda: tuple_mul(r, ta, tb))
+
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_near_edge, st.sampled_from([1, -2, Fraction(1, 3)]),
+           edge_terms)
+    def test_invert(self, ey0, c0, rest):
+        r = EDGE_RING
+        raw = {(max(gx, 1), *e): c for (gx, *e), c in rest.items()}
+        raw[(0, ey0, 0, 0)] = c0
+        got = outcome(lambda: invert(r._build(raw)).terms)
+        assert got == outcome(lambda: tuple_invert(r, raw))
