@@ -371,7 +371,6 @@ def gf_full(order_x: int) -> TruncatedSeries:
     iterated = _full_iterated(ring)
     closed.assert_no_negative_exponents(CancellationFailure, "closed form")
     iterated.assert_no_negative_exponents(CancellationFailure, "iterated form")
-    closed.assert_integer_coefficients(CancellationFailure, "closed form")
     _assert_equal(closed, iterated, "five-variable series")
     return closed
 
@@ -399,7 +398,6 @@ def gf_continued_fractions(order: int, depth: int | None = None) -> dict:
         return one + vv - ring.monomial(1, p=1, q=k, v=k)
 
     a = continued_fraction(level, vv, depth)
-    a.assert_integer_coefficients(MismatchBetweenForms, "continued fraction")
 
     a_qq1 = collapse(a, {"q": 1, "p": 1}, "z")
     area_series = a_qq1 + a_qq1.ring.monomial(1, z=1)

@@ -206,8 +206,9 @@ class FamilyBound:
             raise UnsupportedPair(f"measure value must be nonnegative, got {self.value}")
 
 
-def iter_raw(bound: FamilyBound, cap: int = DEFAULT_CAP) -> Iterator:
-    """Stream raw encodings in canonical order, enforcing the cap."""
+def iter_raw(bound: FamilyBound) -> Iterator:
+    """Stream raw encodings in canonical order, enforcing DEFAULT_CAP."""
+    cap = DEFAULT_CAP
     count = 0
     for raw in _GENERATORS[(bound.family, bound.measure)](bound.value):
         count += 1

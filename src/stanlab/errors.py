@@ -103,6 +103,10 @@ class NotInvertible(StanlabError, ArithmeticError):
     pass
 
 
+class NotInteger(StanlabError, TypeError):
+    """A series scalar or substituted value is not exactly an int."""
+
+
 class UnsoundSubstitution(StanlabError, ValueError):
     """Substitution would shift terms below the truncation order."""
 

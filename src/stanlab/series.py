@@ -1,13 +1,14 @@
-"""Exact truncated multivariate series over the rationals.
+"""Exact truncated multivariate series over the integers.
 
 A TruncatedSeries is its ring plus its terms.  The SeriesRing holds the
 variable names, the one grade variable, the truncation order, the variables
 that may carry negative (Laurent) exponents and caps on other exponents; it
 checks them once and builds every series, dropping each term whose grade
 exponent exceeds the order or whose exponent exceeds a cap.
-Coefficients are exact: a plain int whenever the coefficient is an integer,
-and a Fraction only where a division is inexact.
-Substitution means evaluating one variable at a constant.
+Coefficients and scalars are ints; any other scalar raises NotInteger.
+Over the integers a series is invertible exactly when its grade-constant
+part is one monomial with coefficient 1 or -1.  Substitution means
+evaluating one variable at an int.
 
 Packed layout.  A series stores its terms as a dict from one packed int per
 exponent vector (Kronecker substitution) to the coefficient.  Each variable
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import sub
 from types import MappingProxyType
@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     NoContraction,
+    NotInteger,
     NotInvertible,
     OutOfRange,
     Unstable,
@@ -53,9 +54,6 @@ from .errors import (
 )
 
 Exponents = tuple[int, ...]
-# int when integral; Fraction only where a division is inexact
-Coeff = int | Fraction
-Scalar = int | Fraction
 
 SLOT_BITS = 32
 _HALF = 1 << (SLOT_BITS - 1)  # every exponent's absolute value stays below it
@@ -65,12 +63,10 @@ _BIAS = 1 << SLOT_BITS
 _MASK = (1 << (SLOT_BITS + 1)) - 1
 
 
-def _frac(c: Scalar) -> Coeff:
-    """A coefficient in canonical form: an integral Fraction becomes an int."""
+def _int(c) -> int:
+    """c, refused unless it is exactly an int (not a bool, Fraction or float)."""
     if type(c) is not int:
-        c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
+        raise NotInteger(f"series scalars are ints, got {type(c).__name__} {c!r}")
     return c
 
 
@@ -89,6 +85,8 @@ class SeriesRing:
 
     def __post_init__(self):
         names, laurent = tuple(self.names), frozenset(self.laurent)
+        if self.order < 0:
+            raise OutOfRange(f"order {self.order} < 0")
         if self.grade not in names:
             raise VariableMismatch(f"grade {self.grade!r} not among {names}")
         unknown = laurent - set(names)
@@ -157,11 +155,11 @@ class SeriesRing:
 
     def _build(self, terms: dict) -> "TruncatedSeries":
         """The series of these exponent-tuple terms, truncated at the order
-        and the caps, with zero coefficients dropped and integral Fractions
-        made ints.  Raises OutOfRange on an exponent out of range."""
+        and the caps, with zero coefficients dropped.  Raises OutOfRange on
+        an exponent out of range."""
         gi, order = self.names.index(self.grade), self.order
         cap_at = [(self.names.index(n), m) for n, m in self.caps]
-        packed: dict[int, Coeff] = {}
+        packed: dict[int, int] = {}
         for e, c in terms.items():
             if c == 0 or e[gi] > order or (
                     cap_at and any(e[i] > m for i, m in cap_at)):
@@ -180,11 +178,8 @@ class SeriesRing:
 
     def _make(self, packed: dict) -> "TruncatedSeries":
         """The series of these packed terms, whose nonzero ones are in range
-        and within the order and caps, with zero coefficients dropped and
-        integral Fractions made ints."""
-        return TruncatedSeries(self, {
-            k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for k, c in packed.items() if c})
+        and within the order and caps, with zero coefficients dropped."""
+        return TruncatedSeries(self, {k: c for k, c in packed.items() if c})
 
     def _bounded(self, var: str) -> bool:
         """Whether var's exponent is truncated, so may never be lowered."""
@@ -193,18 +188,18 @@ class SeriesRing:
     def zero(self) -> "TruncatedSeries":
         return TruncatedSeries(self, {})
 
-    def constant(self, c: Scalar) -> "TruncatedSeries":
+    def constant(self, c: int) -> "TruncatedSeries":
         return self.monomial(c)
 
     def one(self) -> "TruncatedSeries":
         return self.constant(1)
 
-    def monomial(self, coeff: Scalar = 1, **exps: int) -> "TruncatedSeries":
+    def monomial(self, coeff: int = 1, **exps: int) -> "TruncatedSeries":
         unknown = set(exps) - set(self.names)
         if unknown:
             raise VariableMismatch(f"unknown variables {sorted(unknown)}")
         e = tuple(exps.get(v, 0) for v in self.names)
-        return self._build({e: _frac(coeff)})
+        return self._build({e: _int(coeff)})
 
     def var(self, name: str) -> "TruncatedSeries":
         return self.monomial(1, **{name: 1})
@@ -226,7 +221,7 @@ class TruncatedSeries:
         return self.ring.names
 
     @cached_property
-    def terms(self) -> Mapping[Exponents, Coeff]:
+    def terms(self) -> Mapping[Exponents, int]:
         """Read-only view of the terms keyed by exponent tuples."""
         unpack = self.ring._unpack
         return MappingProxyType({unpack(k): c for k, c in self.packed.items()})
@@ -238,7 +233,7 @@ class TruncatedSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedSeries):
             other = self.ring.constant(other)
         self._compat(other)
         terms = dict(self.packed)
@@ -253,6 +248,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            other = _int(other)  # before -True turns a bool into an int
         return self + (-other)
 
     def __rsub__(self, other):
@@ -260,8 +257,8 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         ring = self.ring
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
+        if not isinstance(other, TruncatedSeries):
+            c = _int(other)
             return ring._make({k: v * c for k, v in self.packed.items()})
         self._compat(other)
         a, b = self.packed, other.packed
@@ -277,7 +274,7 @@ class TruncatedSeries:
         for xb, terms in ring._by_caps(b.items()).items():
             terms = sorted((k - zero, c) for k, c in terms)
             inner.append((xb - ring._capzero, [k for k, _ in terms], terms))
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         get = out.get
         for xa, outer in ring._by_caps(a.items()).items():
             for xb, keys, terms in inner:
@@ -308,7 +305,7 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.packed
 
-    def coeff(self, exps: Mapping[str, int]) -> Coeff:
+    def coeff(self, exps: Mapping[str, int]) -> int:
         e = tuple(exps.get(v, 0) for v in self.ring.names)
         return self.terms.get(e, 0)
 
@@ -324,19 +321,15 @@ class TruncatedSeries:
             if any(x < 0 for x in e):
                 raise err(f"{what} kept a negative exponent: {dict(zip(self.vars, e))}")
 
-    def assert_integer_coefficients(self, err, what: str):
-        for e, c in self.terms.items():
-            if c.denominator != 1:
-                raise err(f"{what} has non-integer coefficient {c} at {e}")
-
 
 # -- operations ---------------------------------------------------------------
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse.
 
-    The grade-constant part must be a single monomial supported only on
-    Laurent variables.  Dividing by it leaves 1 + t with t of positive
+    The grade-constant part must be a single monomial with coefficient 1 or
+    -1, supported only on Laurent variables; over the integers no other
+    series is invertible.  Dividing by it leaves 1 + t with t of positive
     grade; the inverse of 1 + t is then built one grade at a time by the
     coefficient recurrence for the reciprocal of a power series (Knuth,
     TAOCP vol. 2, 4.7).
@@ -350,9 +343,11 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
             f"grade-constant part has {len(const)} terms; need exactly one monomial"
         )
     (k0, c0), = const
-    # the ring refuses its negative exponents unless k0 is on Laurent variables
-    inv_mono = ring._build(
-        {tuple(-x for x in ring._unpack(k0)): Fraction(1) / c0})
+    if c0 not in (1, -1):
+        raise NotInvertible(f"grade-constant coefficient {c0} is not 1 or -1")
+    # 1 / c0 is c0; the ring refuses the negative exponents unless k0 is on
+    # Laurent variables
+    inv_mono = ring._build({tuple(-x for x in ring._unpack(k0)): c0})
     u = a * inv_mono  # now 1 + t with t of positive grade valuation
     t = u - ring.one()
     if t.packed and min(t.packed) < (_BIAS + 1) << top:
@@ -387,19 +382,20 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
                        for k, c in out.items()}) * inv_mono
 
 
-def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> TruncatedSeries:
-    """Evaluate var at the constant coeff.
+def substitute_monomial(a: TruncatedSeries, var: str, coeff: int) -> TruncatedSeries:
+    """Evaluate var at the int coeff.
 
     Setting var to 0 drops its positive powers and is unsound on a negative
-    power.  Evaluating the grade or a capped variable is unsound on a
+    power; any other value but 1 or -1 has no negative power in the
+    integers.  Evaluating the grade or a capped variable is unsound on a
     positive power: it would pull unknown truncated terms into range.
     """
     ring = a.ring
     if var not in ring.names:
         raise VariableMismatch(f"{var!r} not a series variable")
-    c0 = _frac(coeff)
+    c0 = _int(coeff)
     vi = ring.names.index(var)
-    out: dict[Exponents, Coeff] = {}
+    out: dict[Exponents, int] = {}
     for e, c in a.terms.items():
         k = e[vi]
         if k == 0:
@@ -409,14 +405,16 @@ def substitute_monomial(a: TruncatedSeries, var: str, coeff: Scalar) -> Truncate
             if k > 0:
                 continue
             raise UnsoundSubstitution("negative power of a variable sent to zero")
+        if k < 0 and c0 not in (1, -1):
+            raise NotInvertible(f"negative power of {var} = {c0}")
         if k > 0 and ring._bounded(var):
             raise UnsoundSubstitution(
                 f"substitution lowers the degree in {var} by {k} on "
                 f"{dict(zip(ring.names, e))}"
             )
         ne = e[:vi] + (0,) + e[vi + 1 :]
-        # a negative power of an int must stay exact, not become a float
-        out[ne] = out.get(ne, 0) + c * (c0**k if k > 0 else Fraction(c0) ** k)
+        # c0**k is c0**-k when k < 0, and stays an int
+        out[ne] = out.get(ne, 0) + c * c0 ** abs(k)
     return ring._build(out)
 
 
@@ -426,7 +424,7 @@ def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
     if var not in ring.names:
         raise VariableMismatch(f"{var!r} not a series variable")
     vi = ring.names.index(var)
-    out: dict[Exponents, Coeff] = {}
+    out: dict[Exponents, int] = {}
     for e, c in a.terms.items():
         k = e[vi]
         if k == 0:
@@ -443,6 +441,9 @@ def div_monomial(a: TruncatedSeries, exps: Mapping[str, int]) -> TruncatedSeries
     shift of every exponent vector.  The ring checks that exponents stay in
     range; a positive shift on the grade or a capped variable is unsound."""
     ring = a.ring
+    unknown = set(exps) - set(ring.names)
+    if unknown:
+        raise VariableMismatch(f"unknown variables {sorted(unknown)}")
     for var, k in exps.items():
         if k > 0 and ring._bounded(var):
             raise UnsoundSubstitution(
@@ -470,7 +471,7 @@ def collapse(
         raise UnsoundSubstitution("collapse weights must be nonnegative")
     if weights.get(a.ring.grade, 0) < 1:
         raise UnsoundSubstitution("collapse needs weight >= 1 on the grade variable")
-    out: dict[tuple[int], Coeff] = {}
+    out: dict[tuple[int], int] = {}
     for e, c in a.terms.items():
         n = sum(x * y for x, y in zip(e, w))
         if n < 0:
@@ -544,14 +545,9 @@ def _cf_eval(level, numerator, depth) -> TruncatedSeries:
 # -- serialization -------------------------------------------------------------
 
 def series_json(a: TruncatedSeries) -> dict:
-    # integer coefficients stay JSON numbers; true fractions become strings
-    terms = [
-        {"e": list(e), "c": c if c.denominator == 1 else str(c)}
-        for e, c in sorted(a.terms.items())
-    ]
     return {
         "vars": list(a.ring.names),
         "grade": a.ring.grade,
         "order": a.ring.order,
-        "terms": terms,
+        "terms": [{"e": list(e), "c": c} for e, c in sorted(a.terms.items())],
     }

@@ -22,6 +22,7 @@ from stanlab.catalog import (
     record_json,
 )
 from stanlab.errors import OutOfRange
+from stanlab.series import TruncatedSeries
 from stanlab.verification import full_tally
 
 
@@ -209,3 +210,32 @@ class TestContinuedFractionRecord:
     def test_domain_error(self):
         with pytest.raises(OutOfRange):
             gf_continued_fractions(0)
+
+
+def _series_in(value):
+    """Every series in a builder's result: a series, a tuple or a record."""
+    if isinstance(value, TruncatedSeries):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _series_in(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _series_in(v)
+
+
+@pytest.mark.parametrize("builder, order, count", [
+    (gf_full, 4, 1),
+    (gf_columns, 8, 2),
+    (gf_semiperimeter, 8, 2),
+    (gf_area, 8, 1),
+    (gf_continued_fractions, 6, 6),
+    (gf_columns_corollaries, 8, 3),
+    (gf_semiperimeter_corollaries, 8, 2),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_every_coefficient_is_an_int(builder, order, count):
+    found = list(_series_in(builder(order)))
+    assert len(found) == count
+    for series in found:
+        assert series.terms
+        assert all(type(c) is int for c in series.terms.values())

@@ -1,6 +1,6 @@
 import pytest
 
-from stanlab import objects
+from stanlab import enumeration, objects
 from stanlab.catalog import catalan
 from stanlab.enumeration import (
     SUPPORTED_PAIRS,
@@ -87,13 +87,15 @@ class TestStreaming:
         bound = FamilyBound("stanley", "area", 7)
         assert list(iter_raw(bound)) == list(iter_raw(bound))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 100)
         with pytest.raises(CapExceeded):
-            list(iter_raw(FamilyBound("dyck", "semilength", 8), cap=100))
+            list(iter_raw(FamilyBound("dyck", "semilength", 8)))
 
-    def test_even_coins_streams_in_canonical_order(self):
-        with pytest.raises(CapExceeded):
-            list(iter_raw(FamilyBound("fountain", "evenCoins", 14), cap=10))
+    def test_even_coins_streams_in_canonical_order(self, monkeypatch):
+        with monkeypatch.context() as m, pytest.raises(CapExceeded):
+            m.setattr(enumeration, "DEFAULT_CAP", 10)
+            list(iter_raw(FamilyBound("fountain", "evenCoins", 14)))
         # the first object arrives without the rest of the stream being built
         first = next(iter_raw(FamilyBound("fountain", "evenCoins", 200)))
         assert first == (1,) * 200

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stanlab.errors import (
+    NotInteger,
     NotInvertible,
     OutOfRange,
     Unstable,
@@ -82,6 +82,11 @@ class TestRing:
         with pytest.raises(VariableMismatch):
             SeriesRing(("x", "y"), grade="x", order=4, laurent=("z",))
 
+    def test_negative_order_rejected(self):
+        # its one() would be the zero series
+        with pytest.raises(OutOfRange):
+            SeriesRing(("x", "y"), grade="x", order=-1)
+
     def test_equal_settings_make_one_ring(self):
         a = ring2(order=5).var("x")
         b = ring2(order=5).var("y")
@@ -106,8 +111,16 @@ class TestInvert:
     def test_inverse_multiplies_to_one(self):
         r = ring2()
         x, y = r.gens()
-        a = r.constant(2) + x * y + 3 * x * x
+        a = r.constant(-1) + x * y + 3 * x * x
         assert (a * invert(a)).terms == r.one().terms
+
+    @pytest.mark.parametrize("c0", [2, -3])
+    def test_non_unit_constant_rejected(self, c0):
+        # over the integers 1 / (c0 + x) exists only for c0 = 1 or -1
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+        for const in (r.constant(c0), r.monomial(c0, y=1)):
+            with pytest.raises(NotInvertible):
+                invert(const + r.var("x"))
 
     def test_zero_constant_rejected(self):
         r = ring2()
@@ -144,12 +157,12 @@ def _geometric_inverse(terms: dict, gi: int, order: int) -> dict:
     """Reference inverse on plain dicts: divide by the constant monomial,
     then sum the powers (-t)**0 .. (-t)**order."""
     (e0, c0), = ((e, c) for e, c in terms.items() if e[gi] == 0)
-    inv_c = {tuple(-x for x in e0): Fraction(1) / c0}
+    inv_c = {tuple(-x for x in e0): c0}  # 1 / c0 is c0 for c0 = 1 or -1
     zero = (0,) * len(e0)
     minus_t = {e: -c for e, c in _dict_mul(terms, inv_c, gi, order).items()
                if e != zero}
-    total = {zero: Fraction(1)}
-    power = {zero: Fraction(1)}
+    total = {zero: 1}
+    power = {zero: 1}
     for _ in range(order):
         power = _dict_mul(power, minus_t, gi, order)
         for e, c in power.items():
@@ -157,8 +170,8 @@ def _geometric_inverse(terms: dict, gi: int, order: int) -> dict:
     return _dict_mul(total, inv_c, gi, order)
 
 
-constants = st.sampled_from([1, -1, 3, Fraction(-2, 5), Fraction(7, 3)])
-small_coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)])
+constants = st.sampled_from([1, -1])
+small_coeffs = st.sampled_from([1, -1, 2, -3, 5, -4])
 
 
 class TestInvertAgainstGeometricReference:
@@ -182,8 +195,7 @@ class TestInvertAgainstGeometricReference:
         inv = invert(a)
         want = _geometric_inverse(a.terms, 0, order)
         assert inv.terms == want
-        assert all(type(c) is int or c.denominator != 1
-                   for c in inv.terms.values())
+        assert all(type(c) is int for c in inv.terms.values())
         assert (a * inv).terms == r.one().terms
 
 
@@ -263,30 +275,42 @@ class TestIntegerCoefficients:
     def test_integral_coefficients_are_ints(self):
         r = ring2()
         x, y = r.gens()
-        s = invert(r.one() - x - x * y) * (r.constant(Fraction(1, 2)) * 2)
+        s = invert(r.one() - x - x * y) * (r.constant(-3) * 2)
         assert s.terms
         assert all(type(c) is int for c in s.terms.values())
-        assert type(r.monomial(Fraction(6, 3), x=1).coeff({"x": 1})) is int
+        assert type(r.monomial(6, x=1).coeff({"x": 1})) is int
 
     def test_inverse_of_integer_constant_is_exact(self):
         r = ring2()
-        inv = invert(r.constant(3) + r.var("x"))
-        assert inv.coeff({}) == Fraction(1, 3)
-        assert all(type(c) is Fraction for c in inv.terms.values())
+        inv = invert(r.constant(-1) + r.var("x"))
+        assert inv.terms == {(n, 0): -1 for n in range(9)}
+        assert all(type(c) is int for c in inv.terms.values())
 
     def test_negative_power_substitution_is_exact(self):
         r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
-        s = substitute_monomial(r.monomial(1, x=1, y=-1), "y", 2)
+        s = substitute_monomial(r.monomial(3, x=1, y=-3), "y", -1)
         c = s.coeff({"x": 1})
-        assert type(c) is Fraction and c == Fraction(1, 2)
+        assert type(c) is int and c == -3
 
-    def test_json_numbers_and_strings(self):
-        r = ring2(order=3)
-        x, _ = r.gens()
-        s = invert(r.one() - 2 * x) + r.constant(Fraction(1, 3))
-        text = json.dumps(series_json(s), separators=(",", ":"))
-        assert '{"e":[1,0],"c":2}' in text
-        assert '{"e":[0,0],"c":"4/3"}' in text
+    def test_negative_power_needs_a_unit_value(self):
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+        s = substitute_monomial(r.monomial(1, x=1, y=3), "y", 2)
+        assert s.terms == {(1, 0): 8}
+        with pytest.raises(NotInvertible):
+            substitute_monomial(r.monomial(1, x=1, y=-1), "y", 2)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 0.5, 1.0,
+                                     True])
+    def test_non_int_scalar_refused(self, bad):
+        r = ring2()
+        x, y = r.gens()
+        uses = [lambda: r.constant(bad), lambda: r.monomial(bad, x=1),
+                lambda: x + bad, lambda: bad + x, lambda: x - bad,
+                lambda: bad - x, lambda: x * bad, lambda: bad * x,
+                lambda: substitute_monomial(x * y, "y", bad)]
+        for use in uses:
+            with pytest.raises(NotInteger):
+                use()
 
 
 class TestSubstitution:
@@ -333,6 +357,12 @@ class TestDerivativeAndDivision:
         x, y = r.gens()
         s = div_monomial(2 * x * x * y, {"y": 1})
         assert s.terms == {(2, 0): 2}
+
+    def test_div_monomial_unknown_variable_rejected(self):
+        r = ring2()
+        x, y = r.gens()
+        with pytest.raises(VariableMismatch):
+            div_monomial(x * y, {"Y": 1})
 
     def test_div_monomial_requires_divisibility(self):
         r = ring2()
@@ -454,11 +484,6 @@ class TestJson:
         assert {tuple(t["e"]): t["c"] for t in data["terms"]} == {
             (0, 0): 1, (1, 0): 2}
 
-    def test_fractions_become_strings(self):
-        r = ring2(order=3)
-        data = series_json(r.constant(Fraction(1, 2)))
-        assert data["terms"][0]["c"] == "1/2"
-
 
 # -- the tuple-keyed kernel the packed keys replaced ---------------------------
 
@@ -479,8 +504,6 @@ def tuple_build(ring, terms: dict) -> dict:
                 raise NotInvertible(f"negative exponent on {name!r}")
             if abs(exp) >= HALF:
                 raise OutOfRange(f"exponent {exp} on {name!r}")
-        if type(c) is Fraction and c.denominator == 1:
-            c = c.numerator
         clean[e] = c
     return clean
 
@@ -511,7 +534,7 @@ def tuple_mul(ring, a: dict, b: dict) -> dict:
 def tuple_invert(ring, a: dict) -> dict:
     gi = ring.names.index(ring.grade)
     (e0, c0), = ((e, c) for e, c in a.items() if e[gi] == 0)
-    inv_mono = tuple_build(ring, {tuple(-x for x in e0): Fraction(1) / c0})
+    inv_mono = tuple_build(ring, {tuple(-x for x in e0): c0})
     u = tuple_mul(ring, a, inv_mono)
     one = (0,) * len(ring.names)
     t = tuple_add(ring, u, {one: -1})
@@ -532,7 +555,7 @@ def tuple_invert(ring, a: dict) -> dict:
 
 
 def typed(terms) -> dict:
-    """Terms with each coefficient's type, so 2 and Fraction(2) differ."""
+    """Terms with each coefficient's type, so 2 and 2.0 differ."""
     return {e: (type(c), c) for e, c in terms.items()}
 
 
@@ -542,8 +565,7 @@ KERNEL_RING = SeriesRing(("x", "y", "w", "v"), grade="x", order=4,
 kernel_terms = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(-3, 3), st.integers(0, 3),
               st.integers(0, 2)),
-    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3),
-                     Fraction(6, 4)]),
+    st.sampled_from([1, -1, 2, -3, 5, -4, 6]),
     max_size=6)
 
 
@@ -555,7 +577,7 @@ def kernel_pair(draw):
     b = draw(kernel_terms)
     for e in draw(st.lists(st.sampled_from(sorted(a)), max_size=3)
                   if a else st.just([])):
-        b[e] = -a[e] * draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+        b[e] = -a[e] * draw(st.sampled_from([1, -1, 2]))
     return a, b
 
 
@@ -571,12 +593,11 @@ class TestPackedAgainstTupleKernel:
         assert typed((-a).terms) == typed(tuple_neg(r, ta))
         assert typed((a - b).terms) == typed(tuple_add(r, ta, tuple_neg(r, tb)))
         assert typed((a * b).terms) == typed(tuple_mul(r, ta, tb))
-        assert typed((a * Fraction(2, 3)).terms) == typed(
-            tuple_mul(r, ta, {(0, 0, 0, 0): Fraction(2, 3)}))
+        assert typed((a * -3).terms) == typed(
+            tuple_mul(r, ta, {(0, 0, 0, 0): -3}))
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([1, -2, Fraction(3, 2), Fraction(-1, 3)]),
-           st.integers(-2, 2), kernel_terms)
+    @given(st.sampled_from([1, -1]), st.integers(-2, 2), kernel_terms)
     def test_invert(self, c0, laurent_exp, rest):
         r = KERNEL_RING
         raw = {(0, laurent_exp, 0, 0): c0}
@@ -697,7 +718,7 @@ edge_terms = st.dictionaries(
               near(0, HALF // 2, HALF - 3).filter(
                   lambda e: 0 <= e <= HALF - 3),
               near(0, HALF // 2, HALF).filter(lambda e: 0 <= e < HALF)),
-    st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+    st.sampled_from([1, -1, 2, -3]),
     min_size=1, max_size=4)
 
 
@@ -721,8 +742,7 @@ class TestRangeGuardNearTheEdge:
         assert got == outcome(lambda: tuple_mul(r, ta, tb))
 
     @settings(max_examples=150, deadline=None)
-    @given(laurent_near_edge, st.sampled_from([1, -2, Fraction(1, 3)]),
-           edge_terms)
+    @given(laurent_near_edge, st.sampled_from([1, -1]), edge_terms)
     def test_invert(self, ey0, c0, rest):
         r = EDGE_RING
         raw = {(max(gx, 1), *e): c for (gx, *e), c in rest.items()}
