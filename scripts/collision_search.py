@@ -11,23 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
 
-from stanlab.bijections import chi_prime
-from stanlab.enumeration import FamilyBound, iter_raw
-from stanlab.objects import make_dyck
+from stanlab.bijections import preimages
 
 
 def scan(max_semilength: int, pairs_to_show: int) -> int:
     total_collisions = 0
     for m in range(max_semilength + 1):
-        images: dict[tuple, list[str]] = defaultdict(list)
-        for w in iter_raw(FamilyBound("dyck", "semilength", m)):
-            if "UUU" in w or "DDD" in w:
-                continue
-            images[chi_prime(make_dyck(w)).rows].append(w)
-        sources = sum(len(ws) for ws in images.values())
-        merged = [(rows, ws) for rows, ws in images.items() if len(ws) > 1]
+        images = preimages("chi_prime", m)
+        sources = sum(len(ds) for ds in images.values())
+        merged = [(rows, [d.word for d in ds])
+                  for rows, ds in images.items() if len(ds) > 1]
         total_collisions += len(merged)
         print(f"semilength {m}: {sources} sources, {len(images)} images, "
               f"{len(merged)} merged targets")
@@ -36,12 +30,19 @@ def scan(max_semilength: int, pairs_to_show: int) -> int:
     return total_collisions
 
 
-def main() -> int:
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-semilength", type=int, default=8)
-    parser.add_argument("--pairs", type=int, default=3,
+    parser.add_argument("--max-semilength", type=_count, default=8)
+    parser.add_argument("--pairs", type=_count, default=3,
                         help="colliding pairs to print per size")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     collisions = scan(args.max_semilength, args.pairs)
     print("map is injective on the scanned range" if collisions == 0
           else f"{collisions} merged targets in total")

@@ -28,6 +28,7 @@ from .bijections import (
     h_map,
     phi,
     phi_inv,
+    preimages,
     psi,
     table_inverse,
 )
@@ -53,7 +54,7 @@ __all__ = [
     "make_parallelogram",
     "stanley_stats", "dyck_stats", "fountain_stats", "parallelogram_stats",
     "phi", "phi_inv", "chi", "chi_prime", "f_map", "f_inv", "h_map", "psi",
-    "table_inverse",
+    "preimages", "table_inverse",
     "FamilyBound", "enumerate_family", "count_grouped",
     "gf_columns", "gf_semiperimeter", "gf_area", "gf_full",
     "gf_continued_fractions", "coeff_columns", "coeff_semiperimeter",

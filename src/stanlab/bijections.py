@@ -231,8 +231,28 @@ def psi(q: ParallelogramPolyomino) -> CoinFountain:
 
 # -- generic inversion by enumeration --------------------------------------------
 
+# map name -> (the map, its sources of size m, target semiperimeter less
+# source size).  Plain tuples read by index, like objects.FAMILIES.
+SCANNED = {
+    "chi": (chi, lambda m: map(make_motzkin, enumeration.iter_raw(
+        enumeration.FamilyBound("peaklessMotzkin", "steps", m))), 2),
+    "chi_prime": (chi_prime, lambda m: (
+        make_dyck(w) for w in enumeration.iter_raw(
+            enumeration.FamilyBound("dyck", "semilength", m))
+        if "UUU" not in w and "DDD" not in w), 3),
+}
+
 # the largest source size table_inverse scans
 MAX_SOURCE_SIZE = 64
+
+
+def preimages(map_name: str, size: int) -> dict[tuple, list]:
+    """Every source of the given size, grouped by the rows of its image."""
+    forward, sources, _ = SCANNED[map_name]
+    groups: dict[tuple, list] = {}
+    for s in sources(size):
+        groups.setdefault(forward(s).rows, []).append(s)
+    return groups
 
 
 def table_inverse(map_name: str, target: StanleyPolyomino):
@@ -243,33 +263,10 @@ def table_inverse(map_name: str, target: StanleyPolyomino):
     MultiplePreimages if the scan ever finds two sources, which would
     disprove injectivity on that size.
     """
-    st = stanley_stats(target)
-    if map_name == "chi":
-        size = st.sper - 2
-    elif map_name == "chi_prime":
-        size = st.sper - 3
-    else:
-        raise KeyError(f"table_inverse does not cover {map_name!r}")
+    size = stanley_stats(target).sper - SCANNED[map_name][2]
     if size < 0 or size > MAX_SOURCE_SIZE:
         raise NoPreimage(f"source size {size} outside bound {MAX_SOURCE_SIZE}")
-    if map_name == "chi":
-        sources = (
-            make_motzkin(w)
-            for w in enumeration.iter_raw(
-                enumeration.FamilyBound("peaklessMotzkin", "steps", size)
-            )
-        )
-        fwd = chi
-    else:
-        sources = (
-            make_dyck(w)
-            for w in enumeration.iter_raw(
-                enumeration.FamilyBound("dyck", "semilength", size)
-            )
-            if "UUU" not in w and "DDD" not in w
-        )
-        fwd = chi_prime
-    hits = [s for s in sources if fwd(s) == target]
+    hits = preimages(map_name, size).get(target.rows, [])
     if not hits:
         raise NoPreimage(f"no {map_name} source of size {size} maps to the target")
     if len(hits) > 1:

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 from . import bijections, catalog, objects, verification
 from .enumeration import (
@@ -28,7 +29,6 @@ from .errors import (
     StanlabError,
     UnsupportedPair,
 )
-from .series import series_json
 
 BIJECTIONS = {
     "phi": ("stanley", bijections.phi),
@@ -40,25 +40,6 @@ BIJECTIONS = {
     "h": ("parallelogram", bijections.h_map),
     "psi": ("parallelogram", bijections.psi),
 }
-
-GF_CHOICES = ("full", "columns", "semiperimeter", "area", "cf-a",
-              "cf-specializations", "corollaries")
-
-# Largest `series --order` per --gf, the series counterpart of the
-# enumeration cap: each takes about 10 s or less on a 2-vCPU machine, and
-# gf_full grows about 3x per order past it.
-SERIES_MAX_ORDER = {
-    "full": 12,
-    "columns": 150,
-    "semiperimeter": 150,
-    "area": 400,
-    "cf-a": 40,
-    "cf-specializations": 40,
-    "corollaries": 40,
-}
-
-# the only --gf choices that read --depth
-DEPTH_CHOICES = ("cf-a", "cf-specializations")
 
 
 def _emit(obj) -> None:
@@ -118,9 +99,10 @@ def cmd_map(args) -> int:
                 data = json.loads(line)
                 src = objects.from_json_obj(family, data)
                 dst = func(src)
-            # the JSON decoder raises RecursionError on over-deep nesting
-            except (StanlabError, ValueError, KeyError, TypeError,
-                    RecursionError) as exc:
+            # the JSON and UTF-8 decoders raise ValueError, and the JSON
+            # decoder RecursionError on over-deep nesting; anything else is
+            # a fault in the code and exits 6
+            except (StanlabError, ValueError, RecursionError) as exc:
                 if args.skip_invalid:
                     _diag(f"line {lineno}: skipped ({exc})")
                     continue
@@ -137,91 +119,95 @@ def cmd_map(args) -> int:
 
 # -- series ------------------------------------------------------------------------
 
-def _series_result(gf: str, order: int, depth: int | None) -> dict:
-    if gf == "full":
-        return {"gf": gf, "order": order,
-                "series": series_json(catalog.gf_full(order))}
-    if gf == "columns":
-        g, g1 = catalog.gf_columns(order)
-        return {"gf": gf, "order": order, "series": series_json(g),
-                "at-u-1": series_json(g1)}
-    if gf == "semiperimeter":
-        g, g1 = catalog.gf_semiperimeter(order)
-        return {"gf": gf, "order": order, "series": series_json(g),
-                "at-u-1": series_json(g1)}
-    if gf == "area":
-        return {"gf": gf, "order": order,
-                "series": series_json(catalog.gf_area(order))}
-    if gf in DEPTH_CHOICES:
-        record = catalog.gf_continued_fractions(order, depth)
-        if gf == "cf-a":
-            return {"gf": gf, "order": order, "depth": record["depth"],
-                    "series": series_json(record["a"])}
-        slim = {k: v for k, v in record.items() if k != "a"}
-        return {"gf": gf, "order": order, **catalog.record_json(slim)}
-    # corollaries: the refinements of the columns and semiperimeter series
-    return {
-        "gf": gf,
-        "order": order,
-        "columns": catalog.record_json(catalog.gf_columns_corollaries(order)),
-        "semiperimeter": catalog.record_json(
-            catalog.gf_semiperimeter_corollaries(order)),
-    }
+def _cf_a(order: int, depth: int | None) -> dict:
+    record = catalog.gf_continued_fractions(order, depth)
+    return {"depth": record["depth"], "series": record["a"]}
 
 
-def _series_oracle(gf: str, order: int, result: dict) -> bool:
-    """Spot-check the emitted series against brute-force enumeration."""
-    if gf == "full":
-        limit = min(order, 5)
-        got = {tuple(t["e"]): t["c"] for t in result["series"]["terms"]
-               if t["e"][0] <= limit}
-        return got == verification.full_tally(limit)
-    if gf == "columns":
-        return all(
-            _g1_coeff(result, n) == cached_count("stanley", "columns", n)
-            for n in range(1, min(order, 9) + 1))
-    if gf == "semiperimeter":
-        return all(
-            _g1_coeff(result, n) == cached_count("stanley", "semiperimeter", n)
-            for n in range(2, min(order, 12) + 1))
-    if gf in ("area", "cf-specializations"):
-        # gf_continued_fractions has compared a-1q1 with parallelogram counts
-        # already; no catalog check compares its area series with enumeration
-        series = result["series" if gf == "area" else "area"]
-        coeffs = {t["e"][0]: t["c"] for t in series["terms"]}
-        return all(
-            coeffs.get(n, 0) == cached_count("stanley", "area", n)
-            for n in range(1, min(order, 12) + 1))
-    if gf == "cf-a":
-        limit = min(order, 6)
-        got = {tuple(t["e"]): t["c"] for t in result["series"]["terms"]
-               if t["e"][1] <= limit}
-        return got == verification.cf_tally(limit)
-    # corollaries: the columns refinements hold, but the claimed Fibonacci
-    # count with no internal edge by semiperimeter does not match enumeration
-    return all(verification.edge_free_count(n) == catalog.fibonacci(n - 1)
-               for n in range(2, min(order, 10) + 1))
+def _terms_upto(series, slot: int, limit: int) -> dict:
+    return {e: c for e, c in series.terms.items() if e[slot] <= limit}
 
 
-def _g1_coeff(result: dict, n: int) -> int:
-    for t in result["at-u-1"]["terms"]:
-        if t["e"][0] == n:
-            return t["c"]
-    return 0
+def _counts_match(series, measure: str, first: int, last: int) -> bool:
+    """The coefficients of the grade powers first .. last count the Stanley
+    polyominoes by measure."""
+    grade = series.ring.grade
+    return all(series.coeff({grade: n}) == cached_count("stanley", measure, n)
+               for n in range(first, last + 1))
+
+
+class Gf(NamedTuple):
+    """One `series --gf` choice: the largest --order, whether --depth
+    applies, build(order, depth) giving the record printed after "gf" and
+    "order", and oracle(order, record) spot-checking that record against
+    brute-force enumeration.  The entries look library names up when they
+    run, so rebinding a public name reaches every entry."""
+
+    cap: int
+    depth: bool
+    build: Callable[[int, int | None], dict]
+    oracle: Callable[[int, dict], bool]
+
+
+# Each cap, the series counterpart of the enumeration cap, takes about 10 s or
+# less on a 2-vCPU machine; gf_full grows about 3x per order past it.
+SERIES = {
+    "full": Gf(
+        12, False, lambda n, d: {"series": catalog.gf_full(n)},
+        lambda n, r: _terms_upto(r["series"], 0, min(n, 5))
+        == verification.full_tally(min(n, 5))),
+    "columns": Gf(
+        150, False,
+        lambda n, d: dict(zip(("series", "at-u-1"), catalog.gf_columns(n))),
+        lambda n, r: _counts_match(r["at-u-1"], "columns", 1, min(n, 9))),
+    "semiperimeter": Gf(
+        150, False,
+        lambda n, d: dict(zip(("series", "at-u-1"),
+                              catalog.gf_semiperimeter(n))),
+        lambda n, r: _counts_match(r["at-u-1"], "semiperimeter", 2,
+                                   min(n, 12))),
+    # for area and cf-specializations: gf_continued_fractions has compared
+    # a-1q1 with parallelogram counts already; no catalog check compares its
+    # area series with enumeration
+    "area": Gf(
+        400, False, lambda n, d: {"series": catalog.gf_area(n)},
+        lambda n, r: _counts_match(r["series"], "area", 1, min(n, 12))),
+    "cf-a": Gf(
+        40, True, _cf_a,
+        lambda n, r: _terms_upto(r["series"], 1, min(n, 6))
+        == verification.cf_tally(min(n, 6))),
+    "cf-specializations": Gf(
+        40, True,
+        lambda n, d: {k: v for k, v in
+                      catalog.gf_continued_fractions(n, d).items() if k != "a"},
+        lambda n, r: _counts_match(r["area"], "area", 1, min(n, 12))),
+    # the refinements of the columns and semiperimeter series.  Their columns
+    # refinements hold, but the claimed Fibonacci count with no internal edge
+    # by semiperimeter does not match enumeration
+    "corollaries": Gf(
+        40, False,
+        lambda n, d: {"columns": catalog.gf_columns_corollaries(n),
+                      "semiperimeter": catalog.gf_semiperimeter_corollaries(n)},
+        lambda n, r: all(
+            verification.edge_free_count(k) == catalog.fibonacci(k - 1)
+            for k in range(2, min(n, 10) + 1))),
+}
 
 
 def cmd_series(args) -> int:
-    if args.depth is not None and args.gf not in DEPTH_CHOICES:
-        raise UnsupportedPair(f"--depth applies only to --gf "
-                              f"{' and '.join(DEPTH_CHOICES)}, not {args.gf}")
-    cap = SERIES_MAX_ORDER[args.gf]
-    if args.order > cap:
-        raise CapExceeded(f"--order {args.order} exceeds the cap of {cap} "
+    gf = SERIES[args.gf]
+    if args.depth is not None and not gf.depth:
+        takers = " and ".join(k for k, v in SERIES.items() if v.depth)
+        raise UnsupportedPair(f"--depth applies only to --gf {takers}, "
+                              f"not {args.gf}")
+    if args.order > gf.cap:
+        raise CapExceeded(f"--order {args.order} exceeds the cap of {gf.cap} "
                           f"for --gf {args.gf}")
-    result = _series_result(args.gf, args.order, args.depth)
+    record = gf.build(args.order, args.depth)
+    result = {"gf": args.gf, "order": args.order,
+              **catalog.record_json(record)}
     if args.verify:
-        result["verified_against_oracle"] = _series_oracle(
-            args.gf, args.order, result)
+        result["verified_against_oracle"] = gf.oracle(args.order, record)
     _stamp(args)
     _emit(result)
     return 0
@@ -271,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("series", help="emit a catalog series as JSON")
-    p.add_argument("--gf", required=True, choices=GF_CHOICES)
+    p.add_argument("--gf", required=True, choices=SERIES)
     p.add_argument("--order", required=True, type=int,
                    help="truncation order, capped per --gf (README lists "
                         "the caps)")

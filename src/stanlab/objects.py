@@ -110,12 +110,21 @@ class ParallelogramStats:
     overlaps: tuple[int, ...]
 
 
+def _pairs(items: Iterable, what: str) -> tuple[tuple, ...]:
+    """items as a tuple of pairs; any other shape raises InvalidObject."""
+    try:
+        return tuple((a, b) for a, b in items)
+    except (TypeError, ValueError):
+        raise InvalidObject(f"{what} must be a list of pairs") from None
+
+
 # -- Stanley polyominoes ----------------------------------------------------
 
-def _check_rows(rows: Sequence[Row]) -> tuple[Row, ...]:
+def make_stanley(rows: Iterable[Row]) -> StanleyPolyomino:
+    """Validate and build a Stanley polyomino from (start, length) rows."""
+    rows = _pairs(rows, "rows")
     if not rows:
         raise EmptyInput("a Stanley polyomino needs at least one row")
-    rows = tuple((s, l) for s, l in rows)
     for s, l in rows:
         # exact type test: 1.5, "2" and true are refused, not truncated
         if type(s) is not int or type(l) is not int:
@@ -133,12 +142,7 @@ def _check_rows(rows: Sequence[Row]) -> tuple[Row, ...]:
             raise NotRightShifted(f"row {i + 1} must end strictly right of row {i}")
         if s1 > s0 + l0 - 1:
             raise RowsDisconnected(f"rows {i} and {i + 1} share no column")
-    return rows
-
-
-def make_stanley(rows: Iterable[Row]) -> StanleyPolyomino:
-    """Validate and build a Stanley polyomino from (start, length) rows."""
-    return StanleyPolyomino(_check_rows(tuple(rows)))
+    return StanleyPolyomino(rows)
 
 
 def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
@@ -261,7 +265,10 @@ def make_fountain(diagonals: Iterable[int]) -> CoinFountain:
     each diagonal to be a contiguous run from the bottom and bounds each size
     by the next size plus one.
     """
-    d = tuple(diagonals)
+    try:
+        d = tuple(diagonals)
+    except TypeError:
+        raise InvalidObject("diagonals must be a list of integers") from None
     if not d:
         raise EmptyInput("a fountain needs at least one diagonal")
     for x in d:
@@ -317,7 +324,7 @@ def diagonals_from_levels(levels: Sequence[set[int]]) -> tuple[int, ...]:
 # -- parallelogram polyominoes ------------------------------------------------
 
 def make_parallelogram(columns: Iterable[tuple[int, int]]) -> ParallelogramPolyomino:
-    cols = tuple((b, h) for b, h in columns)
+    cols = _pairs(columns, "columns")
     if not cols:
         raise EmptyInput("a parallelogram polyomino needs at least one column")
     for b, h in cols:
@@ -396,6 +403,9 @@ def from_json_obj(family: str, data: dict):
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
     (key,) = cls.__dataclass_fields__
+    if not isinstance(data, dict) or key not in data:
+        raise InvalidObject(f"a {family} object is a JSON object with key "
+                            f"{key!r}")
     return make(data[key])
 
 

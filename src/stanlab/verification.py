@@ -273,72 +273,59 @@ def _steps_on_axis(word: str) -> int:
     return n
 
 
+def _scan_sizes(name: str, max_size: int, first_row) -> tuple[int, list]:
+    """Run every source of size 0 .. max_size through a scanned map.  Returns
+    how many images miss the target semiperimeter or first_row(word), and
+    per size (sources, distinct images, polyominoes of that semiperimeter)."""
+    offset = bijections.SCANNED[name][2]
+    bad = 0
+    sizes = []
+    for m in range(max_size + 1):
+        groups = bijections.preimages(name, m)
+        for rows, paths in groups.items():
+            ps = objects.stanley_stats(objects.StanleyPolyomino(rows))
+            bad += sum(ps.sper != m + offset or ps.first != first_row(p.word)
+                       for p in paths)
+        sizes.append((sum(map(len, groups.values())), len(groups),
+                      cached_count("stanley", "semiperimeter", m + offset)))
+    return bad, sizes
+
+
 def _chi_checks(checks: list, max_size: int) -> None:
-    bad_stats = 0
-    sizes_ok = True
-    detail = ""
-    for m in range(0, max_size + 1):
-        bound = FamilyBound("peaklessMotzkin", "steps", m)
-        images: set[tuple] = set()
-        total = 0
-        for w in iter_raw(bound):
-            p = bijections.chi(objects.make_motzkin(w))
-            ps = objects.stanley_stats(p)
-            total += 1
-            images.add(p.rows)
-            if ps.sper != m + 2 or ps.first != _steps_on_axis(w) + 1:
-                bad_stats += 1
-        want = cached_count("stanley", "semiperimeter", m + 2)
-        if len(images) != total or total != want:
-            sizes_ok = False
-            detail = detail or (
-                f"steps {m}: {total} paths, {len(images)} images, "
-                f"{want} polyominoes")
+    bad, sizes = _scan_sizes("chi", max_size,
+                             lambda w: _steps_on_axis(w) + 1)
     _check(checks, "flat-step map carries steps to semiperimeter and "
            "axis landings to the first row",
-           "0 mismatches", f"{bad_stats} mismatches")
+           "0 mismatches", f"{bad} mismatches")
     _check(checks, "flat-step map is bijective at each size",
-           "distinct images, counts equal", detail or
-           "distinct images, counts equal")
+           "distinct images, counts equal", next(
+               (f"steps {m}: {total} paths, {images} images, "
+                f"{want} polyominoes"
+                for m, (total, images, want) in enumerate(sizes)
+                if images != total or total != want),
+               "distinct images, counts equal"))
 
 
 def _chi_prime_checks(checks: list, max_size: int) -> None:
-    bad_stats = 0
-    inj_detail = ""
-    cnt_detail = ""
-    for m in range(0, max_size + 1):
-        bound = FamilyBound("dyck", "semilength", m)
-        images: set[tuple] = set()
-        total = 0
-        for w in iter_raw(bound):
-            d = objects.DyckPath(w)
-            ds = objects.dyck_stats(d)
-            if not ds.avoids3:
-                continue
-            p = bijections.chi_prime(d)
-            ps = objects.stanley_stats(p)
-            total += 1
-            images.add(p.rows)
-            if ps.sper != m + 3 or ps.first != ds.hills + 2:
-                bad_stats += 1
-        if len(images) != total and not inj_detail:
-            inj_detail = (f"semilength {m}: {total} words, "
-                          f"{len(images)} distinct images")
-        want = cached_count("stanley", "semiperimeter", m + 3)
-        if len(images) != want and not cnt_detail:
-            cnt_detail = (f"semilength {m}: {len(images)} images, "
-                          f"{want} polyominoes")
+    hills = objects.STATISTICS[("dyck", "hills")]
+    bad, sizes = _scan_sizes("chi_prime", max_size, lambda w: hills(w) + 2)
     _check(checks, "triple-run-free map carries semilength to semiperimeter "
            "and hills to the first row",
-           "0 mismatches", f"{bad_stats} mismatches")
+           "0 mismatches", f"{bad} mismatches")
     # The recursion folds u B UDD G to (BG, hills(G)); hill-free return blocks
     # of G leave no trace, so distinct splits can collide from semilength 5 on.
     _check(checks, "triple-run-free map is injective at each source size",
-           "distinct images at every size", inj_detail or
-           "distinct images at every size")
+           "distinct images at every size", next(
+               (f"semilength {m}: {total} words, {images} distinct images"
+                for m, (total, images, _) in enumerate(sizes)
+                if images != total),
+               "distinct images at every size"))
     _check(checks, "triple-run-free map image counts match semiperimeter "
-           "counts", "image counts equal at every size", cnt_detail or
-           "image counts equal at every size")
+           "counts", "image counts equal at every size", next(
+               (f"semilength {m}: {images} images, {want} polyominoes"
+                for m, (_, images, want) in enumerate(sizes)
+                if images != want),
+               "image counts equal at every size"))
 
 
 def _f_checks(checks: list, max_size: int) -> None:

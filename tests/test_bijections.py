@@ -19,6 +19,7 @@ from stanlab.bijections import (
     h_map,
     phi,
     phi_inv,
+    preimages,
     psi,
     table_inverse,
 )
@@ -363,6 +364,11 @@ class TestChiPrime:
         out = capsys.readouterr().out
         assert "semilength 5: 17 sources, 16 images, 1 merged targets" in out
         assert "[(0, 2), (1, 3), (3, 2)] <- UUDUDDUUDD, UUDUUDDUDD" in out
+        for option in ("--pairs", "--max-semilength"):
+            with pytest.raises(SystemExit) as exc:
+                script.main([option, "-1"])
+            assert exc.value.code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
 
 
 class TestFountainMap:
@@ -524,6 +530,33 @@ class TestParallelogramMaps:
             cs = fountain_stats(psi(q))
             assert cs.e == qs.area
             assert cs.o == qs.area - qs.colCount
+
+
+class TestPreimages:
+    @pytest.mark.parametrize("m", range(10))
+    def test_chi_prime_sources_are_the_triple_free_words(self, m: int):
+        groups = preimages("chi_prime", m)
+        words = [d.word for ds in groups.values() for d in ds]
+        assert sorted(words) == sorted(
+            w for w in iter_raw(FamilyBound("dyck", "semilength", m))
+            if dyck_stats(make_dyck(w)).avoids3)
+        for rows, ds in groups.items():
+            assert all(chi_prime(d).rows == rows for d in ds)
+
+    @pytest.mark.parametrize("m", range(10))
+    def test_chi_sources_are_every_peakless_path(self, m: int):
+        groups = preimages("chi", m)
+        words = [p.word for ps in groups.values() for p in ps]
+        assert len(set(words)) == len(words)
+        assert len(words) == cached_count("peaklessMotzkin", "steps", m)
+        assert all(len(w) == m and "UD" not in w for w in words)
+        for rows, ps in groups.items():
+            assert all(chi(p).rows == rows for p in ps)
+
+    def test_collision_group(self):
+        groups = preimages("chi_prime", 5)
+        assert [d.word for d in groups[((0, 2), (1, 3), (3, 2))]] == [
+            "UUDUDDUUDD", "UUDUUDDUDD"]
 
 
 class TestTableInverse:

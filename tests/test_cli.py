@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,34 @@ class TestMap:
         assert "line 1: invalid input" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("bijection, line", [
+        ("phi", '{"rows": [[0, 1, 2]]}'),
+        ("phi", '{"rows": [5]}'),
+        ("phi", '{"rows": null}'),
+        ("h", '{"columns": [[0, 1, 2]]}'),
+        ("f", '{"diagonals": 5}'),
+        ("phi-inv", '[1]'),
+        ("phi-inv", '{}'),
+    ])
+    def test_wrongly_shaped_line_exit_four(self, capsys, monkeypatch,
+                                           bijection, line):
+        self.feed(monkeypatch, line + "\n")
+        code, out, err = run(capsys, "map", "--bijection", bijection)
+        assert (code, out) == (4, "")
+        assert "line 1: invalid input" in err
+
+    def test_type_error_in_a_map_is_internal(self, capsys, monkeypatch):
+        # a TypeError is a bug in the code, not bad input
+        def broken(d):
+            raise TypeError("broken map")
+
+        monkeypatch.setitem(cli.BIJECTIONS, "phi-inv", ("dyck", broken))
+        self.feed(monkeypatch, '{"word": "UD"}\n')
+        code, out, err = run(capsys, "map", "--bijection", "phi-inv",
+                             "--skip-invalid")
+        assert (code, out) == (6, "")
+        assert err.startswith("internal error: TypeError")
+
     def test_skip_invalid_keeps_going(self, capsys, monkeypatch):
         self.feed(monkeypatch,
                   '{"word": "UD"}\nbroken\n{"word": "UUDD"}\n')
@@ -279,8 +308,8 @@ class TestSeries:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "depth" in err
 
-    @pytest.mark.parametrize("gf", sorted(set(cli.GF_CHOICES)
-                                          - set(cli.DEPTH_CHOICES)))
+    @pytest.mark.parametrize("gf", [g for g, entry in cli.SERIES.items()
+                                    if not entry.depth])
     def test_depth_on_other_series_exit_two(self, capsys, gf):
         code, out, err = run(capsys, "series", "--gf", gf,
                              "--order", "2", "--depth", "-2")
@@ -295,15 +324,16 @@ class TestSeries:
         spec.loader.exec_module(workloads)
         for size in workloads.SIZES.values():
             for gf, order in size["series"].items():
-                assert order <= cli.SERIES_MAX_ORDER[gf], (gf, order)
+                assert order <= cli.SERIES[gf].cap, (gf, order)
 
-    @pytest.mark.parametrize("gf", cli.GF_CHOICES)
+    @pytest.mark.parametrize("gf", cli.SERIES)
     def test_order_over_cap_exit_three(self, capsys, monkeypatch, gf):
         def no_series(*args):
             raise AssertionError("the cap must refuse before any series is built")
 
-        monkeypatch.setattr(cli, "_series_result", no_series)
-        over = str(cli.SERIES_MAX_ORDER[gf] + 1)
+        entry = cli.SERIES[gf]
+        monkeypatch.setitem(cli.SERIES, gf, entry._replace(build=no_series))
+        over = str(entry.cap + 1)
         code, out, err = run(capsys, "series", "--gf", gf, "--order", over)
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
@@ -329,10 +359,10 @@ SERIES_ORDER_6_SHA256 = {
 
 
 def test_series_digests_cover_every_choice():
-    assert set(SERIES_ORDER_6_SHA256) == set(cli.GF_CHOICES)
+    assert set(SERIES_ORDER_6_SHA256) == set(cli.SERIES)
 
 
-@pytest.mark.parametrize("gf", cli.GF_CHOICES)
+@pytest.mark.parametrize("gf", cli.SERIES)
 def test_series_stdout_bytes_pinned(capsys, gf):
     code, out, _ = run(capsys, "series", "--gf", gf, "--order", "6")
     assert code == 0
@@ -354,12 +384,13 @@ def test_cf_specializations_oracle_reads_the_area_series(capsys):
     code, out, _ = run(capsys, "series", "--gf", "cf-specializations",
                        "--order", "8", "--verify")
     assert code == 0
-    result = lines(out)[0]
-    assert result.pop("verified_against_oracle") is True
-    assert cli._series_oracle("cf-specializations", 8, result) is True
-    term = next(t for t in result["area"]["terms"] if t["e"] == [7])
-    term["c"] += 1
-    assert cli._series_oracle("cf-specializations", 8, result) is False
+    assert lines(out)[0]["verified_against_oracle"] is True
+    entry = cli.SERIES["cf-specializations"]
+    record = entry.build(8, None)
+    assert entry.oracle(8, record) is True
+    area = record["area"]
+    record = {**record, "area": area + area.ring.monomial(1, z=7)}
+    assert entry.oracle(8, record) is False
 
 
 class TestVerify:
@@ -435,3 +466,33 @@ def test_verify_digests_cover_every_suite():
 def test_verify_stdout_bytes_pinned(capsys, name, size, pinned):
     code, out, _ = run(capsys, "verify", "--suite", name, *size)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned
+
+
+# -- README stays in step with the code --------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_list(label: str) -> set[str]:
+    """The backquoted names of README's sentence "label: `a`, `b`, ... ."."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    start = text.index(f" {label}: `") + len(label) + 3
+    return set(re.findall(r"`([^`]+)`", text[start:text.index(".", start)]))
+
+
+def test_readme_lists_match_the_code():
+    assert _readme_list("Bijections") == set(cli.BIJECTIONS)
+    assert _readme_list("Series") == set(cli.SERIES)
+    assert _readme_list("Suites") == set(verification.SUITES) | {"all"}
+
+
+def test_readme_cap_table_matches_the_code():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| `--gf` | largest `--order` |"):]
+    caps = {}
+    for row in table.splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        names, cap = row.strip("|").split("|")
+        caps.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), int(cap)))
+    assert caps == {gf: entry.cap for gf, entry in cli.SERIES.items()}

@@ -322,6 +322,26 @@ class TestNonIntegerInput:
             make(word)
 
 
+# input of the wrong shape: a row or column that is not a pair, a field that
+# is not a list, a JSON value that is not an object with the family's key
+WRONG_SHAPES = {
+    "stanley-triple": (objects.make_stanley, [(0, 1, 2)]),
+    "stanley-int-row": (objects.make_stanley, [5]),
+    "stanley-none": (objects.make_stanley, None),
+    "parallelogram-triple": (objects.make_parallelogram, [(0, 1, 2)]),
+    "fountain-int": (objects.make_fountain, 5),
+    "json-list": (lambda data: objects.from_json_obj("dyck", data), [1]),
+    "json-no-key": (lambda data: objects.from_json_obj("dyck", data), {}),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES)
+def test_wrong_shape_raises_invalid_object(case):
+    make, data = WRONG_SHAPES[case]
+    with pytest.raises(InvalidObject):
+        make(data)
+
+
 class TestJsonRoundTrip:
     def test_all_families(self):
         cases = {
