@@ -242,8 +242,10 @@ SCANNED = {
         if "UUU" not in w and "DDD" not in w), 3),
 }
 
-# the largest source size table_inverse scans
-MAX_SOURCE_SIZE = 64
+# the largest source size table_inverse scans, so that a scan takes about 10 s
+# or less on a 2-vCPU machine: preimages("chi_prime", 14) takes 9 to 11 s, and
+# each size about 3.5 times the last (chi reaches 9 s only at 18)
+MAX_SOURCE_SIZE = 14
 
 
 def preimages(map_name: str, size: int) -> dict[tuple, list]:

@@ -119,8 +119,8 @@ def cmd_map(args) -> int:
 
 # -- series ------------------------------------------------------------------------
 
-def _cf_a(order: int, depth: int | None) -> dict:
-    record = catalog.gf_continued_fractions(order, depth)
+def _cf_a(order: int) -> dict:
+    record = catalog.gf_continued_fractions(order)
     return {"depth": record["depth"], "series": record["a"]}
 
 
@@ -137,15 +137,14 @@ def _counts_match(series, measure: str, first: int, last: int) -> bool:
 
 
 class Gf(NamedTuple):
-    """One `series --gf` choice: the largest --order, whether --depth
-    applies, build(order, depth) giving the record printed after "gf" and
-    "order", and oracle(order, record) spot-checking that record against
-    brute-force enumeration.  The entries look library names up when they
-    run, so rebinding a public name reaches every entry."""
+    """One `series --gf` choice: the largest --order, build(order) giving
+    the record printed after "gf" and "order", and oracle(order, record)
+    spot-checking that record against brute-force enumeration.  The entries
+    look library names up when they run, so rebinding a public name reaches
+    every entry."""
 
     cap: int
-    depth: bool
-    build: Callable[[int, int | None], dict]
+    build: Callable[[int], dict]
     oracle: Callable[[int, dict], bool]
 
 
@@ -153,41 +152,38 @@ class Gf(NamedTuple):
 # less on a 2-vCPU machine; gf_full grows about 3x per order past it.
 SERIES = {
     "full": Gf(
-        12, False, lambda n, d: {"series": catalog.gf_full(n)},
+        12, lambda n: {"series": catalog.gf_full(n)},
         lambda n, r: _terms_upto(r["series"], 0, min(n, 5))
         == verification.full_tally(min(n, 5))),
     "columns": Gf(
-        150, False,
-        lambda n, d: dict(zip(("series", "at-u-1"), catalog.gf_columns(n))),
+        150, lambda n: dict(zip(("series", "at-u-1"), catalog.gf_columns(n))),
         lambda n, r: _counts_match(r["at-u-1"], "columns", 1, min(n, 9))),
     "semiperimeter": Gf(
-        150, False,
-        lambda n, d: dict(zip(("series", "at-u-1"),
-                              catalog.gf_semiperimeter(n))),
+        150, lambda n: dict(zip(("series", "at-u-1"),
+                                catalog.gf_semiperimeter(n))),
         lambda n, r: _counts_match(r["at-u-1"], "semiperimeter", 2,
                                    min(n, 12))),
     # for area and cf-specializations: gf_continued_fractions has compared
     # a-1q1 with parallelogram counts already; no catalog check compares its
     # area series with enumeration
     "area": Gf(
-        400, False, lambda n, d: {"series": catalog.gf_area(n)},
+        400, lambda n: {"series": catalog.gf_area(n)},
         lambda n, r: _counts_match(r["series"], "area", 1, min(n, 12))),
     "cf-a": Gf(
-        40, True, _cf_a,
+        40, _cf_a,
         lambda n, r: _terms_upto(r["series"], 1, min(n, 6))
         == verification.cf_tally(min(n, 6))),
     "cf-specializations": Gf(
-        40, True,
-        lambda n, d: {k: v for k, v in
-                      catalog.gf_continued_fractions(n, d).items() if k != "a"},
+        40, lambda n: {k: v for k, v in
+                       catalog.gf_continued_fractions(n).items() if k != "a"},
         lambda n, r: _counts_match(r["area"], "area", 1, min(n, 12))),
     # the refinements of the columns and semiperimeter series.  Their columns
     # refinements hold, but the claimed Fibonacci count with no internal edge
     # by semiperimeter does not match enumeration
     "corollaries": Gf(
-        40, False,
-        lambda n, d: {"columns": catalog.gf_columns_corollaries(n),
-                      "semiperimeter": catalog.gf_semiperimeter_corollaries(n)},
+        40,
+        lambda n: {"columns": catalog.gf_columns_corollaries(n),
+                   "semiperimeter": catalog.gf_semiperimeter_corollaries(n)},
         lambda n, r: all(
             verification.edge_free_count(k) == catalog.fibonacci(k - 1)
             for k in range(2, min(n, 10) + 1))),
@@ -196,14 +192,10 @@ SERIES = {
 
 def cmd_series(args) -> int:
     gf = SERIES[args.gf]
-    if args.depth is not None and not gf.depth:
-        takers = " and ".join(k for k, v in SERIES.items() if v.depth)
-        raise UnsupportedPair(f"--depth applies only to --gf {takers}, "
-                              f"not {args.gf}")
     if args.order > gf.cap:
         raise CapExceeded(f"--order {args.order} exceeds the cap of {gf.cap} "
                           f"for --gf {args.gf}")
-    record = gf.build(args.order, args.depth)
+    record = gf.build(args.order)
     result = {"gf": args.gf, "order": args.order,
               **catalog.record_json(record)}
     if args.verify:
@@ -261,9 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True, type=int,
                    help="truncation order, capped per --gf (README lists "
                         "the caps)")
-    p.add_argument("--depth", type=int, default=None,
-                   help="continued-fraction truncation depth (cf-a and "
-                        "cf-specializations only)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against brute-force enumeration")
     common(p)

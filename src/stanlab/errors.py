@@ -104,7 +104,7 @@ class NotInvertible(StanlabError, ArithmeticError):
 
 
 class NotInteger(StanlabError, TypeError):
-    """A series scalar or substituted value is not exactly an int."""
+    """A series scalar is not exactly an int."""
 
 
 class UnsoundSubstitution(StanlabError, ValueError):

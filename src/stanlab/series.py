@@ -7,8 +7,7 @@ checks them once and builds every series, dropping each term whose grade
 exponent exceeds the order or whose exponent exceeds a cap.
 Coefficients and scalars are ints; any other scalar raises NotInteger.
 Over the integers a series is invertible exactly when its grade-constant
-part is one monomial with coefficient 1 or -1.  Substitution means
-evaluating one variable at an int.
+part is one monomial with coefficient 1 or -1.
 
 Packed layout.  A series stores its terms as a dict from one packed int per
 exponent vector (Kronecker substitution) to the coefficient.  Each variable
@@ -44,6 +43,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
+    CancellationFailure,
     NoContraction,
     NotInteger,
     NotInvertible,
@@ -316,10 +316,11 @@ class TruncatedSeries:
         return ring._make({key - (k << s): c for key, c in self.packed.items()
                            if (key >> s) & _MASK == k + b})
 
-    def assert_no_negative_exponents(self, err, what: str):
+    def assert_no_negative_exponents(self, what: str):
         for e in self.terms:
             if any(x < 0 for x in e):
-                raise err(f"{what} kept a negative exponent: {dict(zip(self.vars, e))}")
+                raise CancellationFailure(
+                    f"{what} kept a negative exponent: {dict(zip(self.vars, e))}")
 
 
 # -- operations ---------------------------------------------------------------
@@ -382,40 +383,27 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
                        for k, c in out.items()}) * inv_mono
 
 
-def substitute_monomial(a: TruncatedSeries, var: str, coeff: int) -> TruncatedSeries:
-    """Evaluate var at the int coeff.
+def evaluate_at_one(a: TruncatedSeries, var: str) -> TruncatedSeries:
+    """Evaluate var at 1: zero its exponent in every key.
 
-    Setting var to 0 drops its positive powers and is unsound on a negative
-    power; any other value but 1 or -1 has no negative power in the
-    integers.  Evaluating the grade or a capped variable is unsound on a
-    positive power: it would pull unknown truncated terms into range.
+    Unsound on a positive power of the grade or a capped variable: it would
+    pull unknown truncated terms into range.
     """
     ring = a.ring
     if var not in ring.names:
         raise VariableMismatch(f"{var!r} not a series variable")
-    c0 = _int(coeff)
-    vi = ring.names.index(var)
-    out: dict[Exponents, int] = {}
-    for e, c in a.terms.items():
-        k = e[vi]
-        if k == 0:
-            out[e] = out.get(e, 0) + c
-            continue
-        if c0 == 0:
-            if k > 0:
-                continue
-            raise UnsoundSubstitution("negative power of a variable sent to zero")
-        if k < 0 and c0 not in (1, -1):
-            raise NotInvertible(f"negative power of {var} = {c0}")
-        if k > 0 and ring._bounded(var):
+    s, b = ring._slots[ring.names.index(var)]
+    bounded = ring._bounded(var)
+    out: dict[int, int] = {}
+    for key, c in a.packed.items():
+        k = ((key >> s) & _MASK) - b
+        if k > 0 and bounded:
             raise UnsoundSubstitution(
-                f"substitution lowers the degree in {var} by {k} on "
-                f"{dict(zip(ring.names, e))}"
-            )
-        ne = e[:vi] + (0,) + e[vi + 1 :]
-        # c0**k is c0**-k when k < 0, and stays an int
-        out[ne] = out.get(ne, 0) + c * c0 ** abs(k)
-    return ring._build(out)
+                f"evaluation lowers the degree in {var} by {k} on "
+                f"{dict(zip(ring.names, ring._unpack(key)))}")
+        key -= k << s
+        out[key] = out.get(key, 0) + c
+    return ring._make(out)
 
 
 def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
@@ -509,21 +497,22 @@ def pochhammer(a: TruncatedSeries, b: TruncatedSeries, k: int) -> TruncatedSerie
 def continued_fraction(
     level: Callable[[int], TruncatedSeries],
     numerator: TruncatedSeries,
-    depth: int,
 ) -> TruncatedSeries:
     """Evaluate -1 + numerator / (L_1 - numerator / (L_2 - ...)).
 
-    The tail below the deepest level is replaced by the branch the infinite
-    fraction actually selects: the deepest denominator is L_depth minus 1,
-    which keeps every partial denominator a unit multiple of the numerator.
-    Evaluating at depth and depth+1 must give identical series through the
-    truncation order, else Unstable is raised.
+    The depth is the truncation order plus 2, enough for the peak/valley
+    fraction, whose level k carries q^k.  The tail below the deepest level
+    is replaced by the branch the infinite fraction actually selects: the
+    deepest denominator is L_depth minus 1, which keeps every partial
+    denominator a unit multiple of the numerator.  Evaluating at depth and
+    depth+1 must give identical series through the truncation order, else
+    Unstable is raised.
     """
-    if depth < 1:
-        raise OutOfRange(f"continued fraction needs depth >= 1, got {depth}")
+    depth = numerator.ring.order + 2
     first = _cf_eval(level, numerator, depth)
     if first != _cf_eval(level, numerator, depth + 1):
-        raise Unstable(f"depth {depth} and {depth + 1} disagree; increase depth")
+        raise Unstable(f"depth {depth} and {depth + 1} disagree: the levels "
+                       f"grow too slowly in the grade")
     return first
 
 

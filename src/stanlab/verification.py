@@ -129,8 +129,9 @@ def _check_built(checks: list, name: str, want: str, build):
     return built
 
 
-def _dict_delta(expected: dict, actual: dict, limit: int = 4) -> str:
+def _dict_delta(expected: dict, actual: dict) -> str:
     """Compact description of where two count dictionaries disagree."""
+    limit = 4  # differences shown
     keys = sorted(set(expected) | set(actual), key=repr)
     diffs = [
         f"{k!r}: expected {expected.get(k, 0)}, got {actual.get(k, 0)}"

@@ -584,7 +584,19 @@ class TestTableInverse:
             table_inverse("phi", make_stanley(((0, 1),)))
 
     def test_size_bound(self):
-        # source size 65, one past the bound: refused before any scan
-        target = chi(make_motzkin("U" + "F" * 63 + "D"))
+        # one past the bound: refused before any scan
+        steps = bijections.MAX_SOURCE_SIZE + 1
+        target = chi(make_motzkin("U" + "F" * (steps - 2) + "D"))
         with pytest.raises(NoPreimage):
             table_inverse("chi", target)
+
+    def test_large_source_refused_at_once(self):
+        # a scan of the 40-step paths would run until the enumeration cap
+        target = chi(make_motzkin("U" + "F" * 38 + "D"))
+        with pytest.raises(NoPreimage, match="outside bound"):
+            table_inverse("chi", target)
+
+    def test_chi_round_trip_at_the_bound(self):
+        w = make_motzkin("UFUFFDFFDUFFFD")
+        assert len(w.word) == bijections.MAX_SOURCE_SIZE
+        assert table_inverse("chi", chi(w)) == w

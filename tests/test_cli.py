@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import io
@@ -13,7 +14,7 @@ import pytest
 
 import stanlab.cli as cli
 from stanlab import verification
-from stanlab.errors import CapExceeded
+from stanlab.errors import CapExceeded, MismatchBetweenForms
 
 WORKED_ROWS = [[0, 6], [3, 6], [4, 7], [10, 3], [11, 5]]
 WORKED_WORD = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
@@ -295,27 +296,23 @@ class TestSeries:
         code, _, _ = run(capsys, "series", "--gf", "columns", "--order", "0")
         assert code == 2
 
-    def test_unstable_depth_exit_five(self, capsys):
-        code, _, err = run(capsys, "series", "--gf", "cf-a",
-                           "--order", "4", "--depth", "1")
-        assert code == 5
-        assert "theorem check failed" in err
+    def test_series_assertion_exit_five(self, capsys, monkeypatch):
+        def disagree(order):
+            raise MismatchBetweenForms("area: the two forms disagree")
 
-    @pytest.mark.parametrize("depth", ["0", "-2"])
-    def test_depth_below_one_exit_two(self, capsys, depth):
-        code, out, err = run(capsys, "series", "--gf", "cf-a",
-                             "--order", "5", "--depth", depth)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "depth" in err
+        monkeypatch.setattr(cli.catalog, "gf_area", disagree)
+        code, out, err = run(capsys, "series", "--gf", "area", "--order", "6")
+        assert (code, out) == (5, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("theorem check failed: MismatchBetweenForms")
 
-    @pytest.mark.parametrize("gf", [g for g, entry in cli.SERIES.items()
-                                    if not entry.depth])
+    # the continued-fraction depth is set by the order: no series reads one
+    @pytest.mark.parametrize("gf", cli.SERIES)
     def test_depth_on_other_series_exit_two(self, capsys, gf):
         code, out, err = run(capsys, "series", "--gf", gf,
-                             "--order", "2", "--depth", "-2")
+                             "--order", "2", "--depth", "5")
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert "--depth" in err
+        assert "unrecognized arguments: --depth" in err
 
     def test_order_caps_admit_benchmark_orders(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -386,7 +383,7 @@ def test_cf_specializations_oracle_reads_the_area_series(capsys):
     assert code == 0
     assert lines(out)[0]["verified_against_oracle"] is True
     entry = cli.SERIES["cf-specializations"]
-    record = entry.build(8, None)
+    record = entry.build(8)
     assert entry.oracle(8, record) is True
     area = record["area"]
     record = {**record, "area": area + area.ring.monomial(1, z=7)}
@@ -496,3 +493,16 @@ def test_readme_cap_table_matches_the_code():
         names, cap = row.strip("|").split("|")
         caps.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), int(cap)))
     assert caps == {gf: entry.cap for gf, entry in cli.SERIES.items()}
+
+
+def test_readme_options_match_the_parser():
+    # README names every option of every subcommand and no other; the pip
+    # flag of the install lines is the one exception
+    parser = cli._build_parser()
+    subparsers, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    options = {o for sub in subparsers.choices.values() for a in sub._actions
+               if not isinstance(a, argparse._HelpAction)
+               for o in a.option_strings}
+    named = set(re.findall(r"--[a-z][a-z-]*", README.read_text(encoding="utf-8")))
+    assert named - {"--no-build-isolation"} == options

@@ -20,11 +20,11 @@ from stanlab.series import (
     continued_fraction,
     derivative,
     div_monomial,
+    evaluate_at_one,
     invert,
     pochhammer,
     series_json,
     solve_fixed_point,
-    substitute_monomial,
 )
 
 
@@ -261,14 +261,14 @@ class TestCaps:
         x, y, w = capped.gens()
         s = x * y + w
         with pytest.raises(UnsoundSubstitution):
-            substitute_monomial(s, "y", 1)
+            evaluate_at_one(s, "y")
         with pytest.raises(UnsoundSubstitution):
             derivative(s, "y")
         with pytest.raises(UnsoundSubstitution):
             div_monomial(s * y, {"y": 1})
         with pytest.raises(UnsoundSubstitution):
             collapse(s, {"x": 1, "y": 1}, "t")
-        assert substitute_monomial(s, "y", 0).terms == w.terms
+        assert s.cofactor("y", 0).terms == w.terms
 
 
 class TestIntegerCoefficients:
@@ -288,16 +288,9 @@ class TestIntegerCoefficients:
 
     def test_negative_power_substitution_is_exact(self):
         r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
-        s = substitute_monomial(r.monomial(3, x=1, y=-3), "y", -1)
+        s = evaluate_at_one(r.monomial(3, x=1, y=-3), "y")
         c = s.coeff({"x": 1})
-        assert type(c) is int and c == -3
-
-    def test_negative_power_needs_a_unit_value(self):
-        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
-        s = substitute_monomial(r.monomial(1, x=1, y=3), "y", 2)
-        assert s.terms == {(1, 0): 8}
-        with pytest.raises(NotInvertible):
-            substitute_monomial(r.monomial(1, x=1, y=-1), "y", 2)
+        assert type(c) is int and c == 3
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 0.5, 1.0,
                                      True])
@@ -306,11 +299,42 @@ class TestIntegerCoefficients:
         x, y = r.gens()
         uses = [lambda: r.constant(bad), lambda: r.monomial(bad, x=1),
                 lambda: x + bad, lambda: bad + x, lambda: x - bad,
-                lambda: bad - x, lambda: x * bad, lambda: bad * x,
-                lambda: substitute_monomial(x * y, "y", bad)]
+                lambda: bad - x, lambda: x * bad, lambda: bad * x]
         for use in uses:
             with pytest.raises(NotInteger):
                 use()
+
+
+def _substitute(a, var: str, c0: int) -> dict:
+    """Reference: var evaluated at c0 in 0 or 1 on exponent tuples, as the
+    series code did before packed keys; setting a variable to 0 drops its
+    positive powers and refuses a negative one."""
+    ring = a.ring
+    vi = ring.names.index(var)
+    out: dict = {}
+    for e, c in a.terms.items():
+        k = e[vi]
+        if k and c0 == 0:
+            if k > 0:
+                continue
+            raise UnsoundSubstitution("negative power sent to zero")
+        if k > 0 and ring._bounded(var):
+            raise UnsoundSubstitution(f"lowers the degree in {var}")
+        ne = e[:vi] + (0,) + e[vi + 1:]
+        out[ne] = out.get(ne, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+# grade x, Laurent y, w capped or not
+laurent_terms = st.lists(st.tuples(st.tuples(st.integers(0, 4),
+                                             st.integers(-3, 3),
+                                             st.integers(0, 2)), small_coeffs),
+                         max_size=6)
+
+
+def _laurent_ring(capped: bool):
+    return SeriesRing(("x", "y", "w"), grade="x", order=4, laurent=("y",),
+                      caps={"w": 2} if capped else {})
 
 
 class TestSubstitution:
@@ -318,30 +342,44 @@ class TestSubstitution:
         r = ring2()
         x, y = r.gens()
         s = x + x * y + x * y * y
-        assert substitute_monomial(s, "y", 1).coeff({"x": 1}) == 3
+        assert evaluate_at_one(s, "y").coeff({"x": 1}) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("x", "y", "w")), st.booleans(), laurent_terms)
+    def test_evaluate_at_one_matches_tuple_reference(self, var, capped, terms):
+        a = _series(_laurent_ring(capped), terms)
+        try:
+            want = _substitute(a, var, 1)
+        except UnsoundSubstitution:
+            with pytest.raises(UnsoundSubstitution):
+                evaluate_at_one(a, var)
+            return
+        assert evaluate_at_one(a, var).terms == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), laurent_terms)
+    def test_cofactor_zero_is_evaluation_at_zero(self, capped, terms):
+        # w is not Laurent, so nothing is refused at w = 0
+        a = _series(_laurent_ring(capped), terms)
+        assert a.cofactor("w", 0).terms == _substitute(a, "w", 0)
 
     def test_zero_kills_positive_powers(self):
         r = ring2()
         x, y = r.gens()
-        s = substitute_monomial(x + x * y, "y", 0)
+        s = (x + x * y).cofactor("y", 0)
         assert s.terms == x.terms
-
-    def test_negative_power_sent_to_zero_rejected(self):
-        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
-        with pytest.raises(UnsoundSubstitution):
-            substitute_monomial(r.monomial(1, x=1, y=-1), "y", 0)
 
     def test_grade_decrease_rejected(self):
         r = ring2()
         x, y = r.gens()
         with pytest.raises(UnsoundSubstitution):
-            substitute_monomial(x * x * y, "x", 1)
+            evaluate_at_one(x * x * y, "x")
 
     def test_unknown_variable_rejected(self):
         r = ring2()
         x, _ = r.gens()
         with pytest.raises(VariableMismatch):
-            substitute_monomial(x, "z", 1)
+            evaluate_at_one(x, "z")
 
 
 class TestDerivativeAndDivision:
@@ -430,7 +468,7 @@ class TestContinuedFraction:
         def level(k):
             return r.one() + v - r.monomial(1, q=k, v=k)
 
-        a = continued_fraction(level, v, depth=9)
+        a = continued_fraction(level, v)
         assert a.coeff({"q": 1}) == 1
         assert a.coeff({"q": 2}) == 2
         assert a.coeff({"q": 3}) == 4
@@ -438,21 +476,15 @@ class TestContinuedFraction:
         assert a.coeff({"q": 4, "v": 1}) == 1
 
     def test_depth_too_small_is_unstable(self):
+        # level k has grade k // 4: the depth order + 2 is too shallow
         r = SeriesRing(("q", "v"), grade="q", order=7)
-        q, v = r.gens()
+        v = r.var("v")
 
         def level(k):
-            return r.one() + v - r.monomial(1, q=k, v=k)
+            return r.one() + v - r.monomial(1, q=max(1, k // 4), v=k)
 
         with pytest.raises(Unstable):
-            continued_fraction(level, v, depth=1)
-
-    @pytest.mark.parametrize("depth", [0, -2])
-    def test_depth_below_one_is_out_of_range(self, depth):
-        r = SeriesRing(("q", "v"), grade="q", order=4)
-        v = r.var("v")
-        with pytest.raises(OutOfRange):
-            continued_fraction(lambda k: r.one() + v, v, depth=depth)
+            continued_fraction(level, v)
 
     def test_numerator_needs_coefficient_one(self):
         r = SeriesRing(("q", "v"), grade="q", order=4)
@@ -462,18 +494,7 @@ class TestContinuedFraction:
             return r.one() + 2 * v - r.monomial(1, q=k, v=k)
 
         with pytest.raises(NotInvertible):
-            continued_fraction(level, 2 * v, depth=8)
-
-    def test_stable_depth_is_idempotent(self):
-        r = SeriesRing(("q", "v"), grade="q", order=6)
-        v = r.var("v")
-
-        def level(k):
-            return r.one() + v - r.monomial(1, q=k, v=k)
-
-        a = continued_fraction(level, v, depth=8)
-        b = continued_fraction(level, v, depth=12)
-        assert a.terms == b.terms
+            continued_fraction(level, 2 * v)
 
 
 class TestJson:
