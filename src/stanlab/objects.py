@@ -18,6 +18,8 @@ d_j <= d_{j+1} + 1 for all j and d_m = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -148,25 +150,28 @@ def make_stanley(rows: Iterable[Row]) -> StanleyPolyomino:
 def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
     rows = p.rows
     k = len(rows)
-    ends = [s + l for s, l in rows]
-    col = ends[-1]
-    area = sum(l for _, l in rows)
-    # overlap between rows i and i+1 counts their shared columns
-    overlaps = [ends[i] - rows[i + 1][0] for i in range(k - 1)]
-    point = sum(o - 1 for o in overlaps)
-    edgint = sum(max(o - 2, 0) for o in overlaps)
-    adja = sum(overlaps)
+    s, area = rows[0]
+    end = s + area
+    point = edgint = 0
+    for s, l in rows[1:]:
+        # o columns are shared with the row below
+        o = end - s
+        point += o - 1
+        if o > 2:
+            edgint += o - 2
+        area += l
+        end = s + l
     first_d = 1
     while first_d < k and rows[first_d][0] == first_d:
         first_d += 1
     return StanleyStats(
-        col=col,
+        col=end,
         row=k,
-        sper=col + k,
+        sper=end + k,
         area=area,
         point=point,
         edgint=edgint,
-        adja=adja,
+        adja=point + k - 1,
         first=rows[0][1],
         firstD=first_d,
     )
@@ -293,32 +298,35 @@ def fountain_stats(c: CoinFountain) -> FountainStats:
     return FountainStats(e=e, o=o, m=len(c.diagonals), firstDiag=c.diagonals[0])
 
 
-def fountain_levels(c: CoinFountain) -> list[set[int]]:
-    """Coin offsets present at each level, level 0 first."""
-    height = max(c.diagonals)
-    return [
-        {j + 1 for j, dj in enumerate(c.diagonals) if dj > lvl}
-        for lvl in range(height)
-    ]
+def fountain_levels(c: CoinFountain) -> list[int]:
+    """Coins present at each level, level 0 first, as bit masks: bit j is
+    set when diagonal j (counted from 1) reaches the level."""
+    tops = [0] * max(c.diagonals)
+    for j, dj in enumerate(c.diagonals, 1):
+        tops[dj - 1] |= 1 << j
+    # a diagonal reaches every level up to its top
+    return list(accumulate(reversed(tops), or_))[::-1]
 
 
-def levels_support_ok(levels: Sequence[set[int]]) -> bool:
-    """Check the physical stacking rule on a level-set expansion."""
-    if not levels or not levels[0]:
+def levels_support_ok(levels: Sequence[int]) -> bool:
+    """Check the physical stacking rule on level masks: the bottom level
+    holds offsets 1..w, and a coin at offset j rests on offsets j and j + 1
+    of the level below."""
+    if not levels:
         return False
-    bottom = levels[0]
-    if bottom != set(range(1, len(bottom) + 1)):
+    below = levels[0]
+    if below != (1 << below.bit_length()) - 2:
         return False
-    for lvl in range(1, len(levels)):
-        for j in levels[lvl]:
-            if j not in levels[lvl - 1] or (j + 1) not in levels[lvl - 1]:
-                return False
+    for cur in levels[1:]:
+        if (cur | cur << 1) & ~below:
+            return False
+        below = cur
     return True
 
 
-def diagonals_from_levels(levels: Sequence[set[int]]) -> tuple[int, ...]:
-    width = len(levels[0])
-    return tuple(sum(1 for lvl in levels if j in lvl) for j in range(1, width + 1))
+def diagonals_from_levels(levels: Sequence[int]) -> tuple[int, ...]:
+    width = levels[0].bit_count()
+    return tuple(sum(lvl >> j & 1 for lvl in levels) for j in range(1, width + 1))
 
 
 # -- parallelogram polyominoes ------------------------------------------------

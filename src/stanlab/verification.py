@@ -408,41 +408,39 @@ def _h_psi_checks(checks: list, max_size: int) -> None:
            psi_detail or "classes match at every area")
 
 
+def _compositions(limit: int):
+    """Every composition with sum at most limit, once each: one depth-first
+    walk suffices because every prefix of such a composition is one too."""
+    stack = [((), 0)]
+    while stack:
+        comp, total = stack.pop()
+        if comp:
+            yield comp
+        stack.extend((comp + (head,), total + head)
+                     for head in range(1, limit - total + 1))
+
+
 def _fountain_brute_checks(checks: list) -> None:
     # independent physics check: every coin above the base rests on two
     # adjacent coins, tested on all diagonal compositions with <= 18 coins
     limit = 18
-    bad: list[tuple] = []
-    total = 0
-
-    def compositions(n: int):
-        if n == 0:
-            yield ()
-            return
-        for head in range(1, n + 1):
-            for rest in compositions(n - head):
-                yield (head,) + rest
-
-    for n in range(1, limit + 1):
-        for comp in compositions(n):
-            total += 1
-            raw = objects.CoinFountain(comp)
-            physical = objects.levels_support_ok(objects.fountain_levels(raw))
-            try:
-                objects.make_fountain(comp)
-                accepted = True
-            except InvalidObject:
-                accepted = False
-            if accepted != physical:
-                bad.append(comp)
-            elif accepted:
-                levels = objects.fountain_levels(raw)
-                if objects.diagonals_from_levels(levels) != comp:
-                    bad.append(comp)
+    bad = total = 0
+    for comp in _compositions(limit):
+        total += 1
+        levels = objects.fountain_levels(objects.CoinFountain(comp))
+        physical = objects.levels_support_ok(levels)
+        try:
+            objects.make_fountain(comp)
+            accepted = True
+        except InvalidObject:
+            accepted = False
+        if accepted != physical or (
+                accepted and objects.diagonals_from_levels(levels) != comp):
+            bad += 1
     _check(checks, "diagonal inequalities agree with coin-stacking physics "
            f"on all compositions of at most {limit}",
            f"0 disagreements over {total} compositions",
-           f"{len(bad)} disagreements over {total} compositions")
+           f"{bad} disagreements over {total} compositions")
 
 
 def suite_bijections(max_size: int) -> dict:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stanlab
-from stanlab import objects
+from stanlab import objects, verification
 from stanlab.errors import (
     BadLastDiagonal,
     DiagonalDrop,
@@ -121,6 +121,34 @@ class TestStanleyStats:
         assert s.row <= s.col
         assert 1 <= s.firstD <= s.row
         assert s.area == sum(l for _, l in p.rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stanley_polys)
+    def test_one_pass_matches_list_definition(self, p):
+        assert objects.stanley_stats(p) == list_stanley_stats(p)
+
+    def test_one_row_and_one_cell_match_list_definition(self):
+        for rows in ([(0, 1)], [(0, 5)], [(0, 2), (1, 2)]):
+            p = objects.make_stanley(rows)
+            assert objects.stanley_stats(p) == list_stanley_stats(p)
+
+
+def list_stanley_stats(p: objects.StanleyPolyomino) -> objects.StanleyStats:
+    """The list-based definition `stanley_stats` had before it became one
+    loop: a row-end list, an overlap list and one sum per statistic."""
+    rows = p.rows
+    k = len(rows)
+    ends = [s + l for s, l in rows]
+    overlaps = [ends[i] - rows[i + 1][0] for i in range(k - 1)]
+    first_d = 1
+    while first_d < k and rows[first_d][0] == first_d:
+        first_d += 1
+    return objects.StanleyStats(
+        col=ends[-1], row=k, sper=ends[-1] + k,
+        area=sum(l for _, l in rows),
+        point=sum(o - 1 for o in overlaps),
+        edgint=sum(max(o - 2, 0) for o in overlaps),
+        adja=sum(overlaps), first=rows[0][1], firstD=first_d)
 
 
 def cell_oracles(p: objects.StanleyPolyomino) -> tuple[int, int, int]:
@@ -268,6 +296,89 @@ class TestFountains:
                     accepted = False
                 assert accepted == physical, comp
 
+    def test_level_masks_match_set_model(self):
+        # the mask functions against the set-based coin model they replaced
+        for comp in verification._compositions(12):
+            raw = objects.CoinFountain(comp)
+            masks = objects.fountain_levels(raw)
+            sets = set_fountain_levels(raw)
+            assert masks == [sum(1 << j for j in lvl) for lvl in sets], comp
+            supported = objects.levels_support_ok(masks)
+            assert supported == set_levels_support_ok(sets), comp
+            if supported:
+                assert objects.diagonals_from_levels(masks) == comp
+                assert set_diagonals_from_levels(sets) == comp
+        # bottoms no composition gives: a gap, no offset 1, offset 0, empty
+        for sets in ([{1, 3}], [{2, 3}, {2}], [{0, 1, 2}], [set()], [],
+                     [{1, 2}, {1}]):
+            masks = [sum(1 << j for j in lvl) for lvl in sets]
+            assert objects.levels_support_ok(masks) == \
+                set_levels_support_ok(sets), sets
+
+
+def old_compositions(n):
+    """The recursive generator the physics check walked before."""
+    if n == 0:
+        yield ()
+        return
+    for head in range(1, n + 1):
+        for rest in old_compositions(n - head):
+            yield (head,) + rest
+
+
+def set_fountain_levels(c):
+    height = max(c.diagonals)
+    return [{j + 1 for j, dj in enumerate(c.diagonals) if dj > lvl}
+            for lvl in range(height)]
+
+
+def set_levels_support_ok(levels):
+    if not levels or not levels[0]:
+        return False
+    if levels[0] != set(range(1, len(levels[0]) + 1)):
+        return False
+    return all(j in levels[lvl - 1] and j + 1 in levels[lvl - 1]
+               for lvl in range(1, len(levels)) for j in levels[lvl])
+
+
+def set_diagonals_from_levels(levels):
+    return tuple(sum(1 for lvl in levels if j in lvl)
+                 for j in range(1, len(levels[0]) + 1))
+
+
+class TestFountainPhysicsCheck:
+    def test_walk_visits_every_composition_once(self):
+        walked = list(verification._compositions(10))
+        assert len(walked) == 2 ** 10 - 1
+        assert len(set(walked)) == len(walked)
+        assert sorted(walked) == sorted(
+            c for n in range(1, 11) for c in old_compositions(n))
+
+    @staticmethod
+    def run_check():
+        checks = []
+        verification._fountain_brute_checks(checks)
+        (check,) = checks
+        return check
+
+    def test_looser_inequality_is_caught(self, monkeypatch):
+        def loose(diagonals):
+            d = tuple(diagonals)
+            if d[-1] != 1 or any(a > b + 2 for a, b in zip(d, d[1:])):
+                raise DiagonalDrop(f"{d} drops by more than 2")
+            return objects.CoinFountain(d)
+
+        monkeypatch.setattr(objects, "make_fountain", loose)
+        check = self.run_check()
+        assert check["status"] == "fail"
+        assert check["actual"] == "43718 disagreements over 262143 compositions"
+
+    def test_stacking_rule_that_accepts_all_is_caught(self, monkeypatch):
+        monkeypatch.setattr(objects, "levels_support_ok", lambda levels: True)
+        check = self.run_check()
+        assert check["status"] == "fail"
+        assert check["actual"] == "247073 disagreements over 262143 compositions"
+
 
 class TestParallelograms:
     def test_worked_example(self):
@@ -410,3 +521,18 @@ def test_no_public_library_code_only_tests_use():
         and named[node.name] == Counter(_identifiers(node))[node.name]
     ]
     assert unused == []
+
+
+def test_perfbench_physics_hooks_resolve():
+    # perfbench sums objects.fountain_physics.self_s over the functions its
+    # PHYSICS tuple names; a renamed function would read 0 there silently
+    layers = Path(__file__).parents[1] / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text(encoding="utf-8"))
+    (names,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["PHYSICS"]]
+    assert names
+    for name in names:
+        module, attr = name.split(".")
+        assert module == "objects"
+        assert callable(getattr(objects, attr, None)), name
