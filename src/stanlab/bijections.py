@@ -236,15 +236,13 @@ def psi(q: ParallelogramPolyomino) -> CoinFountain:
 SCANNED = {
     "chi": (chi, lambda m: map(make_motzkin, enumeration.iter_raw(
         enumeration.FamilyBound("peaklessMotzkin", "steps", m))), 2),
-    "chi_prime": (chi_prime, lambda m: (
-        make_dyck(w) for w in enumeration.iter_raw(
-            enumeration.FamilyBound("dyck", "semilength", m))
-        if "UUU" not in w and "DDD" not in w), 3),
+    "chi_prime": (chi_prime, lambda m: map(
+        make_dyck, enumeration._gen_dyck_triple_free(m)), 3),
 }
 
-# the largest source size table_inverse scans, so that a scan takes about 10 s
-# or less on a 2-vCPU machine: preimages("chi_prime", 14) takes 9 to 11 s, and
-# each size about 3.5 times the last (chi reaches 9 s only at 18)
+# the largest source size table_inverse scans; raising it changes which
+# targets are refused.  On a 2-vCPU machine preimages("chi_prime", 14) takes
+# 0.9 to 1.0 s and preimages("chi", 14) 0.3 s; chi reaches 11 to 12 s at 18
 MAX_SOURCE_SIZE = 14
 
 

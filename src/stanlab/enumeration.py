@@ -92,6 +92,35 @@ def _gen_dyck(n: int) -> Iterator[str]:
     yield from walk([], 0, 0)
 
 
+def _gen_dyck_triple_free(n: int) -> Iterator[str]:
+    """The Dyck words of semilength n avoiding UUU and DDD, in _gen_dyck's
+    order: its walk with a branch cut as soon as a run reaches 3.  The
+    stream stops at DEFAULT_CAP words, as iter_raw's do."""
+    total = 2 * n
+
+    def walk(word: list, h: int, run: int):
+        # run: length of the last run of steps, negative for a run of D;
+        # a U is taken only with room to come back down, so h <= remaining
+        remaining = total - len(word)
+        if remaining == 0:
+            yield "".join(word)
+            return
+        if h > 0 and run > -2:
+            word.append("D")
+            yield from walk(word, h - 1, min(run, 0) - 1)
+            word.pop()
+        if h + 2 <= remaining and run < 2:
+            word.append("U")
+            yield from walk(word, h + 1, max(run, 0) + 1)
+            word.pop()
+
+    for count, word in enumerate(walk([], 0, 0), 1):
+        if count > DEFAULT_CAP:
+            raise CapExceeded(f"triple-free Dyck words of semilength {n} "
+                              f"exceeded cap of {DEFAULT_CAP} objects")
+        yield word
+
+
 def _gen_peakless_motzkin(n: int) -> Iterator[str]:
     def walk(word: list, h: int):
         rest = n - len(word)

@@ -409,33 +409,42 @@ def _h_psi_checks(checks: list, max_size: int) -> None:
 
 
 def _compositions(limit: int):
-    """Every composition with sum at most limit, once each: one depth-first
-    walk suffices because every prefix of such a composition is one too."""
-    stack = [((), 0)]
+    """Every composition with sum at most limit, once each, with its levels
+    as objects.fountain_levels gives them.  One depth-first walk suffices
+    because every prefix of such a composition is one too.  The child
+    comp + (h,) has the levels of comp + (h - 1,) plus the new diagonal's
+    bit on level h - 1, a new top level once h passes the height."""
+    stack = [((), 0, ())]
     while stack:
-        comp, total = stack.pop()
+        comp, total, levels = stack.pop()
         if comp:
-            yield comp
-        stack.extend((comp + (head,), total + head)
-                     for head in range(1, limit - total + 1))
+            yield comp, levels
+        bit = 1 << len(comp) + 1
+        for h in range(1, limit - total + 1):
+            if h > len(levels):
+                levels += (bit,)
+            else:
+                levels = levels[:h - 1] + (levels[h - 1] | bit,) + levels[h:]
+            stack.append((comp + (h,), total + h, levels))
 
 
 def _fountain_brute_checks(checks: list) -> None:
     # independent physics check: every coin above the base rests on two
-    # adjacent coins, tested on all diagonal compositions with <= 18 coins
+    # adjacent coins, tested on all diagonal compositions with <= 18 coins;
+    # an accepted fountain must also give back its diagonals and the levels
+    # the walk carried
     limit = 18
     bad = total = 0
-    for comp in _compositions(limit):
+    for comp, levels in _compositions(limit):
         total += 1
-        levels = objects.fountain_levels(objects.CoinFountain(comp))
         physical = objects.levels_support_ok(levels)
         try:
-            objects.make_fountain(comp)
-            accepted = True
+            fountain = objects.make_fountain(comp)
         except InvalidObject:
-            accepted = False
-        if accepted != physical or (
-                accepted and objects.diagonals_from_levels(levels) != comp):
+            bad += physical
+            continue
+        if (not physical or objects.diagonals_from_levels(levels) != comp
+                or objects.fountain_levels(fountain) != list(levels)):
             bad += 1
     _check(checks, "diagonal inequalities agree with coin-stacking physics "
            f"on all compositions of at most {limit}",

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stanlab import bijections
+from stanlab import bijections, enumeration
 from stanlab.bijections import (
     chi,
     chi_prime,
@@ -25,6 +25,7 @@ from stanlab.bijections import (
 )
 from stanlab.enumeration import FamilyBound, cached_count, iter_raw
 from stanlab.errors import (
+    CapExceeded,
     ContainsTriple,
     InvariantViolation,
     MultiplePreimages,
@@ -542,6 +543,21 @@ class TestPreimages:
             if dyck_stats(make_dyck(w)).avoids3)
         for rows, ds in groups.items():
             assert all(chi_prime(d).rows == rows for d in ds)
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_chi_prime_sources_keep_the_dyck_order(self, m: int):
+        # the pruned walk yields the filtered full enumeration, in order
+        _, sources, _ = bijections.SCANNED["chi_prime"]
+        assert [d.word for d in sources(m)] == [
+            w for w in iter_raw(FamilyBound("dyck", "semilength", m))
+            if "UUU" not in w and "DDD" not in w]
+
+    def test_chi_prime_sources_stop_at_the_cap(self, monkeypatch):
+        # the cap counts the triple-free words: 82 at semilength 7, 185 at 8
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 100)
+        assert sum(map(len, preimages("chi_prime", 7).values())) == 82
+        with pytest.raises(CapExceeded):
+            preimages("chi_prime", 8)
 
     @pytest.mark.parametrize("m", range(10))
     def test_chi_sources_are_every_peakless_path(self, m: int):

@@ -298,11 +298,13 @@ class TestFountains:
 
     def test_level_masks_match_set_model(self):
         # the mask functions against the set-based coin model they replaced
-        for comp in verification._compositions(12):
+        # and the levels the physics check's walk carries against both
+        for comp, levels in verification._compositions(12):
             raw = objects.CoinFountain(comp)
             masks = objects.fountain_levels(raw)
             sets = set_fountain_levels(raw)
             assert masks == [sum(1 << j for j in lvl) for lvl in sets], comp
+            assert list(levels) == masks, comp
             supported = objects.levels_support_ok(masks)
             assert supported == set_levels_support_ok(sets), comp
             if supported:
@@ -346,13 +348,25 @@ def set_diagonals_from_levels(levels):
                  for j in range(1, len(levels[0]) + 1))
 
 
+def stack_compositions(limit):
+    """The stack walk the physics check used before it carried levels."""
+    stack = [((), 0)]
+    while stack:
+        comp, total = stack.pop()
+        if comp:
+            yield comp
+        stack.extend((comp + (head,), total + head)
+                     for head in range(1, limit - total + 1))
+
+
 class TestFountainPhysicsCheck:
     def test_walk_visits_every_composition_once(self):
-        walked = list(verification._compositions(10))
+        walked = [comp for comp, _ in verification._compositions(10)]
         assert len(walked) == 2 ** 10 - 1
         assert len(set(walked)) == len(walked)
         assert sorted(walked) == sorted(
             c for n in range(1, 11) for c in old_compositions(n))
+        assert walked == list(stack_compositions(10))
 
     @staticmethod
     def run_check():
@@ -378,6 +392,34 @@ class TestFountainPhysicsCheck:
         check = self.run_check()
         assert check["status"] == "fail"
         assert check["actual"] == "247073 disagreements over 262143 compositions"
+
+    def test_level_builder_that_drops_the_top_is_caught(self, monkeypatch):
+        real = objects.fountain_levels
+        monkeypatch.setattr(objects, "fountain_levels",
+                            lambda c: real(c)[:-1])
+        check = self.run_check()
+        assert check["status"] == "fail"
+        assert check["actual"] == "15070 disagreements over 262143 compositions"
+
+    def test_every_composition_goes_through_each_check(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(objects, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(objects, name, wrapper)
+
+        for name in ("make_fountain", "levels_support_ok",
+                     "diagonals_from_levels", "fountain_levels"):
+            counted(name)
+        check = self.run_check()
+        assert check["status"] == "pass"
+        assert calls == {"make_fountain": 262143, "levels_support_ok": 262143,
+                         "diagonals_from_levels": 15070,
+                         "fountain_levels": 15070}
 
 
 class TestParallelograms:
