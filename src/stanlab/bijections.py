@@ -236,8 +236,9 @@ def psi(q: ParallelogramPolyomino) -> CoinFountain:
 SCANNED = {
     "chi": (chi, lambda m: map(make_motzkin, enumeration.iter_raw(
         enumeration.FamilyBound("peaklessMotzkin", "steps", m))), 2),
-    "chi_prime": (chi_prime, lambda m: map(
-        make_dyck, enumeration._gen_dyck_triple_free(m)), 3),
+    "chi_prime": (chi_prime, lambda m: map(make_dyck, enumeration._capped(
+        enumeration._gen_dyck(m, 2),
+        f"triple-free Dyck words of semilength {m}")), 3),
 }
 
 # the largest source size table_inverse scans; raising it changes which

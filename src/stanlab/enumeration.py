@@ -2,9 +2,11 @@
 
 Streams are generated by DFS over canonical prefixes and arrive in
 lexicographic order of the canonical field encoding (rows, word, diagonals,
-columns).  Re-invoking an iterator restarts the same stream.  A safety cap
-bounds stream length.  Grouped counts read one statistic per object straight
-from the raw encoding.
+columns).  The path walks (Dyck, peakless Motzkin) and the evenCoins walk run
+on an explicit stack, so no recursion limit bounds their length; the other
+walks recurse once per row, column or diagonal.  Re-invoking an iterator
+restarts the same stream.  A safety cap bounds stream length.  Grouped counts
+read one statistic per object straight from the raw encoding.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import objects
 from .errors import CapExceeded, UnsupportedPair
@@ -25,9 +27,6 @@ DEFAULT_CAP = 10_000_000
 # fountain -> tuple of ints.  DFS choice order matches the canonical order.
 
 def _gen_stanley_columns(n: int) -> Iterator[tuple]:
-    if n < 1:
-        return
-
     def walk(rows: tuple, s: int, e: int):
         if e == n:
             yield rows
@@ -41,9 +40,6 @@ def _gen_stanley_columns(n: int) -> Iterator[tuple]:
 
 
 def _gen_stanley_semiperimeter(n: int) -> Iterator[tuple]:
-    if n < 2:
-        return
-
     def walk(rows: tuple, s: int, e: int):
         if e + len(rows) == n:
             yield rows
@@ -57,9 +53,6 @@ def _gen_stanley_semiperimeter(n: int) -> Iterator[tuple]:
 
 
 def _gen_stanley_area(n: int) -> Iterator[tuple]:
-    if n < 1:
-        return
-
     def walk(rows: tuple, s: int, e: int, area: int):
         if area == n:
             yield rows
@@ -72,78 +65,43 @@ def _gen_stanley_area(n: int) -> Iterator[tuple]:
         yield from walk(((0, l1),), 0, l1, l1)
 
 
-def _gen_dyck(n: int) -> Iterator[str]:
+def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
+    """Dyck words of semilength n; with max_run, only those whose runs of
+    U and of D are at most max_run long."""
     total = 2 * n
-
-    def walk(word: list, h: int, ups: int):
-        if len(word) == total:
-            yield "".join(word)
-            return
-        remaining = total - len(word)
-        if h > 0 and h <= remaining:  # D sorts before U
-            word.append("D")
-            yield from walk(word, h - 1, ups)
-            word.pop()
-        if ups < n and h + 1 <= remaining - 1:
-            word.append("U")
-            yield from walk(word, h + 1, ups + 1)
-            word.pop()
-
-    yield from walk([], 0, 0)
-
-
-def _gen_dyck_triple_free(n: int) -> Iterator[str]:
-    """The Dyck words of semilength n avoiding UUU and DDD, in _gen_dyck's
-    order: its walk with a branch cut as soon as a run reaches 3.  The
-    stream stops at DEFAULT_CAP words, as iter_raw's do."""
-    total = 2 * n
-
-    def walk(word: list, h: int, run: int):
-        # run: length of the last run of steps, negative for a run of D;
-        # a U is taken only with room to come back down, so h <= remaining
-        remaining = total - len(word)
-        if remaining == 0:
-            yield "".join(word)
-            return
-        if h > 0 and run > -2:
-            word.append("D")
-            yield from walk(word, h - 1, min(run, 0) - 1)
-            word.pop()
-        if h + 2 <= remaining and run < 2:
-            word.append("U")
-            yield from walk(word, h + 1, max(run, 0) + 1)
-            word.pop()
-
-    for count, word in enumerate(walk([], 0, 0), 1):
-        if count > DEFAULT_CAP:
-            raise CapExceeded(f"triple-free Dyck words of semilength {n} "
-                              f"exceeded cap of {DEFAULT_CAP} objects")
-        yield word
+    limit = n if max_run is None else max_run  # no run is longer than n
+    # run: length of the last run of steps, negative for a run of D.  A U is
+    # taken only with room to come back down, so every prefix completes.
+    stack = [("", 0, 0)]
+    while stack:
+        word, h, run = stack.pop()
+        rest = total - len(word)
+        if rest == 0:
+            yield word
+            continue
+        # U is pushed first so that D, which sorts before it, comes out first
+        if h + 2 <= rest and run < limit:
+            stack.append((word + "U", h + 1, run + 1 if run > 0 else 1))
+        if h > 0 and run > -limit:
+            stack.append((word + "D", h - 1, run - 1 if run < 0 else -1))
 
 
 def _gen_peakless_motzkin(n: int) -> Iterator[str]:
-    def walk(word: list, h: int):
+    # Every prefix pushed keeps h <= rest, so every prefix completes.
+    stack = [("", 0)]
+    while stack:
+        word, h = stack.pop()
         rest = n - len(word)
         if rest == 0:
-            if h == 0:
-                yield "".join(word)
-            return
-        if h > rest:
-            return
-        last = word[-1] if word else ""
-        if h > 0 and last != "U":  # no UD factor
-            word.append("D")
-            yield from walk(word, h - 1)
-            word.pop()
-        word.append("F")
-        yield from walk(word, h)
-        word.pop()
+            yield word
+            continue
+        # pushed U, F, D so they come out in the order D < F < U
         if h + 2 <= rest:  # a U needs a non-D step plus the way back down
-            word.append("U")
-            yield from walk(word, h + 1)
-            word.pop()
-
-    yield from walk([], 0)
+            stack.append((word + "U", h + 1))
+        if h < rest:
+            stack.append((word + "F", h))
+        if h > 0 and word[-1] != "U":  # no UD factor
+            stack.append((word + "D", h - 1))
 
 
 def _gen_fountain_diagonals(m: int) -> Iterator[tuple]:
@@ -193,9 +151,6 @@ def _gen_fountain_even_coins(e: int) -> Iterator[tuple]:
 
 
 def _gen_parallelogram_area(n: int) -> Iterator[tuple]:
-    if n < 1:
-        return
-
     def walk(cols: tuple, b: int, top: int, area: int):
         if area == n:
             yield cols
@@ -235,15 +190,19 @@ class FamilyBound:
             raise UnsupportedPair(f"measure value must be nonnegative, got {self.value}")
 
 
+def _capped(stream: Iterable, what: object) -> Iterator:
+    """Pass the stream through, raising CapExceeded past DEFAULT_CAP items."""
+    cap = DEFAULT_CAP
+    for count, item in enumerate(stream, 1):
+        if count > cap:
+            raise CapExceeded(f"{what} exceeded cap of {cap} objects")
+        yield item
+
+
 def iter_raw(bound: FamilyBound) -> Iterator:
     """Stream raw encodings in canonical order, enforcing DEFAULT_CAP."""
-    cap = DEFAULT_CAP
-    count = 0
-    for raw in _GENERATORS[(bound.family, bound.measure)](bound.value):
-        count += 1
-        if count > cap:
-            raise CapExceeded(f"{bound} exceeded cap of {cap} objects")
-        yield raw
+    yield from _capped(
+        _GENERATORS[(bound.family, bound.measure)](bound.value), bound)
 
 
 def enumerate_family(bound: FamilyBound) -> Iterator:

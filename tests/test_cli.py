@@ -122,6 +122,21 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("family, measure, value, word", [
+        ("dyck", "semilength", "600", "UD" * 600),
+        ("peaklessMotzkin", "steps", "1500", "F" * 1500),
+    ])
+    def test_path_walks_pass_the_recursion_limit(self, capsys, family,
+                                                  measure, value, word):
+        # the path walks run on an explicit stack, not one frame per step
+        code, out, _ = run(capsys, "enumerate", "--family", family,
+                           "--measure", measure, "--value", value,
+                           "--limit", "1")
+        assert code == 0
+        rows = lines(out)
+        assert len(rows) == 1
+        assert rows[0]["object"]["word"] == word
+
     def test_internal_error_exit_six(self, capsys):
         # the generators recurse once per row, past Python's recursion limit
         code, out, err = run(capsys, "enumerate", "--family", "stanley",

@@ -92,6 +92,15 @@ class TestStreaming:
         with pytest.raises(CapExceeded):
             list(iter_raw(FamilyBound("dyck", "semilength", 8)))
 
+    def test_cap_allows_exactly_cap_objects(self, monkeypatch):
+        # 42 Dyck words of semilength 5
+        bound = FamilyBound("dyck", "semilength", 5)
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 42)
+        assert len(list(iter_raw(bound))) == 42
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 41)
+        with pytest.raises(CapExceeded, match="exceeded cap of 41 objects"):
+            list(iter_raw(bound))
+
     def test_even_coins_streams_in_canonical_order(self, monkeypatch):
         with monkeypatch.context() as m, pytest.raises(CapExceeded):
             m.setattr(enumeration, "DEFAULT_CAP", 10)
@@ -99,9 +108,112 @@ class TestStreaming:
         # the first object arrives without the rest of the stream being built
         first = next(iter_raw(FamilyBound("fountain", "evenCoins", 200)))
         assert first == (1,) * 200
-        for e in range(13):
+        # values 0-9 are checked for every pair below
+        for e in range(10, 13):
             raw = list(iter_raw(FamilyBound("fountain", "evenCoins", e)))
             assert raw == sorted(set(raw))
+
+    @pytest.mark.parametrize("family, measure", sorted(SUPPORTED_PAIRS))
+    def test_every_pair_streams_in_canonical_order(self, family, measure):
+        for value in range(10):
+            raw = list(iter_raw(FamilyBound(family, measure, value)))
+            assert raw == sorted(set(raw)), value
+
+    @pytest.mark.parametrize("family, measure, value", [
+        ("stanley", "columns", 0),
+        ("stanley", "area", 0),
+        ("stanley", "semiperimeter", 0),
+        ("stanley", "semiperimeter", 1),
+        ("parallelogram", "area", 0),
+        ("fountain", "diagonals", 0),
+        ("fountain", "evenCoins", 0),
+    ])
+    def test_empty_streams(self, family, measure, value):
+        assert list(iter_raw(FamilyBound(family, measure, value))) == []
+
+
+# The recursive path walks the explicit-stack walks replaced, kept as
+# references for the stream and its order.
+
+def recursive_dyck(n: int):
+    total = 2 * n
+
+    def walk(word: list, h: int, ups: int):
+        if len(word) == total:
+            yield "".join(word)
+            return
+        remaining = total - len(word)
+        if h > 0 and h <= remaining:  # D sorts before U
+            word.append("D")
+            yield from walk(word, h - 1, ups)
+            word.pop()
+        if ups < n and h + 1 <= remaining - 1:
+            word.append("U")
+            yield from walk(word, h + 1, ups + 1)
+            word.pop()
+
+    yield from walk([], 0, 0)
+
+
+def recursive_dyck_triple_free(n: int):
+    total = 2 * n
+
+    def walk(word: list, h: int, run: int):
+        remaining = total - len(word)
+        if remaining == 0:
+            yield "".join(word)
+            return
+        if h > 0 and run > -2:
+            word.append("D")
+            yield from walk(word, h - 1, min(run, 0) - 1)
+            word.pop()
+        if h + 2 <= remaining and run < 2:
+            word.append("U")
+            yield from walk(word, h + 1, max(run, 0) + 1)
+            word.pop()
+
+    yield from walk([], 0, 0)
+
+
+def recursive_peakless_motzkin(n: int):
+    def walk(word: list, h: int):
+        rest = n - len(word)
+        if rest == 0:
+            if h == 0:
+                yield "".join(word)
+            return
+        if h > rest:
+            return
+        last = word[-1] if word else ""
+        if h > 0 and last != "U":  # no UD factor
+            word.append("D")
+            yield from walk(word, h - 1)
+            word.pop()
+        word.append("F")
+        yield from walk(word, h)
+        word.pop()
+        if h + 2 <= rest:
+            word.append("U")
+            yield from walk(word, h + 1)
+            word.pop()
+
+    yield from walk([], 0)
+
+
+class TestPathWalks:
+    @pytest.mark.parametrize("n", range(13))
+    def test_dyck_matches_the_recursive_walk(self, n):
+        assert list(enumeration._gen_dyck(n)) == list(recursive_dyck(n))
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_triple_free_dyck_matches_the_recursive_walk(self, n):
+        assert list(enumeration._gen_dyck(n, 2)) == list(
+            recursive_dyck_triple_free(n))
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_peakless_motzkin_matches_the_recursive_walk(self, n):
+        assert list(enumeration._gen_peakless_motzkin(n)) == list(
+            recursive_peakless_motzkin(n))
 
 
 class TestGrouping:
