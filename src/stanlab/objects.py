@@ -147,8 +147,9 @@ def make_stanley(rows: Iterable[Row]) -> StanleyPolyomino:
     return StanleyPolyomino(rows)
 
 
-def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
-    rows = p.rows
+def stanley_fields(rows: Sequence[Row]) -> tuple:
+    """The StanleyStats fields of a polyomino's rows, in the record's field
+    order, as one plain tuple read off the rows in one pass."""
     k = len(rows)
     s, area = rows[0]
     end = s + area
@@ -164,17 +165,12 @@ def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
     first_d = 1
     while first_d < k and rows[first_d][0] == first_d:
         first_d += 1
-    return StanleyStats(
-        col=end,
-        row=k,
-        sper=end + k,
-        area=area,
-        point=point,
-        edgint=edgint,
-        adja=point + k - 1,
-        first=rows[0][1],
-        firstD=first_d,
-    )
+    return (end, k, end + k, area, point, edgint, point + k - 1, rows[0][1],
+            first_d)
+
+
+def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
+    return StanleyStats(*stanley_fields(p.rows))
 
 
 def ab_sequences(p: StanleyPolyomino) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -232,33 +228,38 @@ def is_peakless(m: MotzkinPath) -> bool:
     return "UD" not in m.word
 
 
+def dyck_fields(word: str) -> tuple:
+    """The DyckStats fields of a Dyck word, in the record's field order, as
+    one plain tuple read off the word in one pass: a peak is a U followed by
+    a D, a valley a D followed by a U, each at the height between them."""
+    h = nbp = sump = nbv = sumv = hills = one_valleys = sum_one_valleys = 0
+    first_peak = 0
+    prev = ""
+    for c in word:
+        if c == "U":
+            if prev == "D":
+                nbv += 1
+                sumv += h
+                if h:
+                    one_valleys += 1
+                    sum_one_valleys += h
+            h += 1
+        else:
+            if prev == "U":
+                nbp += 1
+                sump += h
+                if h == 1:
+                    hills += 1
+                if not first_peak:
+                    first_peak = h
+            h -= 1
+        prev = c
+    return (len(word) // 2, nbp, sump, nbv, sumv, hills, one_valleys,
+            sum_one_valleys, first_peak, "UUU" not in word and "DDD" not in word)
+
+
 def dyck_stats(d: DyckPath) -> DyckStats:
-    w = d.word
-    n = len(w)
-    peaks: list[int] = []
-    valleys: list[int] = []
-    h = 0
-    for i, c in enumerate(w):
-        h += 1 if c == "U" else -1
-        if i + 1 < n:
-            if c == "U" and w[i + 1] == "D":
-                peaks.append(h)
-            elif c == "D" and w[i + 1] == "U":
-                valleys.append(h)
-    one_valleys = [v for v in valleys if v >= 1]
-    avoids3 = "UUU" not in w and "DDD" not in w
-    return DyckStats(
-        semilength=n // 2,
-        nbp=len(peaks),
-        sump=sum(peaks),
-        nbv=len(valleys),
-        sumv=sum(valleys),
-        hills=sum(1 for p in peaks if p == 1),
-        oneValleys=len(one_valleys),
-        sumOneValleys=sum(one_valleys),
-        firstPeakHeight=peaks[0] if peaks else 0,
-        avoids3=avoids3,
-    )
+    return DyckStats(*dyck_fields(d.word))
 
 
 # -- coin fountains ----------------------------------------------------------
@@ -427,9 +428,10 @@ def stats_json(x) -> dict:
 # -- one statistic from the raw encoding ----------------------------------------
 # Every integer field of each family's stats_json record, as a function of the
 # raw form the enumeration streams: rows, word, diagonals or columns.  A field
-# with a one-line formula computes it; every other field reads the family's
-# statistics record, so no compound formula is written twice.  Entries look
-# the public functions up as module globals at call time, so rebinding those
+# with a one-line formula computes it; every other field reads its index of
+# the family's field tuple (stanley_fields or dyck_fields, in the record's
+# field order), so no compound formula is written twice.  Entries look the
+# public functions up as module globals at call time, so rebinding those
 # names reaches every entry.
 
 STATISTICS = {
@@ -437,21 +439,20 @@ STATISTICS = {
     ("stanley", "row"): len,
     ("stanley", "sper"): lambda r: r[-1][0] + r[-1][1] + len(r),
     ("stanley", "area"): lambda r: sum(l for _, l in r),
-    ("stanley", "point"): lambda r: stanley_stats(StanleyPolyomino(r)).point,
-    ("stanley", "edgint"): lambda r: stanley_stats(StanleyPolyomino(r)).edgint,
-    ("stanley", "adja"): lambda r: stanley_stats(StanleyPolyomino(r)).adja,
+    ("stanley", "point"): lambda r: stanley_fields(r)[4],
+    ("stanley", "edgint"): lambda r: stanley_fields(r)[5],
+    ("stanley", "adja"): lambda r: stanley_fields(r)[6],
     ("stanley", "first"): lambda r: r[0][1],
-    ("stanley", "firstD"): lambda r: stanley_stats(StanleyPolyomino(r)).firstD,
+    ("stanley", "firstD"): lambda r: stanley_fields(r)[8],
     ("dyck", "semilength"): lambda w: len(w) // 2,
     ("dyck", "nbp"): lambda w: w.count("UD"),
-    ("dyck", "sump"): lambda w: dyck_stats(DyckPath(w)).sump,
+    ("dyck", "sump"): lambda w: dyck_fields(w)[2],
     ("dyck", "nbv"): lambda w: w.count("DU"),
-    ("dyck", "sumv"): lambda w: dyck_stats(DyckPath(w)).sumv,
-    ("dyck", "hills"): lambda w: dyck_stats(DyckPath(w)).hills,
-    ("dyck", "oneValleys"): lambda w: dyck_stats(DyckPath(w)).oneValleys,
-    ("dyck", "sumOneValleys"): lambda w: dyck_stats(DyckPath(w)).sumOneValleys,
-    ("dyck", "firstPeakHeight"):
-        lambda w: dyck_stats(DyckPath(w)).firstPeakHeight,
+    ("dyck", "sumv"): lambda w: dyck_fields(w)[4],
+    ("dyck", "hills"): lambda w: dyck_fields(w)[5],
+    ("dyck", "oneValleys"): lambda w: dyck_fields(w)[6],
+    ("dyck", "sumOneValleys"): lambda w: dyck_fields(w)[7],
+    ("dyck", "firstPeakHeight"): lambda w: dyck_fields(w)[8],
     ("peaklessMotzkin", "steps"): len,
     ("fountain", "e"): lambda d: sum((x + 1) // 2 for x in d),
     ("fountain", "o"): lambda d: sum(x // 2 for x in d),

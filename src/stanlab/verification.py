@@ -161,10 +161,11 @@ def full_tally(max_columns: int) -> dict[tuple, int]:
     """Polyominoes of 1 .. max_columns columns counted by
     (columns, rows, area, edgint, point), the five-variable series' exponents."""
     counted: dict[tuple, int] = defaultdict(int)
+    fields = objects.stanley_fields
     for n in range(1, max_columns + 1):
-        for p in enumerate_family(FamilyBound("stanley", "columns", n)):
-            s = objects.stanley_stats(p)
-            counted[(s.col, s.row, s.area, s.edgint, s.point)] += 1
+        for rows in iter_raw(FamilyBound("stanley", "columns", n)):
+            col, row, _, area, point, edgint, _, _, _ = fields(rows)
+            counted[(col, row, area, edgint, point)] += 1
     return dict(counted)
 
 
@@ -174,11 +175,12 @@ def cf_tally(max_sump: int) -> dict[tuple, int]:
     most its peak height sum, so semilengths up to the same bound exhaust
     them."""
     counted: dict[tuple, int] = defaultdict(int)
+    fields = objects.dyck_fields
     for m in range(1, max_sump + 1):
-        for d in enumerate_family(FamilyBound("dyck", "semilength", m)):
-            s = objects.dyck_stats(d)
-            if s.sump <= max_sump:
-                counted[(s.nbp, s.sump, s.sumv)] += 1
+        for word in iter_raw(FamilyBound("dyck", "semilength", m)):
+            _, nbp, sump, _, sumv, _, _, _, _, _ = fields(word)
+            if sump <= max_sump:
+                counted[(nbp, sump, sumv)] += 1
     return dict(counted)
 
 
@@ -503,16 +505,16 @@ def suite_columns(max_size: int) -> dict:
     catalan_bad: list[str] = []
     edg_bad: list[str] = []
     pt_bad: list[str] = []
+    fields = objects.stanley_fields
     for n in range(1, max_size + 1):
         by_first: dict[int, int] = defaultdict(int)
         edg_free = 0
         pt_free = 0
-        bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound):
-            s = objects.stanley_stats(p)
-            by_first[s.first] += 1
-            edg_free += s.edgint == 0
-            pt_free += s.point == 0
+        for rows in iter_raw(FamilyBound("stanley", "columns", n)):
+            _, _, _, _, point, edgint, _, first, _ = fields(rows)
+            by_first[first] += 1
+            edg_free += edgint == 0
+            pt_free += point == 0
         for k in range(1, n + 1):
             enum_c = by_first.get(k, 0)
             if series.coeff({"x": n, "u": k}) != enum_c:

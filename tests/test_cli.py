@@ -405,6 +405,47 @@ def test_cf_specializations_oracle_reads_the_area_series(capsys):
     assert entry.oracle(8, record) is False
 
 
+# sha256 of the stdout of `series --gf G --order N --verify` for the two
+# oracles that read the brute-force tallies, frozen while those tallies still
+# built a statistics record per object
+SERIES_VERIFY_SHA256 = {
+    ("full", "5"):
+        "4c6ad204a0b7efca9b9aca8e19a03ea4637c438f2a5833fdb941e727f3aeac36",
+    ("cf-a", "6"):
+        "20956150bbe99465067d4bf1b17aaf76531c5d620239813bca969e036aa7267b",
+}
+
+
+@pytest.mark.parametrize("gf, order", SERIES_VERIFY_SHA256)
+def test_tally_oracle_stdout_bytes_pinned(capsys, gf, order):
+    code, out, _ = run(capsys, "series", "--gf", gf, "--order", order,
+                       "--verify")
+    assert code == 0
+    assert lines(out)[0]["verified_against_oracle"] is True
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SERIES_VERIFY_SHA256[gf, order])
+
+
+@pytest.mark.parametrize("gf, order, name, index", [
+    ("full", "5", "stanley_fields", 5),
+    ("cf-a", "6", "dyck_fields", 4),
+])
+def test_tally_oracle_reads_the_field_tuples(capsys, monkeypatch, gf, order,
+                                             name, index):
+    # one field off by one (edgint, sumv) in the tuple the tally reads
+    real = getattr(cli.verification.objects, name)
+
+    def off_by_one(raw):
+        f = real(raw)
+        return f[:index] + (f[index] + 1,) + f[index + 1:]
+
+    monkeypatch.setattr(cli.verification.objects, name, off_by_one)
+    code, out, _ = run(capsys, "series", "--gf", gf, "--order", order,
+                       "--verify")
+    assert code == 0
+    assert lines(out)[0]["verified_against_oracle"] is False
+
+
 class TestVerify:
     def test_passing_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "table1",

@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import stanlab
 from stanlab import objects, verification
+from stanlab.enumeration import FamilyBound, enumerate_family, iter_raw
 from stanlab.errors import (
     BadLastDiagonal,
     DiagonalDrop,
@@ -178,7 +180,6 @@ def cell_oracles(p: objects.StanleyPolyomino) -> tuple[int, int, int]:
 
 class TestCellLevelRecount:
     def test_exhaustive_small(self):
-        from stanlab.enumeration import FamilyBound, enumerate_family
         for n in range(1, 9):
             for p in enumerate_family(FamilyBound("stanley", "columns", n)):
                 s = objects.stanley_stats(p)
@@ -225,6 +226,184 @@ class TestDyckPaths:
         # valleys at height zero do not count as raised
         assert s.oneValleys == 1
         assert s.sumOneValleys == 1
+
+
+def record_stanley_stats(p: objects.StanleyPolyomino) -> objects.StanleyStats:
+    """The one-pass definition `stanley_stats` had before `stanley_fields`:
+    the same loop, building the record by keyword."""
+    rows = p.rows
+    k = len(rows)
+    s, area = rows[0]
+    end = s + area
+    point = edgint = 0
+    for s, l in rows[1:]:
+        o = end - s
+        point += o - 1
+        if o > 2:
+            edgint += o - 2
+        area += l
+        end = s + l
+    first_d = 1
+    while first_d < k and rows[first_d][0] == first_d:
+        first_d += 1
+    return objects.StanleyStats(
+        col=end, row=k, sper=end + k, area=area, point=point, edgint=edgint,
+        adja=point + k - 1, first=rows[0][1], firstD=first_d)
+
+
+def list_dyck_stats(d: objects.DyckPath) -> objects.DyckStats:
+    """The list-based definition `dyck_stats` had before `dyck_fields`: a
+    peak list and a valley list, and one sum or count per statistic."""
+    w = d.word
+    n = len(w)
+    peaks: list[int] = []
+    valleys: list[int] = []
+    h = 0
+    for i, c in enumerate(w):
+        h += 1 if c == "U" else -1
+        if i + 1 < n:
+            if c == "U" and w[i + 1] == "D":
+                peaks.append(h)
+            elif c == "D" and w[i + 1] == "U":
+                valleys.append(h)
+    one_valleys = [v for v in valleys if v >= 1]
+    return objects.DyckStats(
+        semilength=n // 2, nbp=len(peaks), sump=sum(peaks),
+        nbv=len(valleys), sumv=sum(valleys),
+        hills=sum(1 for p in peaks if p == 1),
+        oneValleys=len(one_valleys), sumOneValleys=sum(one_valleys),
+        firstPeakHeight=peaks[0] if peaks else 0,
+        avoids3="UUU" not in w and "DDD" not in w)
+
+
+def seeded_dyck_word(rng: random.Random, n: int, short_runs: bool) -> str:
+    """A Dyck word of semilength n from a seeded walk.  With short_runs the
+    walk strings together the blocks UUD, UD and UDD, so no run is longer
+    than two; each block comes down one level at most, so the walk only goes
+    as high as the ups it has left can bring it back."""
+    blocks = ("UUD", "UD", "UDD") if short_runs else ("U", "D")
+    word, ups, h = "", 0, 0
+    while ups < n or h:
+        options = []
+        for block in blocks:
+            u = ups + block.count("U")
+            g = h + 2 * block.count("U") - len(block)
+            if g >= 0 and u + (g if short_runs else 0) <= n:
+                options.append((block, u, g))
+        block, ups, h = rng.choice(options)
+        word += block
+    return word
+
+
+def named(record_cls, fields: tuple) -> dict:
+    """A field tuple keyed by the record's field names, in field order."""
+    return dict(zip(record_cls.__dataclass_fields__, fields, strict=True))
+
+
+class TestFieldTuples:
+    def test_stanley_fields_match_the_record_definition(self):
+        seen = 0
+        for n in range(1, 11):
+            for rows in iter_raw(FamilyBound("stanley", "columns", n)):
+                p = objects.StanleyPolyomino(rows)
+                want = record_stanley_stats(p)
+                assert named(objects.StanleyStats,
+                             objects.stanley_fields(rows)) == vars(want), rows
+                assert objects.stanley_stats(p) == want
+                seen += 1
+        assert seen == 6918
+
+    def test_dyck_fields_match_the_list_definition_exhaustively(self):
+        seen = 0
+        for n in range(11):
+            for word in iter_raw(FamilyBound("dyck", "semilength", n)):
+                d = objects.DyckPath(word)
+                want = list_dyck_stats(d)
+                assert named(objects.DyckStats,
+                             objects.dyck_fields(word)) == vars(want), word
+                assert objects.dyck_stats(d) == want
+                seen += 1
+        assert seen == 23714
+
+    def test_dyck_fields_match_the_list_definition_on_long_words(self):
+        rng = random.Random(18)
+        avoids3 = Counter()
+        for short_runs in (True, False):
+            for _ in range(40):
+                word = seeded_dyck_word(rng, 200, short_runs)
+                d = objects.make_dyck(word)
+                got = objects.dyck_fields(word)
+                assert named(objects.DyckStats, got) == vars(list_dyck_stats(d))
+                avoids3[short_runs, got[-1]] += 1
+        # runs of at most two avoid UUU and DDD; a free walk this long does not
+        assert avoids3 == {(True, True): 40, (False, False): 40}
+
+    def test_tuple_order_is_the_record_field_order(self):
+        assert named(objects.StanleyStats, objects.stanley_fields(WORKED)) == {
+            "col": 16, "row": 5, "sper": 21, "area": 27, "point": 7,
+            "edgint": 4, "adja": 11, "first": 6, "firstD": 1}
+        word = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
+        assert named(objects.DyckStats, objects.dyck_fields(word)) == {
+            "semilength": 15, "nbp": 5, "sump": 22, "nbv": 4, "sumv": 7,
+            "hills": 0, "oneValleys": 3, "sumOneValleys": 7,
+            "firstPeakHeight": 5, "avoids3": False}
+        assert objects.dyck_fields("") == (0,) * 9 + (True,)
+
+
+def suite_statuses(report: dict) -> dict[str, str]:
+    return {c["name"]: c["status"] for c in report["checks"]}
+
+
+class TestFieldTuplesReachTheChecks:
+    """The brute-force tallies read stanley_fields and dyck_fields, so a
+    wrong field there must turn the checks built on it to fail."""
+
+    def test_edgint_off_by_one_fails_the_fibonacci_check(self, monkeypatch):
+        real = objects.stanley_fields
+
+        def off_by_one(rows):
+            f = real(rows)
+            return f[:5] + (f[5] + 1,) + f[6:]
+
+        monkeypatch.setattr(objects, "stanley_fields", off_by_one)
+        report = verification.run_suite("columns")
+        fibonacci = ("polyominoes with no internal edge are counted by "
+                     "odd-indexed Fibonacci numbers")
+        statuses = suite_statuses(report)
+        assert statuses.pop(fibonacci) == "fail"
+        assert set(statuses.values()) == {"pass"}
+
+    def test_wrong_sumv_fails_the_three_statistic_check(self, monkeypatch):
+        real = objects.dyck_fields
+
+        def wrong_sumv(word):
+            f = real(word)
+            return f[:4] + (f[4] + f[1],) + f[5:]
+
+        monkeypatch.setattr(objects, "dyck_fields", wrong_sumv)
+        report = verification.run_suite("cf")
+        three = ("three-statistic terms equal brute-force counts through "
+                 "peak sum 6")
+        statuses = suite_statuses(report)
+        assert statuses.pop(three) == "fail"
+        assert set(statuses.values()) == {"pass"}
+
+    def test_full_tally_equals_a_record_tally(self):
+        counted = Counter()
+        for n in range(1, 9):
+            for p in enumerate_family(FamilyBound("stanley", "columns", n)):
+                s = record_stanley_stats(p)
+                counted[(s.col, s.row, s.area, s.edgint, s.point)] += 1
+        assert verification.full_tally(8) == dict(counted)
+
+    def test_cf_tally_equals_a_record_tally(self):
+        counted = Counter()
+        for n in range(1, 9):
+            for d in enumerate_family(FamilyBound("dyck", "semilength", n)):
+                s = list_dyck_stats(d)
+                if s.sump <= 8:
+                    counted[(s.nbp, s.sump, s.sumv)] += 1
+        assert verification.cf_tally(8) == dict(counted)
 
 
 class TestMotzkinPaths:
