@@ -2,9 +2,10 @@
 
 Streams are generated by DFS over canonical prefixes and arrive in
 lexicographic order of the canonical field encoding (rows, word, diagonals,
-columns).  The path walks (Dyck, peakless Motzkin) and the evenCoins walk run
-on an explicit stack, so no recursion limit bounds their length; the other
-walks recurse once per row, column or diagonal.  Re-invoking an iterator
+columns).  Every walk runs on an explicit stack, so no recursion limit bounds
+an object's length: the path walks (Dyck, peakless Motzkin) and the evenCoins
+walk keep their own, and the Stanley, parallelogram and fountain-diagonal
+walks share one driver over lazy child iterators.  Re-invoking an iterator
 restarts the same stream.  A safety cap bounds stream length.  Grouped counts
 read one statistic per object straight from the raw encoding.
 """
@@ -26,43 +27,35 @@ DEFAULT_CAP = 10_000_000
 # Raw form: stanley/parallelogram -> tuple of pairs, dyck/motzkin -> word,
 # fountain -> tuple of ints.  DFS choice order matches the canonical order.
 
-def _gen_stanley_columns(n: int) -> Iterator[tuple]:
-    def walk(rows: tuple, s: int, e: int):
-        if e == n:
-            yield rows
-            return
+def _walk(roots: Iterable[tuple], children) -> Iterator:
+    """Depth-first over nodes (object, ..., left): a node with nothing left
+    is a leaf and its object is yielded; any other is expanded by
+    children(*node).  The stack holds one lazy child iterator per level, so
+    objects come out in the order the children are listed."""
+    stack = [iter(roots)]
+    while stack:
+        for node in stack[-1]:
+            if node[-1]:
+                stack.append(children(*node))
+                break
+            yield node[0]
+        else:
+            stack.pop()
+
+
+def _gen_stanley(n: int, per_row: int, per_overlap: int) -> Iterator[tuple]:
+    # A first row of l cells costs l + per_row; a row (s2, e2) on the row
+    # (s, e) costs e2 - e + per_row + per_overlap * (e - s2), so the budget n
+    # is the last end (columns), the last end plus the row count
+    # (semiperimeter) or the cell count (area).
+    def children(rows: tuple, s: int, e: int, left: int):
         for s2 in range(s + 1, e):
-            for e2 in range(e + 1, n + 1):
-                yield from walk(rows + ((s2, e2 - s2),), s2, e2)
+            room = e + left - per_row - per_overlap * (e - s2)  # largest e2
+            for e2 in range(e + 1, room + 1):
+                yield rows + ((s2, e2 - s2),), s2, e2, room - e2
 
-    for l1 in range(1, n + 1):
-        yield from walk(((0, l1),), 0, l1)
-
-
-def _gen_stanley_semiperimeter(n: int) -> Iterator[tuple]:
-    def walk(rows: tuple, s: int, e: int):
-        if e + len(rows) == n:
-            yield rows
-        # budget: adding a row costs one more row plus a strictly larger end
-        for s2 in range(s + 1, e):
-            for e2 in range(e + 1, n - len(rows)):
-                yield from walk(rows + ((s2, e2 - s2),), s2, e2)
-
-    for l1 in range(1, n):
-        yield from walk(((0, l1),), 0, l1)
-
-
-def _gen_stanley_area(n: int) -> Iterator[tuple]:
-    def walk(rows: tuple, s: int, e: int, area: int):
-        if area == n:
-            yield rows
-            return
-        for s2 in range(s + 1, e):
-            for e2 in range(e + 1, s2 + (n - area) + 1):
-                yield from walk(rows + ((s2, e2 - s2),), s2, e2, area + e2 - s2)
-
-    for l1 in range(1, n + 1):
-        yield from walk(((0, l1),), 0, l1, l1)
+    return _walk(((((0, l1),), 0, l1, n - l1 - per_row)
+                  for l1 in range(1, n + 1)), children)
 
 
 def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
@@ -104,22 +97,11 @@ def _gen_peakless_motzkin(n: int) -> Iterator[str]:
             stack.append((word + "D", h - 1))
 
 
-def _gen_fountain_diagonals(m: int) -> Iterator[tuple]:
-    if m < 1:
-        return
-
-    def walk(diag: tuple):
-        j = len(diag)
-        if j == m:
-            if diag[-1] == 1:
-                yield diag
-            return
-        lo = max(1, diag[-1] - 1) if diag else 1
-        # descending to 1 by unit steps bounds each size by m - j
-        for d in range(lo, m - j + 1):
-            yield from walk(diag + (d,))
-
-    yield from walk(())
+def _fountain_children(diag: tuple, left: int):
+    # left counts the diagonals still to come; descending to 1 by unit steps
+    # bounds the next size by left, which makes the last diagonal 1
+    for d in range(max(1, diag[-1] - 1) if diag else 1, left + 1):
+        yield diag + (d,), left - 1
 
 
 def _gen_fountain_even_coins(e: int) -> Iterator[tuple]:
@@ -150,28 +132,26 @@ def _gen_fountain_even_coins(e: int) -> Iterator[tuple]:
                 break
 
 
-def _gen_parallelogram_area(n: int) -> Iterator[tuple]:
-    def walk(cols: tuple, b: int, top: int, area: int):
-        if area == n:
-            yield cols
-            return
-        for b2 in range(b, top + 1):
-            for h2 in range(top - b2 + 1, n - area + 1):
-                yield from walk(cols + ((b2, h2),), b2, b2 + h2 - 1, area + h2)
-
-    for h1 in range(1, n + 1):
-        yield from walk(((0, h1),), 0, h1 - 1, h1)
+def _parallelogram_children(cols: tuple, b: int, top: int, left: int):
+    # a column (b2, h2) starts within the last column, ends at or above its
+    # top and spends h2 of the area left; from the empty root (b = top = 0)
+    # that gives the first columns (0, h2)
+    for b2 in range(b, top + 1):
+        for h2 in range(top - b2 + 1, left + 1):
+            yield cols + ((b2, h2),), b2, b2 + h2 - 1, left - h2
 
 
 _GENERATORS = {
-    ("stanley", "columns"): _gen_stanley_columns,
-    ("stanley", "semiperimeter"): _gen_stanley_semiperimeter,
-    ("stanley", "area"): _gen_stanley_area,
+    ("stanley", "columns"): lambda n: _gen_stanley(n, 0, 0),
+    ("stanley", "semiperimeter"): lambda n: _gen_stanley(n, 1, 0),
+    ("stanley", "area"): lambda n: _gen_stanley(n, 0, 1),
     ("dyck", "semilength"): _gen_dyck,
     ("peaklessMotzkin", "steps"): _gen_peakless_motzkin,
-    ("fountain", "diagonals"): _gen_fountain_diagonals,
+    ("fountain", "diagonals"):
+        lambda m: _walk(_fountain_children((), m), _fountain_children),
     ("fountain", "evenCoins"): _gen_fountain_even_coins,
-    ("parallelogram", "area"): _gen_parallelogram_area,
+    ("parallelogram", "area"): lambda n: _walk(
+        _parallelogram_children((), 0, 0, n), _parallelogram_children),
 }
 
 SUPPORTED_PAIRS = set(_GENERATORS)

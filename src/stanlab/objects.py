@@ -232,8 +232,7 @@ def dyck_fields(word: str) -> tuple:
     """The DyckStats fields of a Dyck word, in the record's field order, as
     one plain tuple read off the word in one pass: a peak is a U followed by
     a D, a valley a D followed by a U, each at the height between them."""
-    h = nbp = sump = nbv = sumv = hills = one_valleys = sum_one_valleys = 0
-    first_peak = 0
+    h = nbp = sump = nbv = sumv = hills = one_valleys = first_peak = 0
     prev = ""
     for c in word:
         if c == "U":
@@ -242,7 +241,6 @@ def dyck_fields(word: str) -> tuple:
                 sumv += h
                 if h:
                     one_valleys += 1
-                    sum_one_valleys += h
             h += 1
         else:
             if prev == "U":
@@ -254,8 +252,9 @@ def dyck_fields(word: str) -> tuple:
                     first_peak = h
             h -= 1
         prev = c
+    # sumOneValleys is sumv: a valley at height 0 adds 0 to either sum
     return (len(word) // 2, nbp, sump, nbv, sumv, hills, one_valleys,
-            sum_one_valleys, first_peak, "UUU" not in word and "DDD" not in word)
+            sumv, first_peak, "UUU" not in word and "DDD" not in word)
 
 
 def dyck_stats(d: DyckPath) -> DyckStats:

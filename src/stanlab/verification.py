@@ -281,14 +281,15 @@ def _scan_sizes(name: str, max_size: int, first_row) -> tuple[int, list]:
     how many images miss the target semiperimeter or first_row(word), and
     per size (sources, distinct images, polyominoes of that semiperimeter)."""
     offset = bijections.SCANNED[name][2]
+    sper = objects.STATISTICS[("stanley", "sper")]
+    first = objects.STATISTICS[("stanley", "first")]
     bad = 0
     sizes = []
     for m in range(max_size + 1):
         groups = bijections.preimages(name, m)
         for rows, paths in groups.items():
-            ps = objects.stanley_stats(objects.StanleyPolyomino(rows))
-            bad += sum(ps.sper != m + offset or ps.first != first_row(p.word)
-                       for p in paths)
+            bad += sum(sper(rows) != m + offset
+                       or first(rows) != first_row(p.word) for p in paths)
         sizes.append((sum(map(len, groups.values())), len(groups),
                       cached_count("stanley", "semiperimeter", m + offset)))
     return bad, sizes

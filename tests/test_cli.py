@@ -122,23 +122,34 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("family, measure, value, word", [
+    @pytest.mark.parametrize("family, measure, value, first", [
         ("dyck", "semilength", "600", "UD" * 600),
         ("peaklessMotzkin", "steps", "1500", "F" * 1500),
+        ("stanley", "columns", "3000", [[i, 2] for i in range(2999)]),
+        ("stanley", "area", "3000", [[i, 2] for i in range(1500)]),
+        ("stanley", "semiperimeter", "3000",
+         [[i, 2] for i in range(1498)] + [[1498, 3]]),
+        ("parallelogram", "area", "3000", [[0, 1]] * 3000),
+        ("fountain", "diagonals", "3000", [1] * 3000),
     ])
     def test_path_walks_pass_the_recursion_limit(self, capsys, family,
-                                                  measure, value, word):
-        # the path walks run on an explicit stack, not one frame per step
+                                                  measure, value, first):
+        # every walk runs on an explicit stack, not one frame per step
         code, out, _ = run(capsys, "enumerate", "--family", family,
                            "--measure", measure, "--value", value,
                            "--limit", "1")
         assert code == 0
         rows = lines(out)
         assert len(rows) == 1
-        assert rows[0]["object"]["word"] == word
+        # the object's one field: word, rows, columns or diagonals
+        assert list(rows[0]["object"].values()) == [first]
 
-    def test_internal_error_exit_six(self, capsys):
-        # the generators recurse once per row, past Python's recursion limit
+    def test_internal_error_exit_six(self, capsys, monkeypatch):
+        # an unexpected fault in a walk; no valid bound raises one, so fake it
+        def overflow(bound):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "enumerate_family", overflow)
         code, out, err = run(capsys, "enumerate", "--family", "stanley",
                              "--measure", "columns", "--value", "3000",
                              "--limit", "1")

@@ -216,6 +216,94 @@ class TestPathWalks:
             recursive_peakless_motzkin(n))
 
 
+# The recursive wide walks the shared explicit-stack driver replaced, kept
+# as references for the stream and its order.
+
+def recursive_stanley_columns(n: int):
+    def walk(rows: tuple, s: int, e: int):
+        if e == n:
+            yield rows
+            return
+        for s2 in range(s + 1, e):
+            for e2 in range(e + 1, n + 1):
+                yield from walk(rows + ((s2, e2 - s2),), s2, e2)
+
+    for l1 in range(1, n + 1):
+        yield from walk(((0, l1),), 0, l1)
+
+
+def recursive_stanley_semiperimeter(n: int):
+    def walk(rows: tuple, s: int, e: int):
+        if e + len(rows) == n:
+            yield rows
+        for s2 in range(s + 1, e):
+            for e2 in range(e + 1, n - len(rows)):
+                yield from walk(rows + ((s2, e2 - s2),), s2, e2)
+
+    for l1 in range(1, n):
+        yield from walk(((0, l1),), 0, l1)
+
+
+def recursive_stanley_area(n: int):
+    def walk(rows: tuple, s: int, e: int, area: int):
+        if area == n:
+            yield rows
+            return
+        for s2 in range(s + 1, e):
+            for e2 in range(e + 1, s2 + (n - area) + 1):
+                yield from walk(rows + ((s2, e2 - s2),), s2, e2,
+                                area + e2 - s2)
+
+    for l1 in range(1, n + 1):
+        yield from walk(((0, l1),), 0, l1, l1)
+
+
+def recursive_parallelogram_area(n: int):
+    def walk(cols: tuple, b: int, top: int, area: int):
+        if area == n:
+            yield cols
+            return
+        for b2 in range(b, top + 1):
+            for h2 in range(top - b2 + 1, n - area + 1):
+                yield from walk(cols + ((b2, h2),), b2, b2 + h2 - 1,
+                                area + h2)
+
+    for h1 in range(1, n + 1):
+        yield from walk(((0, h1),), 0, h1 - 1, h1)
+
+
+def recursive_fountain_diagonals(m: int):
+    if m < 1:
+        return
+
+    def walk(diag: tuple):
+        j = len(diag)
+        if j == m:
+            if diag[-1] == 1:
+                yield diag
+            return
+        lo = max(1, diag[-1] - 1) if diag else 1
+        for d in range(lo, m - j + 1):
+            yield from walk(diag + (d,))
+
+    yield from walk(())
+
+
+class TestWideWalks:
+    @pytest.mark.parametrize("family, measure, reference, top", [
+        ("stanley", "columns", recursive_stanley_columns, 12),
+        ("stanley", "semiperimeter", recursive_stanley_semiperimeter, 17),
+        ("stanley", "area", recursive_stanley_area, 20),
+        ("parallelogram", "area", recursive_parallelogram_area, 14),
+        ("fountain", "diagonals", recursive_fountain_diagonals, 11),
+    ])
+    def test_matches_the_recursive_walk(self, family, measure, reference,
+                                        top):
+        for n in range(top + 1):
+            bound = FamilyBound(family, measure, n)
+            assert list(iter_raw(bound)) == list(reference(n)), n
+
+
 class TestGrouping:
     def test_group_by_row(self):
         counts = count_grouped(FamilyBound("stanley", "area", 6), "row")
