@@ -2,12 +2,14 @@
 
 Streams are generated by DFS over canonical prefixes and arrive in
 lexicographic order of the canonical field encoding (rows, word, diagonals,
-columns).  Every walk runs on an explicit stack, so no recursion limit bounds
-an object's length: the path walks (Dyck, peakless Motzkin) and the evenCoins
-walk keep their own, and the Stanley, parallelogram and fountain-diagonal
-walks share one driver over lazy child iterators.  Re-invoking an iterator
-restarts the same stream.  A safety cap bounds stream length.  Grouped counts
-read one statistic per object straight from the raw encoding.
+columns).  Each walk expands only prefixes that complete (the run-limited
+Dyck walk aside) and emits a forced tail in one step.  Every walk runs on an
+explicit stack, so no recursion limit bounds an object's length: the path
+walks (Dyck, peakless Motzkin) and the evenCoins walk keep their own, and the
+Stanley, parallelogram and fountain-diagonal walks share one driver over lazy
+child iterators.  Re-invoking an iterator restarts the same stream.  A safety
+cap bounds stream length.  Grouped counts read one statistic per object
+straight from the raw encoding.
 """
 
 from __future__ import annotations
@@ -47,15 +49,21 @@ def _gen_stanley(n: int, per_row: int, per_overlap: int) -> Iterator[tuple]:
     # A first row of l cells costs l + per_row; a row (s2, e2) on the row
     # (s, e) costs e2 - e + per_row + per_overlap * (e - s2), so the budget n
     # is the last end (columns), the last end plus the row count
-    # (semiperimeter) or the cell count (area).
+    # (semiperimeter) or the cell count (area).  A row is kept only if it
+    # spends the budget or leaves the cost of the cheapest next row, (e - 1,
+    # e + 1); only a first row can have one cell, and then no next row.
     def children(rows: tuple, s: int, e: int, left: int):
         for s2 in range(s + 1, e):
             room = e + left - per_row - per_overlap * (e - s2)  # largest e2
-            for e2 in range(e + 1, room + 1):
+            for e2 in range(e + 1, room - least + 1):
                 yield rows + ((s2, e2 - s2),), s2, e2, room - e2
+            if room > e:
+                yield rows + ((s2, room - s2),), s2, room, 0
 
-    return _walk(((((0, l1),), 0, l1, n - l1 - per_row)
-                  for l1 in range(1, n + 1)), children)
+    least = 1 + per_row + per_overlap  # the cheapest next row
+    last = n - per_row  # the first row that spends the budget
+    firsts = [*range(2, last - least + 1), last] if last > 0 else []
+    return _walk(((((0, l1),), 0, l1, last - l1) for l1 in firsts), children)
 
 
 def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
@@ -64,13 +72,17 @@ def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
     total = 2 * n
     limit = n if max_run is None else max_run  # no run is longer than n
     # run: length of the last run of steps, negative for a run of D.  A U is
-    # taken only with room to come back down, so every prefix completes.
+    # taken only with room to come back down, and once h == rest the closing
+    # run of D, if within the limit, is emitted whole.  Without max_run every
+    # prefix completes; with it a prefix may be too high to come down in runs
+    # of at most max_run D.
     stack = [("", 0, 0)]
     while stack:
         word, h, run = stack.pop()
         rest = total - len(word)
-        if rest == 0:
-            yield word
+        if h == rest:
+            if (h - run if run < 0 else h) <= limit:
+                yield word + "D" * h
             continue
         # U is pushed first so that D, which sorts before it, comes out first
         if h + 2 <= rest and run < limit:
@@ -80,28 +92,31 @@ def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
 
 
 def _gen_peakless_motzkin(n: int) -> Iterator[str]:
-    # Every prefix pushed keeps h <= rest, so every prefix completes.
+    # A prefix pushed keeps h <= rest (h < rest after a U), so every prefix
+    # completes; at h == rest the closing run of D is emitted whole.
     stack = [("", 0)]
     while stack:
         word, h = stack.pop()
         rest = n - len(word)
-        if rest == 0:
-            yield word
+        if h == rest:
+            yield word + "D" * h
             continue
         # pushed U, F, D so they come out in the order D < F < U
-        if h + 2 <= rest:  # a U needs a non-D step plus the way back down
+        if h + 3 <= rest:  # a U needs a non-D step plus the way back down
             stack.append((word + "U", h + 1))
-        if h < rest:
-            stack.append((word + "F", h))
+        stack.append((word + "F", h))
         if h > 0 and word[-1] != "U":  # no UD factor
             stack.append((word + "D", h - 1))
 
 
 def _fountain_children(diag: tuple, left: int):
     # left counts the diagonals still to come; descending to 1 by unit steps
-    # bounds the next size by left, which makes the last diagonal 1
-    for d in range(max(1, diag[-1] - 1) if diag else 1, left + 1):
+    # bounds the next size by left, which makes the last diagonal 1; d ==
+    # left forces the rest, left - 1, ..., 1, so that child is one leaf
+    for d in range(max(1, diag[-1] - 1) if diag else 1, left):
         yield diag + (d,), left - 1
+    if left:
+        yield diag + tuple(range(left, 0, -1)), 0
 
 
 def _gen_fountain_even_coins(e: int) -> Iterator[tuple]:

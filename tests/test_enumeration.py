@@ -155,7 +155,7 @@ def recursive_dyck(n: int):
     yield from walk([], 0, 0)
 
 
-def recursive_dyck_triple_free(n: int):
+def recursive_dyck_triple_free(n: int, max_run: int = 2):
     total = 2 * n
 
     def walk(word: list, h: int, run: int):
@@ -163,11 +163,11 @@ def recursive_dyck_triple_free(n: int):
         if remaining == 0:
             yield "".join(word)
             return
-        if h > 0 and run > -2:
+        if h > 0 and run > -max_run:
             word.append("D")
             yield from walk(word, h - 1, min(run, 0) - 1)
             word.pop()
-        if h + 2 <= remaining and run < 2:
+        if h + 2 <= remaining and run < max_run:
             word.append("U")
             yield from walk(word, h + 1, max(run, 0) + 1)
             word.pop()
@@ -209,6 +209,13 @@ class TestPathWalks:
     def test_triple_free_dyck_matches_the_recursive_walk(self, n):
         assert list(enumeration._gen_dyck(n, 2)) == list(
             recursive_dyck_triple_free(n))
+
+    @pytest.mark.parametrize("max_run", [1, 3])  # 2 is checked above
+    @pytest.mark.parametrize("n", range(13))
+    def test_run_limited_dyck_matches_the_recursive_walk(self, n, max_run):
+        # the closing run of D is emitted whole only within max_run
+        assert list(enumeration._gen_dyck(n, max_run)) == list(
+            recursive_dyck_triple_free(n, max_run))
 
     @pytest.mark.parametrize("n", range(17))
     def test_peakless_motzkin_matches_the_recursive_walk(self, n):
@@ -302,6 +309,32 @@ class TestWideWalks:
         for n in range(top + 1):
             bound = FamilyBound(family, measure, n)
             assert list(iter_raw(bound)) == list(reference(n)), n
+
+    @pytest.mark.parametrize("family, measure, top", [
+        ("stanley", "columns", 12),
+        ("stanley", "semiperimeter", 17),
+        ("stanley", "area", 20),
+        ("parallelogram", "area", 14),
+        ("fountain", "diagonals", 11),
+    ])
+    def test_every_expanded_node_has_a_child(self, family, measure, top,
+                                             monkeypatch):
+        walk = enumeration._walk
+        empty = []
+
+        def listed(roots, children):
+            def checked(*node):
+                kids = list(children(*node))
+                if not kids:
+                    empty.append(node)
+                return iter(kids)
+            return walk(roots, checked)
+
+        monkeypatch.setattr(enumeration, "_walk", listed)
+        for n in range(top + 1):
+            for _ in iter_raw(FamilyBound(family, measure, n)):
+                pass
+            assert empty == [], (n, len(empty), empty[:3])
 
 
 class TestGrouping:
