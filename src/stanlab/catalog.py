@@ -78,8 +78,7 @@ def _columns_core(order_x: int):
     G1 = evaluate_at_one(G, "u")
     _assert_equal(G1, x * r, "columns G(1) vs x*r")
     for n in range(1, order_x + 1):
-        want = Fraction(comb(2 * n - 2, n - 1), n)
-        if G1.coeff({"x": n}) != want:
+        if G1.coeff({"x": n}) != catalan(n - 1):
             raise MismatchBetweenForms(f"columns G(1) coefficient at x^{n}")
     rk = one
     for k in range(1, order_x + 1):
@@ -102,10 +101,10 @@ def coeff_columns(n: int, k: int) -> int:
     """Number of polyominoes with n columns and first row of k cells."""
     if n < 2 or k < 1 or k > n:
         raise OutOfRange(f"coeff_columns({n}, {k}) outside n >= 2, 1 <= k <= n")
-    val = Fraction(k - 1, 2 * n - k - 1) * comb(2 * n - k - 1, n - k)
-    if val.denominator != 1:
+    val, rem = divmod((k - 1) * comb(2 * n - k - 1, n - k), 2 * n - k - 1)
+    if rem:
         raise InvariantViolation(f"coeff_columns({n}, {k}) not an integer")
-    return int(val)
+    return val
 
 
 @lru_cache(maxsize=None)
@@ -194,22 +193,19 @@ def coeff_semiperimeter(n: int, k: int) -> int:
     if k == 1:
         # a one-cell first row forces the single-cell polyomino
         return 1 if n == 2 else 0
-    total = Fraction(0)
+    total = 0
     for j in range(n - k):
         m = n - k - 1 - j
         inner = sum(
             comb(n + j - b - 3, m - b) * comb(m - b, b)
             for b in range(m // 2 + 1)
         )
-        total += (
-            Fraction(k - 1, 2 * j + k - 1)
-            * comb(2 * j + k - 1, j)
-            * (-1) ** m
-            * inner
-        )
-    if total.denominator != 1:
-        raise InvariantViolation(f"coeff_semiperimeter({n}, {k}) not an integer")
-    return int(total)
+        ballot, rem = divmod((k - 1) * comb(2 * j + k - 1, j), 2 * j + k - 1)
+        if rem:
+            raise InvariantViolation(
+                f"coeff_semiperimeter({n}, {k}) not an integer")
+        total += ballot * (-1) ** m * inner
+    return total
 
 
 @lru_cache(maxsize=None)

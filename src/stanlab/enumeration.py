@@ -51,9 +51,12 @@ def _gen_stanley(n: int, per_row: int, per_overlap: int) -> Iterator[tuple]:
     # is the last end (columns), the last end plus the row count
     # (semiperimeter) or the cell count (area).  A row is kept only if it
     # spends the budget or leaves the cost of the cheapest next row, (e - 1,
-    # e + 1); only a first row can have one cell, and then no next row.
+    # e + 1); only a first row can have one cell, and then no next row.  In
+    # the area walk (per_overlap 1) a start s2 leaves a row only while room >
+    # e, so from s2 = e + 1 + per_row - left on; elsewhere room is fixed.
     def children(rows: tuple, s: int, e: int, left: int):
-        for s2 in range(s + 1, e):
+        lo = max(s + 1, e + 1 + per_row - left) if per_overlap else s + 1
+        for s2 in range(lo, e):
             room = e + left - per_row - per_overlap * (e - s2)  # largest e2
             for e2 in range(e + 1, room - least + 1):
                 yield rows + ((s2, e2 - s2),), s2, e2, room - e2

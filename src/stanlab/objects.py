@@ -13,6 +13,9 @@ columns sharing at least one row.
 A coin fountain is stored by the sizes of its northeast diagonals, read left
 to right from the bottom row.  Valid sequences are characterized by
 d_j <= d_{j+1} + 1 for all j and d_m = 1.
+
+Objects are frozen dataclasses; each family's statistics record is a named
+tuple, read by field name.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadLastDiagonal,
@@ -44,8 +47,7 @@ class StanleyPolyomino:
     rows: tuple[Row, ...]
 
 
-@dataclass(frozen=True)
-class StanleyStats:
+class StanleyStats(NamedTuple):
     col: int
     row: int
     sper: int
@@ -62,8 +64,7 @@ class DyckPath:
     word: str
 
 
-@dataclass(frozen=True)
-class DyckStats:
+class DyckStats(NamedTuple):
     semilength: int
     nbp: int
     sump: int
@@ -81,8 +82,7 @@ class MotzkinPath:
     word: str
 
 
-@dataclass(frozen=True)
-class MotzkinStats:
+class MotzkinStats(NamedTuple):
     steps: int
     peakless: bool
 
@@ -92,8 +92,7 @@ class CoinFountain:
     diagonals: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FountainStats:
+class FountainStats(NamedTuple):
     e: int
     o: int
     m: int
@@ -105,8 +104,7 @@ class ParallelogramPolyomino:
     columns: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ParallelogramStats:
+class ParallelogramStats(NamedTuple):
     area: int
     colCount: int
     overlaps: tuple[int, ...]
@@ -147,9 +145,9 @@ def make_stanley(rows: Iterable[Row]) -> StanleyPolyomino:
     return StanleyPolyomino(rows)
 
 
-def stanley_fields(rows: Sequence[Row]) -> tuple:
-    """The StanleyStats fields of a polyomino's rows, in the record's field
-    order, as one plain tuple read off the rows in one pass."""
+def stanley_fields(rows: Sequence[Row]) -> StanleyStats:
+    """The statistics record of a polyomino's rows, read off the rows in one
+    pass."""
     k = len(rows)
     s, area = rows[0]
     end = s + area
@@ -165,12 +163,12 @@ def stanley_fields(rows: Sequence[Row]) -> tuple:
     first_d = 1
     while first_d < k and rows[first_d][0] == first_d:
         first_d += 1
-    return (end, k, end + k, area, point, edgint, point + k - 1, rows[0][1],
-            first_d)
+    return StanleyStats(end, k, end + k, area, point, edgint, point + k - 1,
+                        rows[0][1], first_d)
 
 
 def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
-    return StanleyStats(*stanley_fields(p.rows))
+    return stanley_fields(p.rows)
 
 
 def ab_sequences(p: StanleyPolyomino) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -228,10 +226,10 @@ def is_peakless(m: MotzkinPath) -> bool:
     return "UD" not in m.word
 
 
-def dyck_fields(word: str) -> tuple:
-    """The DyckStats fields of a Dyck word, in the record's field order, as
-    one plain tuple read off the word in one pass: a peak is a U followed by
-    a D, a valley a D followed by a U, each at the height between them."""
+def dyck_fields(word: str) -> DyckStats:
+    """The statistics record of a Dyck word, read off the word in one pass:
+    a peak is a U followed by a D, a valley a D followed by a U, each at the
+    height between them."""
     h = nbp = sump = nbv = sumv = hills = one_valleys = first_peak = 0
     prev = ""
     for c in word:
@@ -253,12 +251,12 @@ def dyck_fields(word: str) -> tuple:
             h -= 1
         prev = c
     # sumOneValleys is sumv: a valley at height 0 adds 0 to either sum
-    return (len(word) // 2, nbp, sump, nbv, sumv, hills, one_valleys,
-            sumv, first_peak, "UUU" not in word and "DDD" not in word)
+    return DyckStats(len(word) // 2, nbp, sump, nbv, sumv, hills, one_valleys,
+                     sumv, first_peak, "UUU" not in word and "DDD" not in word)
 
 
 def dyck_stats(d: DyckPath) -> DyckStats:
-    return DyckStats(*dyck_fields(d.word))
+    return dyck_fields(d.word)
 
 
 # -- coin fountains ----------------------------------------------------------
@@ -391,8 +389,8 @@ def _family_of(x) -> str:
 
 
 def _lists(value):
-    """JSON shape of an object's field: a tuple, and the pairs in it, become
-    lists."""
+    """JSON shape of an object's or a record's field: a tuple, and the pairs
+    in it, become lists."""
     if not isinstance(value, tuple):
         return value
     if value and isinstance(value[0], tuple):
@@ -420,38 +418,36 @@ def from_json_obj(family: str, data: dict):
 def stats_json(x) -> dict:
     """Statistics record for any family, used by the CLI map/enumerate output."""
     record = FAMILIES[_family_of(x)][2](x)
-    return {key: list(value) if isinstance(value, tuple) else value
-            for key, value in vars(record).items()}
+    return {key: _lists(value) for key, value in record._asdict().items()}
 
 
 # -- one statistic from the raw encoding ----------------------------------------
 # Every integer field of each family's stats_json record, as a function of the
 # raw form the enumeration streams: rows, word, diagonals or columns.  A field
-# with a one-line formula computes it; every other field reads its index of
-# the family's field tuple (stanley_fields or dyck_fields, in the record's
-# field order), so no compound formula is written twice.  Entries look the
-# public functions up as module globals at call time, so rebinding those
-# names reaches every entry.
+# with a one-line formula computes it; every other field reads its name off
+# the family's record (stanley_fields or dyck_fields), so no compound formula
+# is written twice.  Entries look the public functions up as module globals
+# at call time, so rebinding those names reaches every entry.
 
 STATISTICS = {
     ("stanley", "col"): lambda r: r[-1][0] + r[-1][1],
     ("stanley", "row"): len,
     ("stanley", "sper"): lambda r: r[-1][0] + r[-1][1] + len(r),
     ("stanley", "area"): lambda r: sum(l for _, l in r),
-    ("stanley", "point"): lambda r: stanley_fields(r)[4],
-    ("stanley", "edgint"): lambda r: stanley_fields(r)[5],
-    ("stanley", "adja"): lambda r: stanley_fields(r)[6],
+    ("stanley", "point"): lambda r: stanley_fields(r).point,
+    ("stanley", "edgint"): lambda r: stanley_fields(r).edgint,
+    ("stanley", "adja"): lambda r: stanley_fields(r).adja,
     ("stanley", "first"): lambda r: r[0][1],
-    ("stanley", "firstD"): lambda r: stanley_fields(r)[8],
+    ("stanley", "firstD"): lambda r: stanley_fields(r).firstD,
     ("dyck", "semilength"): lambda w: len(w) // 2,
     ("dyck", "nbp"): lambda w: w.count("UD"),
-    ("dyck", "sump"): lambda w: dyck_fields(w)[2],
+    ("dyck", "sump"): lambda w: dyck_fields(w).sump,
     ("dyck", "nbv"): lambda w: w.count("DU"),
-    ("dyck", "sumv"): lambda w: dyck_fields(w)[4],
-    ("dyck", "hills"): lambda w: dyck_fields(w)[5],
-    ("dyck", "oneValleys"): lambda w: dyck_fields(w)[6],
-    ("dyck", "sumOneValleys"): lambda w: dyck_fields(w)[7],
-    ("dyck", "firstPeakHeight"): lambda w: dyck_fields(w)[8],
+    ("dyck", "sumv"): lambda w: dyck_fields(w).sumv,
+    ("dyck", "hills"): lambda w: dyck_fields(w).hills,
+    ("dyck", "oneValleys"): lambda w: dyck_fields(w).oneValleys,
+    ("dyck", "sumOneValleys"): lambda w: dyck_fields(w).sumOneValleys,
+    ("dyck", "firstPeakHeight"): lambda w: dyck_fields(w).firstPeakHeight,
     ("peaklessMotzkin", "steps"): len,
     ("fountain", "e"): lambda d: sum((x + 1) // 2 for x in d),
     ("fountain", "o"): lambda d: sum(x // 2 for x in d),

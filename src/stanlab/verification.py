@@ -164,8 +164,8 @@ def full_tally(max_columns: int) -> dict[tuple, int]:
     fields = objects.stanley_fields
     for n in range(1, max_columns + 1):
         for rows in iter_raw(FamilyBound("stanley", "columns", n)):
-            col, row, _, area, point, edgint, _, _, _ = fields(rows)
-            counted[(col, row, area, edgint, point)] += 1
+            s = fields(rows)
+            counted[(s.col, s.row, s.area, s.edgint, s.point)] += 1
     return dict(counted)
 
 
@@ -178,9 +178,9 @@ def cf_tally(max_sump: int) -> dict[tuple, int]:
     fields = objects.dyck_fields
     for m in range(1, max_sump + 1):
         for word in iter_raw(FamilyBound("dyck", "semilength", m)):
-            _, nbp, sump, _, sumv, _, _, _, _, _ = fields(word)
-            if sump <= max_sump:
-                counted[(nbp, sump, sumv)] += 1
+            s = fields(word)
+            if s.sump <= max_sump:
+                counted[(s.nbp, s.sump, s.sumv)] += 1
     return dict(counted)
 
 
@@ -512,10 +512,10 @@ def suite_columns(max_size: int) -> dict:
         edg_free = 0
         pt_free = 0
         for rows in iter_raw(FamilyBound("stanley", "columns", n)):
-            _, _, _, _, point, edgint, _, first, _ = fields(rows)
-            by_first[first] += 1
-            edg_free += edgint == 0
-            pt_free += point == 0
+            s = fields(rows)
+            by_first[s.first] += 1
+            edg_free += s.edgint == 0
+            pt_free += s.point == 0
         for k in range(1, n + 1):
             enum_c = by_first.get(k, 0)
             if series.coeff({"x": n, "u": k}) != enum_c:

@@ -4,7 +4,8 @@ Two criteria contain clauses that the library deliberately reports as failed:
 the no-internal-edge count by semiperimeter does not follow the claimed
 Fibonacci closed form, and the triple-run-free Dyck map is not injective.
 Those clauses get their own red tests so the summary stays honest; every
-other clause of the same criteria is asserted green.
+other clause of the same criteria is asserted green.  The true sequences
+behind both reds are pinned by the last two tests.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 
+from stanlab.bijections import preimages
 from stanlab.catalog import catalan
 from stanlab.enumeration import cached_count
-from stanlab.verification import run_suite, _fountain_brute_checks
+from stanlab.verification import (
+    _fountain_brute_checks,
+    edge_free_count,
+    run_suite,
+)
 
 SPER_RED = "polyominoes with no internal edge by semiperimeter are counted by Fibonacci numbers"
 BIJ_REDS = {
@@ -138,3 +144,34 @@ def test_criterion_10_fountain_physics_brute_force():
     ok = bool(checks) and all(c["status"] == "pass" for c in checks)
     assert record(10, "fountain acceptance matches gravity simulation to 18 coins",
                   ok)
+
+
+# -- the known reds as exact sequences ---------------------------------------
+
+def test_edge_free_counts_by_semiperimeter_through_18():
+    counts = dict(enumerate(
+        [1, 1, 1, 2, 4, 7, 14, 26, 50, 95, 181, 345, 657, 1252, 2385, 4544,
+         8657], start=2))
+    assert {n: edge_free_count(n) for n in counts} == counts
+    # a(n) = a(n-1) + 2a(n-2) - a(n-4) from semiperimeter 7 on, not at 6
+    misses = [n for n in range(6, 19) if counts[n] != counts[n - 1]
+              + 2 * counts[n - 2] - counts[n - 4]]
+    assert misses == [6]
+
+
+def test_chi_prime_image_counts_through_semilength_14():
+    images, merged = [], []
+    for m in range(15):
+        groups = preimages("chi_prime", m)
+        sources = sum(map(len, groups.values()))
+        assert sources == cached_count("stanley", "semiperimeter", m + 3), m
+        images.append(len(groups))
+        merged.append({rows: [d.word for d in ds]
+                       for rows, ds in groups.items() if len(ds) > 1})
+    assert images == [1, 1, 2, 4, 8, 16, 33, 69, 146, 312, 673, 1463, 3202,
+                      7050, 15605]
+    assert list(map(len, merged)) == [0, 0, 0, 0, 0, 1, 4, 12, 32, 83, 210,
+                                      521, 1273, 3079, 7393]
+    # the smallest collision
+    assert merged[5] == {((0, 2), (1, 3), (3, 2)): ["UUDUDDUUDD",
+                                                    "UUDUUDDUDD"]}

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 from functools import lru_cache
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -355,21 +353,6 @@ class TestChiPrime:
         b = chi_prime(make_dyck("UUDUUDDUDD"))
         assert a == b
         assert a.rows == ((0, 2), (1, 3), (3, 2))
-
-    def test_collision_search_script_finds_the_pair(self, capsys):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "collision_search.py"
-        spec = importlib.util.spec_from_file_location("collision_search", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.scan(6, 1) > 0
-        out = capsys.readouterr().out
-        assert "semilength 5: 17 sources, 16 images, 1 merged targets" in out
-        assert "[(0, 2), (1, 3), (3, 2)] <- UUDUDDUUDD, UUDUUDDUDD" in out
-        for option in ("--pairs", "--max-semilength"):
-            with pytest.raises(SystemExit) as exc:
-                script.main([option, "-1"])
-            assert exc.value.code == 2
-        assert "must be nonnegative" in capsys.readouterr().err
 
 
 class TestFountainMap:

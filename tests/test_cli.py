@@ -8,12 +8,13 @@ import importlib.util
 import io
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 import stanlab.cli as cli
-from stanlab import verification
+from stanlab import objects, verification
 from stanlab.errors import CapExceeded, MismatchBetweenForms
 
 WORKED_ROWS = [[0, 6], [3, 6], [4, 7], [10, 3], [11, 5]]
@@ -448,7 +449,7 @@ def test_tally_oracle_reads_the_field_tuples(capsys, monkeypatch, gf, order,
 
     def off_by_one(raw):
         f = real(raw)
-        return f[:index] + (f[index] + 1,) + f[index + 1:]
+        return f._replace(**{f._fields[index]: f[index] + 1})
 
     monkeypatch.setattr(cli.verification.objects, name, off_by_one)
     code, out, _ = run(capsys, "series", "--gf", gf, "--order", order,
@@ -560,6 +561,29 @@ def test_readme_cap_table_matches_the_code():
         names, cap = row.strip("|").split("|")
         caps.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), int(cap)))
     assert caps == {gf: entry.cap for gf, entry in cli.SERIES.items()}
+
+
+def test_readme_group_by_table_matches_the_code():
+    # each row lists the integer fields of the family's record, in order,
+    # and those are the family's objects.STATISTICS keys
+    records = {"stanley": objects.StanleyStats, "dyck": objects.DyckStats,
+               "peaklessMotzkin": objects.MotzkinStats,
+               "fountain": objects.FountainStats,
+               "parallelogram": objects.ParallelogramStats}
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| family | groupable statistics |"):]
+    rows = {}
+    for row in table.splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        family, names = row.strip("|").split("|")
+        rows[family.strip(" `")] = re.findall(r"`([^`]+)`", names)
+    assert rows.keys() == records.keys() == objects.FAMILIES.keys()
+    for family, names in rows.items():
+        types = typing.get_type_hints(records[family])
+        assert names == [f for f, t in types.items() if t is int], family
+        assert names == [name for fam, name in objects.STATISTICS
+                         if fam == family], family
 
 
 def test_readme_options_match_the_parser():

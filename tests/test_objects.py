@@ -295,21 +295,15 @@ def seeded_dyck_word(rng: random.Random, n: int, short_runs: bool) -> str:
     return word
 
 
-def named(record_cls, fields: tuple) -> dict:
-    """A field tuple keyed by the record's field names, in field order."""
-    return dict(zip(record_cls.__dataclass_fields__, fields, strict=True))
-
-
 class TestFieldTuples:
     def test_stanley_fields_match_the_record_definition(self):
         seen = 0
         for n in range(1, 11):
             for rows in iter_raw(FamilyBound("stanley", "columns", n)):
                 p = objects.StanleyPolyomino(rows)
-                want = record_stanley_stats(p)
-                assert named(objects.StanleyStats,
-                             objects.stanley_fields(rows)) == vars(want), rows
-                assert objects.stanley_stats(p) == want
+                want = record_stanley_stats(p)._asdict()
+                assert objects.stanley_fields(rows)._asdict() == want, rows
+                assert objects.stanley_stats(p)._asdict() == want
                 seen += 1
         assert seen == 6918
 
@@ -318,10 +312,9 @@ class TestFieldTuples:
         for n in range(11):
             for word in iter_raw(FamilyBound("dyck", "semilength", n)):
                 d = objects.DyckPath(word)
-                want = list_dyck_stats(d)
-                assert named(objects.DyckStats,
-                             objects.dyck_fields(word)) == vars(want), word
-                assert objects.dyck_stats(d) == want
+                want = list_dyck_stats(d)._asdict()
+                assert objects.dyck_fields(word)._asdict() == want, word
+                assert objects.dyck_stats(d)._asdict() == want
                 seen += 1
         assert seen == 23714
 
@@ -333,20 +326,24 @@ class TestFieldTuples:
                 word = seeded_dyck_word(rng, 200, short_runs)
                 d = objects.make_dyck(word)
                 got = objects.dyck_fields(word)
-                assert named(objects.DyckStats, got) == vars(list_dyck_stats(d))
-                avoids3[short_runs, got[-1]] += 1
+                assert got._asdict() == list_dyck_stats(d)._asdict()
+                avoids3[short_runs, got.avoids3] += 1
         # runs of at most two avoid UUU and DDD; a free walk this long does not
         assert avoids3 == {(True, True): 40, (False, False): 40}
 
     def test_tuple_order_is_the_record_field_order(self):
-        assert named(objects.StanleyStats, objects.stanley_fields(WORKED)) == {
-            "col": 16, "row": 5, "sper": 21, "area": 27, "point": 7,
-            "edgint": 4, "adja": 11, "first": 6, "firstD": 1}
-        word = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
-        assert named(objects.DyckStats, objects.dyck_fields(word)) == {
-            "semilength": 15, "nbp": 5, "sump": 22, "nbv": 4, "sumv": 7,
-            "hills": 0, "oneValleys": 3, "sumOneValleys": 7,
-            "firstPeakHeight": 5, "avoids3": False}
+        # the declared order is the key order of the JSON stats records
+        s = objects.stanley_fields(WORKED)
+        assert type(s) is objects.StanleyStats
+        assert s._fields == ("col", "row", "sper", "area", "point", "edgint",
+                             "adja", "first", "firstD")
+        assert s == (16, 5, 21, 27, 7, 4, 11, 6, 1)
+        d = objects.dyck_fields("UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD")
+        assert type(d) is objects.DyckStats
+        assert d._fields == ("semilength", "nbp", "sump", "nbv", "sumv",
+                             "hills", "oneValleys", "sumOneValleys",
+                             "firstPeakHeight", "avoids3")
+        assert d == (15, 5, 22, 4, 7, 0, 3, 7, 5, False)
         assert objects.dyck_fields("") == (0,) * 9 + (True,)
 
 
@@ -363,7 +360,7 @@ class TestFieldTuplesReachTheChecks:
 
         def off_by_one(rows):
             f = real(rows)
-            return f[:5] + (f[5] + 1,) + f[6:]
+            return f._replace(edgint=f.edgint + 1)
 
         monkeypatch.setattr(objects, "stanley_fields", off_by_one)
         report = verification.run_suite("columns")
@@ -378,7 +375,7 @@ class TestFieldTuplesReachTheChecks:
 
         def wrong_sumv(word):
             f = real(word)
-            return f[:4] + (f[4] + f[1],) + f[5:]
+            return f._replace(sumv=f.sumv + f.nbp)
 
         monkeypatch.setattr(objects, "dyck_fields", wrong_sumv)
         report = verification.run_suite("cf")
@@ -727,16 +724,14 @@ def _public_definitions(tree: ast.Module):
 
 def test_no_public_library_code_only_tests_use():
     # every public top-level function and class, and every public method,
-    # is named in the package or in scripts/ outside its own definition, or
-    # (top level only) exported through __all__
-    src = Path(objects.__file__).parent
-    paths = sorted(src.glob("*.py")) + sorted(
-        (src.parents[1] / "scripts").glob("*.py"))
+    # is named in the package outside its own definition, or (top level
+    # only) exported through __all__
+    paths = sorted(Path(objects.__file__).parent.glob("*.py"))
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
     named = Counter(n for tree in trees.values() for n in _identifiers(tree))
     unused = [
         f"{path.name}:{node.name}"
-        for path, tree in trees.items() if path.parent == src
+        for path, tree in trees.items()
         for node in _public_definitions(tree)
         if not node.name.startswith("_")
         and named[node.name] == Counter(_identifiers(node))[node.name]
