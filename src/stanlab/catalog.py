@@ -4,8 +4,9 @@ Every series here is produced at least two independent ways (closed form vs
 fixed-point iteration, coefficient formula vs series extraction, continued
 fraction vs ratio of q-sums) and the agreement is asserted before anything is
 returned.  Enumeration cross-checks that need object streams live in
-``verification``; the only enumeration used here is the parallelogram-area
-count backing the collapsed continued fraction.
+``verification``; the only enumeration used here is ``enumeration.count`` of
+parallelograms by area, backing the collapsed continued fraction.  Nothing is
+memoised: each call builds its series afresh and returns new objects.
 
 Variable conventions, fixed throughout:
 
@@ -13,7 +14,8 @@ Variable conventions, fixed throughout:
   (edgint), q interior points (point); p and q may appear with negative
   exponents in intermediate values only.
 - columns/semiperimeter pairs (G(u), G(1)): x grades (columns, respectively
-  semiperimeter), u marks the first-row length.
+  semiperimeter), u marks the first-row length; both solve one first-row
+  kernel equation.
 - continued fraction A: p peaks (nbp), q peak-height sum (sump), v
   valley-height sum (sumv); equivalently rows / area minus rows / points.
 """
@@ -21,9 +23,9 @@ Variable conventions, fixed throughout:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
+from .enumeration import FamilyBound, count
 from .errors import (
     InvariantViolation,
     MismatchBetweenForms,
@@ -64,36 +66,70 @@ def _assert_equal(a: TruncatedSeries, b: TruncatedSeries, what: str) -> None:
         raise MismatchBetweenForms(f"{what}: the two forms disagree")
 
 
-# -- columns -------------------------------------------------------------------
+# -- first-row kernel: columns and semiperimeter ----------------------------------
 
-@lru_cache(maxsize=None)
-def _columns_core(order_x: int):
+# t and the lead exponent of each first-row equation G(u) = x^lead u / (1 - u x r)
+_FIRST_ROW = {
+    "columns": (lambda x: 1, 1),
+    "semiperimeter": (lambda x: 1 + x - x * x, 2),
+}
+
+
+def _first_row(kind: str, order_x: int):
+    """r, G(u) and G(1) of a first-row equation, r being the power-series
+    root of the kernel x r^2 - t r + 1 = 0 (the column-by-column method of
+    Bousquet-Melou, Discrete Math. 154, 1996).  Asserts the kernel equation,
+    G(1) r = r - 1 and each u^k slice x^lead (x r)^(k-1)."""
+    t_of, lead = _FIRST_ROW[kind]
+    if order_x < lead:
+        raise OutOfRange(f"order {order_x} < {lead}")
     ring = SeriesRing(("x", "u"), grade="x", order=order_x)
     x, u = ring.gens()
-    one = ring.one()
-    r = solve_fixed_point(lambda w: one + x * w * w, one)
-    if not (x * r * r - r + one).is_zero():
-        raise MismatchBetweenForms("columns kernel root fails its equation")
-    G = x * u * invert(one - u * x * r)
+    t = t_of(x)
+    slack = 1 - t  # r = 1 + x r^2 + slack r gains an order of x each round
+    r = solve_fixed_point(lambda w: 1 + x * w * w + slack * w, ring.one())
+    if not (x * r * r - t * r + 1).is_zero():
+        raise MismatchBetweenForms(f"{kind} kernel root fails its equation")
+    x_lead = ring.monomial(1, x=lead)
+    xr = x * r
+    G = x_lead * u * invert(1 - u * xr)
     G1 = evaluate_at_one(G, "u")
-    _assert_equal(G1, x * r, "columns G(1) vs x*r")
+    _assert_equal(G1 * r, r - 1, f"{kind} G(1) vs (r-1)/r")
+    xr_pow = ring.one()
+    for k in range(1, order_x - lead + 2):
+        _assert_equal(G.cofactor("u", k), x_lead * xr_pow,
+                      f"{kind} u^{k} slice")
+        xr_pow = xr_pow * xr
+    return r, G, G1
+
+
+def _first_row_total(kind: str, r: TruncatedSeries, G: TruncatedSeries,
+                     G1: TruncatedSeries) -> TruncatedSeries:
+    """d/du G at u = 1, asserted equal to its closed form x^lead / (1 - x r)^2
+    and, times x^lead, to G(1)^2."""
+    x_lead = G.ring.monomial(1, x=_FIRST_ROW[kind][1])
+    total = evaluate_at_one(derivative(G, "u"), "u")
+    _assert_equal(total, x_lead * invert((1 - G.ring.var("x") * r) ** 2),
+                  f"{kind} first-row total closed form")
+    _assert_equal(x_lead * total, G1 * G1,
+                  f"{kind} first-row total vs the square of G(1)")
+    return total
+
+
+# -- columns -------------------------------------------------------------------
+
+def _columns(order_x: int):
+    """The columns kernel, G(1) checked against the Catalan numbers."""
+    r, G, G1 = _first_row("columns", order_x)
     for n in range(1, order_x + 1):
         if G1.coeff({"x": n}) != catalan(n - 1):
             raise MismatchBetweenForms(f"columns G(1) coefficient at x^{n}")
-    rk = one
-    for k in range(1, order_x + 1):
-        # u^k slice must be x^k * r^(k-1)
-        _assert_equal(G.cofactor("u", k), ring.monomial(1, x=k) * rk,
-                      f"columns u^{k} slice")
-        rk = rk * r
-    return ring, r, G, G1
+    return r, G, G1
 
 
 def gf_columns(order_x: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Columns-by-first-row-length series G(u) and its evaluation G(1)."""
-    if order_x < 1:
-        raise OutOfRange(f"order {order_x} < 1")
-    _, _, G, G1 = _columns_core(order_x)
+    _, G, G1 = _columns(order_x)
     return G, G1
 
 
@@ -107,17 +143,11 @@ def coeff_columns(n: int, k: int) -> int:
     return val
 
 
-@lru_cache(maxsize=None)
 def gf_columns_corollaries(order_x: int) -> dict:
     """First-row totals, edgint-free and point-free counts, by columns."""
-    if order_x < 1:
-        raise OutOfRange(f"order {order_x} < 1")
-    ring, r, G, _ = _columns_core(order_x)
-    x = ring.var("x")
-    one = ring.one()
-
-    first_row_total = evaluate_at_one(derivative(G, "u"), "u")
-    _assert_equal(first_row_total, r - one, "first-row total vs r - 1")
+    r, G, G1 = _columns(order_x)
+    first_row_total = _first_row_total("columns", r, G, G1)
+    _assert_equal(first_row_total, r - 1, "first-row total vs r - 1")
     for n in range(1, order_x + 1):
         if first_row_total.coeff({"x": n}) != catalan(n):
             raise MismatchBetweenForms(f"first-row total at x^{n}")
@@ -154,33 +184,9 @@ def gf_columns_corollaries(order_x: int) -> dict:
 
 # -- semiperimeter ---------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _semiperimeter_core(order_x: int):
-    ring = SeriesRing(("x", "u"), grade="x", order=order_x)
-    x, u = ring.gens()
-    one = ring.one()
-    t = one + x - x * x
-    inv_t = invert(t)
-    r = solve_fixed_point(lambda w: (one + x * w * w) * inv_t, one)
-    if not (x * r * r - t * r + one).is_zero():
-        raise MismatchBetweenForms("semiperimeter kernel root fails its equation")
-    x2 = ring.monomial(1, x=2)
-    G = x2 * u * invert(one - u * x * r)
-    G1 = evaluate_at_one(G, "u")
-    _assert_equal(G1 * r, r - one, "semiperimeter G(1) vs (r-1)/r")
-    xr_pow = one
-    for k in range(1, order_x):
-        # u^k slice must be x^2 * (x*r)^(k-1)
-        _assert_equal(G.cofactor("u", k), x2 * xr_pow, f"semiperimeter u^{k} slice")
-        xr_pow = xr_pow * (x * r)
-    return ring, r, G, G1
-
-
 def gf_semiperimeter(order_x: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Semiperimeter-by-first-row-length series G(u) and G(1)."""
-    if order_x < 2:
-        raise OutOfRange(f"order {order_x} < 2")
-    _, _, G, G1 = _semiperimeter_core(order_x)
+    _, G, G1 = _first_row("semiperimeter", order_x)
     return G, G1
 
 
@@ -208,7 +214,6 @@ def coeff_semiperimeter(n: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def gf_semiperimeter_corollaries(order_x: int) -> dict:
     """First-row totals and the edgint-free Fibonacci series, by semiperimeter.
 
@@ -216,18 +221,8 @@ def gf_semiperimeter_corollaries(order_x: int) -> dict:
     odd-index-free Fibonacci pattern [x^n] = F(n-1); whether those numbers
     count anything is left to the enumeration suites.
     """
-    if order_x < 2:
-        raise OutOfRange(f"order {order_x} < 2")
-    ring, r, G, G1 = _semiperimeter_core(order_x)
-    x = ring.var("x")
-    one = ring.one()
-    x2 = ring.monomial(1, x=2)
-
-    first_row_total = evaluate_at_one(derivative(G, "u"), "u")
-    _assert_equal(first_row_total, x2 * invert((one - x * r) ** 2),
-                  "first-row total closed form")
-    _assert_equal(x2 * first_row_total, G1 * G1,
-                  "first-row total vs convolution square of G(1)")
+    first_row_total = _first_row_total(
+        "semiperimeter", *_first_row("semiperimeter", order_x))
 
     uni = SeriesRing(("x",), grade="x", order=order_x)
     xx = uni.var("x")
@@ -251,7 +246,6 @@ def gf_semiperimeter_corollaries(order_x: int) -> dict:
 
 # -- area ------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def gf_area(order_z: int) -> TruncatedSeries:
     """Area series as a ratio of two alternating q-type sums."""
     if order_z < 1:
@@ -348,7 +342,6 @@ def _full_iterated(ring: SeriesRing) -> TruncatedSeries:
     return sum_a * invert(one - sum_b)
 
 
-@lru_cache(maxsize=None)
 def gf_full(order_x: int) -> TruncatedSeries:
     """Five-variable series in x, y, z, p, q, complete for all x-degrees
     up to order_x.
@@ -372,7 +365,6 @@ def gf_full(order_x: int) -> TruncatedSeries:
 
 # -- continued fraction ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def gf_continued_fractions(order: int) -> dict:
     """Peak/valley continued fraction A(p, q, v) and its named specializations.
 
@@ -410,13 +402,12 @@ def gf_continued_fractions(order: int) -> dict:
             raise MismatchBetweenForms(f"valley-free coefficient at p^{n}")
 
     enum_limit = min(order, 9)
-    from . import enumeration
     for n in range(1, enum_limit + 1):
-        count = enumeration.cached_count("parallelogram", "area", n)
-        if a_1q1.coeff({"q": n}) != count:
+        want = count(FamilyBound("parallelogram", "area", n))
+        if a_1q1.coeff({"q": n}) != want:
             raise MismatchBetweenForms(
                 f"peak-height-sum collapse at q^{n}: series "
-                f"{a_1q1.coeff({'q': n})}, parallelogram count {count}"
+                f"{a_1q1.coeff({'q': n})}, parallelogram count {want}"
             )
 
     return {

@@ -2,21 +2,21 @@
 
 Streams are generated by DFS over canonical prefixes and arrive in
 lexicographic order of the canonical field encoding (rows, word, diagonals,
-columns).  Each walk expands only prefixes that complete (the run-limited
-Dyck walk aside) and emits a forced tail in one step.  Every walk runs on an
-explicit stack, so no recursion limit bounds an object's length: the path
-walks (Dyck, peakless Motzkin) and the evenCoins walk keep their own, and the
-Stanley, parallelogram and fountain-diagonal walks share one driver over lazy
-child iterators.  Re-invoking an iterator restarts the same stream.  A safety
-cap bounds stream length.  Grouped counts read one statistic per object
-straight from the raw encoding.
+columns).  Each walk expands only prefixes that complete and emits a forced
+tail in one step.  Every walk runs on an explicit stack, so no recursion
+limit bounds an object's length: the path walks (Dyck, peakless Motzkin) and
+the evenCoins walk keep their own, and the Stanley, parallelogram and
+fountain-diagonal walks share one driver over lazy child iterators.
+Re-invoking an iterator restarts the same stream.  A safety cap bounds
+stream length.  ``count`` counts a stream and ``count_grouped`` reads one
+statistic per object straight from the raw encoding; nothing is memoised,
+so every call walks its stream afresh.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import objects
@@ -74,21 +74,22 @@ def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
     U and of D are at most max_run long."""
     total = 2 * n
     limit = n if max_run is None else max_run  # no run is longer than n
-    # run: length of the last run of steps, negative for a run of D.  A U is
-    # taken only with room to come back down, and once h == rest the closing
-    # run of D, if within the limit, is emitted whole.  Without max_run every
-    # prefix completes; with it a prefix may be too high to come down in runs
-    # of at most max_run D.
+    # run: length of the last run of steps, negative for a run of D.  A
+    # prefix ending in a run of a D (a = 0 after a U) completes iff a plus
+    # its D left fit in runs of at most limit, one run more than its U left.
+    # A D keeps that so; a U does iff the (rest + h) / 2 D left fit in
+    # (rest - h) / 2 runs, that is h (limit + 1) <= (limit - 1) rest.  Once
+    # h == rest the closing run of D is emitted whole.
+    highest = [(limit - 1) * rest // (limit + 1) for rest in range(total + 1)]
     stack = [("", 0, 0)]
     while stack:
         word, h, run = stack.pop()
         rest = total - len(word)
         if h == rest:
-            if (h - run if run < 0 else h) <= limit:
-                yield word + "D" * h
+            yield word + "D" * h
             continue
         # U is pushed first so that D, which sorts before it, comes out first
-        if h + 2 <= rest and run < limit:
+        if h <= highest[rest] and run < limit:
             stack.append((word + "U", h + 1, run + 1 if run > 0 else 1))
         if h > 0 and run > -limit:
             stack.append((word + "D", h - 1, run - 1 if run < 0 else -1))
@@ -228,9 +229,6 @@ def count_grouped(bound: FamilyBound, group_by: str) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-@lru_cache(maxsize=512)
-def cached_count(family: str, measure: str, value: int) -> int:
-    n = 0
-    for _ in iter_raw(FamilyBound(family, measure, value)):
-        n += 1
-    return n
+def count(bound: FamilyBound) -> int:
+    """Number of objects in the bound's stream."""
+    return sum(1 for _ in iter_raw(bound))

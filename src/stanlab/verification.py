@@ -1,14 +1,12 @@
 """Named check suites tying the closed forms, the bijections, and brute-force
 enumeration to one another.
 
-Every suite returns a report of the shape
-
-    {"suite": name, "checks": [{"name", "status", "expected", "actual"}, ...]}
-
-with status "pass" or "fail".  Expected values that are frozen below (printed
-expansions, coefficient tables) were transcribed once and are never recomputed
-from the code under test, so a regression in the series engine cannot silently
-agree with itself.
+Every suite appends its checks, {"name", "status", "expected", "actual"}
+with status "pass" or "fail", to the list it is given, and ``run_suite``
+wraps them in a report {"suite": name, "checks": [...]}.  Expected values
+that are frozen below (printed expansions, coefficient tables) were
+transcribed once and are never recomputed from the code under test, so a
+regression in the series engine cannot silently agree with itself.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from collections import defaultdict
 from . import bijections, catalog, objects
 from .enumeration import (
     FamilyBound,
-    cached_count,
+    count,
     count_grouped,
     enumerate_family,
     iter_raw,
@@ -208,13 +206,12 @@ TABLE1_IDENTITIES = (
 )
 
 
-def suite_table1(max_size: int) -> dict:
+def suite_table1(checks: list, max_size: int) -> None:
     """Statistic transport along the staircase word map, two columns and up.
 
     The single-cell polyomino corresponds to the empty word, where the row,
     semiperimeter, and area identities read 0 = 1; it is excluded by design.
     """
-    checks: list = []
     bad = {label: [] for label, _, _ in TABLE1_IDENTITIES}
     total = 0
     for n in range(2, max_size + 1):
@@ -230,7 +227,6 @@ def suite_table1(max_size: int) -> dict:
         _check(checks, label,
                f"0 mismatches over {total} polyominoes",
                f"{len(bad[label])} mismatches over {total} polyominoes")
-    return {"suite": "table1", "checks": checks}
 
 
 # -- bijections --------------------------------------------------------------------
@@ -290,8 +286,8 @@ def _scan_sizes(name: str, max_size: int, first_row) -> tuple[int, list]:
         for rows, paths in groups.items():
             bad += sum(sper(rows) != m + offset
                        or first(rows) != first_row(p.word) for p in paths)
-        sizes.append((sum(map(len, groups.values())), len(groups),
-                      cached_count("stanley", "semiperimeter", m + offset)))
+        want = count(FamilyBound("stanley", "semiperimeter", m + offset))
+        sizes.append((sum(map(len, groups.values())), len(groups), want))
     return bad, sizes
 
 
@@ -455,26 +451,23 @@ def _fountain_brute_checks(checks: list) -> None:
            f"{bad} disagreements over {total} compositions")
 
 
-def suite_bijections(max_size: int) -> dict:
-    checks: list = []
+def suite_bijections(checks: list, max_size: int) -> None:
     _phi_checks(checks, max_size)
     _chi_checks(checks, max_size)
     _chi_prime_checks(checks, max_size)
     _f_checks(checks, max_size)
     _h_psi_checks(checks, max_size)
     _fountain_brute_checks(checks)
-    return {"suite": "bijections", "checks": checks}
 
 
 # -- five-variable series ------------------------------------------------------------
 
-def suite_thm_full(max_size: int) -> dict:
-    checks: list = []
+def suite_thm_full(checks: list, max_size: int) -> None:
     series = _check_built(checks, "closed and iterated forms agree with no "
                           "stray negative exponents", "agreement",
                           lambda: catalog.gf_full(max_size))
     if series is None:
-        return {"suite": "thm-full", "checks": checks}
+        return
 
     _check_dict(checks, "series terms equal brute-force statistics "
                 f"through {max_size} columns", full_tally(max_size),
@@ -485,13 +478,11 @@ def suite_thm_full(max_size: int) -> dict:
     got = {e: c for e, c in series.terms.items() if e[0] <= ref_limit}
     _check_dict(checks, f"printed expansion through {ref_limit} columns",
                 ref, got)
-    return {"suite": "thm-full", "checks": checks}
 
 
 # -- columns -----------------------------------------------------------------------
 
-def suite_columns(max_size: int) -> dict:
-    checks: list = []
+def suite_columns(checks: list, max_size: int) -> None:
     series, _ = catalog.gf_columns(max_size)
 
     ref_limit = min(7, max_size)
@@ -541,20 +532,18 @@ def suite_columns(max_size: int) -> dict:
                      "by powers of two", pt_bad, "off at n = ")
     _check_built(checks, "corollary record identities", "consistent",
                  lambda: catalog.gf_columns_corollaries(max_size))
-    return {"suite": "columns", "checks": checks}
 
 
 # -- semiperimeter -----------------------------------------------------------------
 
-def suite_semiperimeter(max_size: int) -> dict:
+def suite_semiperimeter(checks: list, max_size: int) -> None:
     order = max_size + 2
-    checks: list = []
     series, g1 = catalog.gf_semiperimeter(order)
 
     motzkin_bad: list[str] = []
     for n in range(2, order + 1):
-        if g1.coeff({"x": n}) != cached_count(
-                "peaklessMotzkin", "steps", n - 2):
+        if g1.coeff({"x": n}) != count(
+                FamilyBound("peaklessMotzkin", "steps", n - 2)):
             motzkin_bad.append(str(n))
     _check_all_equal(checks, "semiperimeter counts equal flat-step path "
                      f"counts through {order}", motzkin_bad, "off at n = ")
@@ -598,17 +587,16 @@ def suite_semiperimeter(max_size: int) -> dict:
     _check_built(checks, "first-row total is the square of the count series",
                  "consistent",
                  lambda: catalog.gf_semiperimeter_corollaries(order))
-    return {"suite": "semiperimeter", "checks": checks}
 
 
 # -- area --------------------------------------------------------------------------
 
-def suite_area(max_size: int) -> dict:
-    checks: list = []
+def suite_area(checks: list, max_size: int) -> None:
     series = catalog.gf_area(max_size)
 
     enum_bad = [str(n) for n in range(1, max_size + 1)
-                if series.coeff({"z": n}) != cached_count("stanley", "area", n)]
+                if series.coeff({"z": n})
+                != count(FamilyBound("stanley", "area", n))]
     _check_all_equal(checks, "area series equals brute-force counts through "
                      f"{max_size}", enum_bad, "off at n = ")
 
@@ -620,19 +608,17 @@ def suite_area(max_size: int) -> dict:
     _check_built(checks, "alternating-sum ratio agrees with the collapsed "
                  "continued fraction", "agreement",
                  lambda: catalog.gf_continued_fractions(max_size))
-    return {"suite": "area", "checks": checks}
 
 
 # -- continued fraction --------------------------------------------------------------
 
-def suite_cf(max_size: int) -> dict:
-    checks: list = []
+def suite_cf(checks: list, max_size: int) -> None:
     try:
         rec = catalog.gf_continued_fractions(max_size)
     except StanlabError as exc:
         _check(checks, "continued fraction record", "built",
                f"{type(exc).__name__}: {exc}")
-        return {"suite": "cf", "checks": checks}
+        return
     a = rec["a"]
 
     # full trivariate slice vs brute force
@@ -683,19 +669,17 @@ def suite_cf(max_size: int) -> dict:
            f"the row count through {class_limit}",
            {m: rec["a-1q1"].coeff({"q": m}) for m in range(1, class_limit + 1)},
            dict(sorted(class_counts.items())))
-    return {"suite": "cf", "checks": checks}
 
 
 # -- area-and-rows refinement ----------------------------------------------------------
 
-def suite_corollary_2_13(max_size: int) -> dict:
+def suite_corollary_2_13(checks: list, max_size: int) -> None:
     """Triple count identity: polyominoes by area and rows, staircase
     parallelograms by area and columns, fountains by even and odd coins.
 
     The single-cell case (area 1, one row) has no counterpart with zero
     cells on the other side, so rows enter only where area exceeds rows.
     """
-    checks: list = []
     bad: list[str] = []
     triples = 0
     # the other two sides only ever need sizes 1 .. max_size - 1
@@ -717,7 +701,6 @@ def suite_corollary_2_13(max_size: int) -> dict:
     _check(checks, f"triple counts agree on {triples} (area, rows) classes",
            "all equal",
            "all equal" if not bad else "; ".join(bad[:5]))
-    return {"suite": "corollary-2-13", "checks": checks}
 
 
 # -- dispatch ----------------------------------------------------------------------
@@ -743,17 +726,17 @@ def run_suite(name: str, max_size: int | None = None) -> dict:
         raise OutOfRange(
             f"suites need a size >= {MIN_SUITE_SIZE}, got {max_size}")
 
-    def run(sub: str) -> dict:
-        size = SUITE_DEFAULT_SIZE[sub] if max_size is None else max_size
-        return SUITES[sub](size)
+    def run(sub: str) -> list:
+        checks: list = []
+        SUITES[sub](checks, SUITE_DEFAULT_SIZE[sub] if max_size is None
+                    else max_size)
+        return checks
 
     if name != "all":
-        return run(name)
-    checks: list = []
-    for sub in SUITES:
-        for c in run(sub)["checks"]:
-            checks.append({**c, "name": f"{sub}: {c['name']}"})
-    return {"suite": "all", "checks": checks}
+        return {"suite": name, "checks": run(name)}
+    return {"suite": "all", "checks": [
+        {**c, "name": f"{sub}: {c['name']}"}
+        for sub in SUITES for c in run(sub)]}
 
 
 def report_failed(report: dict) -> bool:

@@ -16,7 +16,7 @@ from conftest import ACCEPTANCE_LINES
 
 from stanlab.bijections import preimages
 from stanlab.catalog import catalan
-from stanlab.enumeration import cached_count
+from stanlab.enumeration import FamilyBound, count
 from stanlab.verification import (
     _fountain_brute_checks,
     edge_free_count,
@@ -56,7 +56,7 @@ def describe(report: dict) -> str:
 
 def test_criterion_1_column_counts_are_catalan():
     ok = all(
-        cached_count("stanley", "columns", n + 1) == catalan(n)
+        count(FamilyBound("stanley", "columns", n + 1)) == catalan(n)
         for n in range(1, 13)
     )
     assert record(1, "column counts follow the Catalan numbers through 13 columns", ok)
@@ -164,7 +164,7 @@ def test_chi_prime_image_counts_through_semilength_14():
     for m in range(15):
         groups = preimages("chi_prime", m)
         sources = sum(map(len, groups.values()))
-        assert sources == cached_count("stanley", "semiperimeter", m + 3), m
+        assert sources == count(FamilyBound("stanley", "semiperimeter", m + 3)), m
         images.append(len(groups))
         merged.append({rows: [d.word for d in ds]
                        for rows, ds in groups.items() if len(ds) > 1})

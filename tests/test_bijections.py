@@ -21,7 +21,7 @@ from stanlab.bijections import (
     psi,
     table_inverse,
 )
-from stanlab.enumeration import FamilyBound, cached_count, iter_raw
+from stanlab.enumeration import FamilyBound, count, iter_raw
 from stanlab.errors import (
     CapExceeded,
     ContainsTriple,
@@ -295,7 +295,7 @@ class TestPhi:
             assert dyck_stats(d).semilength == n - 1
             assert phi_inv(d) == p
             words.add(d.word)
-        assert len(words) == cached_count("stanley", "columns", n)
+        assert len(words) == count(FamilyBound("stanley", "columns", n))
 
     @pytest.mark.parametrize("m", range(0, 7))
     def test_inverse_lands_on_polyominoes(self, m: int):
@@ -325,7 +325,7 @@ class TestChi:
             p = chi(make_motzkin(w))
             assert stanley_stats(p).sper == m + 2
             images.add(p.rows)
-        assert len(images) == cached_count("stanley", "semiperimeter", m + 2)
+        assert len(images) == count(FamilyBound("stanley", "semiperimeter", m + 2))
 
 
 class TestChiPrime:
@@ -504,7 +504,7 @@ class TestParallelogramMaps:
             assert ds.sump == qs.area
             assert ds.nbp == qs.colCount
             words.add(d.word)
-        assert len(words) == cached_count("parallelogram", "area", n)
+        assert len(words) == count(FamilyBound("parallelogram", "area", n))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_psi_transports_coin_parities(self, n: int):
@@ -547,7 +547,7 @@ class TestPreimages:
         groups = preimages("chi", m)
         words = [p.word for ps in groups.values() for p in ps]
         assert len(set(words)) == len(words)
-        assert len(words) == cached_count("peaklessMotzkin", "steps", m)
+        assert len(words) == count(FamilyBound("peaklessMotzkin", "steps", m))
         assert all(len(w) == m and "UD" not in w for w in words)
         for rows, ps in groups.items():
             assert all(chi(p).rows == rows for p in ps)

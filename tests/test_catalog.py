@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import stanlab
+from stanlab import cli
 from stanlab.catalog import (
     catalan,
     coeff_columns,
@@ -210,6 +215,50 @@ class TestContinuedFractionRecord:
     def test_domain_error(self):
         with pytest.raises(OutOfRange):
             gf_continued_fractions(0)
+
+
+# sha256 of the stdout of `series --gf cf-specializations --order 6`, as
+# pinned with the other order-6 outputs in test_cli
+CF_SPECIALIZATIONS_ORDER_6_SHA256 = (
+    "5ca7466cb4cea06268ebc211f8fbf1bef081a28e16d97257d0d6cf778a72f7ea")
+
+
+class TestStateless:
+    def test_mutated_results_reach_no_later_call(self, capsys):
+        rec = gf_continued_fractions(6)
+        rec["a-1q1"] = None
+        rec["a-1qq"].packed.clear()
+        cor = gf_columns_corollaries(6)
+        cor["first-row-total"]["series"].packed.clear()
+        cor["point-free"] = None
+        gf_full(4).packed.clear()
+
+        rec = gf_continued_fractions(6)
+        assert series_ints(rec["a-1q1"], "q") == {
+            n + 1: c for n, c in enumerate([1, 2, 4, 9, 20, 46])}
+        assert series_ints(rec["a-1qq"], "q") == {
+            n + 1: c for n, c in enumerate([1, 2, 4, 8, 17, 36])}
+        cor = gf_columns_corollaries(6)
+        assert series_ints(cor["first-row-total"]["series"]) == {
+            n: catalan(n) for n in range(1, 7)}
+        assert cor["point-free"]["power-of-two-identity"] is True
+        assert gf_full(4).terms == full_tally(4)
+
+        argv = ["series", "--gf", "cf-specializations", "--order", "6"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == CF_SPECIALIZATIONS_ORDER_6_SHA256)
+
+    def test_no_callable_is_memoised(self):
+        modules = [importlib.import_module(f"stanlab.{m.name}")
+                   for m in pkgutil.iter_modules(stanlab.__path__)
+                   if m.name != "__main__"]
+        cached = [f"{module.__name__}.{name}"
+                  for module in [stanlab, *modules]
+                  for name, value in vars(module).items()
+                  if callable(value) and hasattr(value, "cache_info")]
+        assert len(modules) > 5 and cached == []
 
 
 def _series_in(value):

@@ -393,6 +393,31 @@ def test_series_stdout_bytes_pinned(capsys, gf):
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_ORDER_6_SHA256[gf]
 
 
+# exit code and sha256 of the stdout of `series --gf G --order N` at the
+# first-row kernel's edges: its smallest orders (corollaries needs 2, for the
+# semiperimeter record) and order 40, frozen before columns and
+# semiperimeter were built from one kernel
+SERIES_KERNEL_EDGES = {
+    ("semiperimeter", "2"): (0, "714a5d3c097403de2dae3e4b57d45ce5"
+                                "c28a3bd85e8a064adc164e6c841aea31"),
+    ("corollaries", "1"): (2, "e3b0c44298fc1c149afbf4c8996fb924"
+                              "27ae41e4649b934ca495991b7852b855"),
+    ("corollaries", "2"): (0, "5bccbf46a500aecef97285ab36c8c2a2"
+                              "18792cb9d339d59e62b3d22431a1c16f"),
+    ("columns", "40"): (0, "8e19f0de48566331222da6ee30d442aa"
+                           "7d0cd43cb19a2eb913e773289c367343"),
+    ("semiperimeter", "40"): (0, "0bd0095ae2a737e8f934a7ffcd91444b"
+                                 "6d38dcc2e11996382621b94b838ffafb"),
+}
+
+
+@pytest.mark.parametrize("gf, order", SERIES_KERNEL_EDGES)
+def test_series_kernel_edges_pinned(capsys, gf, order):
+    code, out, _ = run(capsys, "series", "--gf", gf, "--order", order)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        SERIES_KERNEL_EDGES[gf, order]
+
+
 def test_corollaries_build_no_continued_fraction(capsys, monkeypatch):
     def no_fraction(*args):
         raise AssertionError("corollaries print no continued fraction")

@@ -1,3 +1,6 @@
+import sys
+from bisect import bisect_left
+
 import pytest
 
 from stanlab import enumeration, objects
@@ -5,7 +8,7 @@ from stanlab.catalog import catalan
 from stanlab.enumeration import (
     SUPPORTED_PAIRS,
     FamilyBound,
-    cached_count,
+    count,
     count_grouped,
     enumerate_family,
     iter_raw,
@@ -34,47 +37,47 @@ class TestBounds:
 class TestCounts:
     def test_stanley_by_columns_is_catalan(self):
         for n in range(1, 9):
-            assert cached_count("stanley", "columns", n) == catalan(n - 1)
+            assert count(FamilyBound("stanley", "columns", n)) == catalan(n - 1)
 
     def test_dyck_is_catalan(self):
         for m in range(0, 8):
-            assert cached_count("dyck", "semilength", m) == catalan(m)
+            assert count(FamilyBound("dyck", "semilength", m)) == catalan(m)
 
     def test_fountains_by_diagonals_are_catalan(self):
         for m in range(1, 9):
-            assert cached_count("fountain", "diagonals", m) == catalan(m)
+            assert count(FamilyBound("fountain", "diagonals", m)) == catalan(m)
 
     def test_stanley_by_semiperimeter(self):
         want = [1, 1, 1, 2, 4, 8, 17, 37, 82]
-        got = [cached_count("stanley", "semiperimeter", n)
+        got = [count(FamilyBound("stanley", "semiperimeter", n))
                for n in range(2, 11)]
         assert got == want
 
     def test_peakless_motzkin(self):
         want = [1, 1, 1, 2, 4, 8, 17, 37]
-        got = [cached_count("peaklessMotzkin", "steps", m) for m in range(8)]
+        got = [count(FamilyBound("peaklessMotzkin", "steps", m)) for m in range(8)]
         assert got == want
 
     def test_stanley_by_area(self):
         want = [1, 1, 1, 2, 3, 6, 10, 19, 34]
-        got = [cached_count("stanley", "area", n) for n in range(1, 10)]
+        got = [count(FamilyBound("stanley", "area", n)) for n in range(1, 10)]
         assert got == want
 
     def test_parallelogram_by_area(self):
         want = [1, 2, 4, 9, 20, 46]
-        got = [cached_count("parallelogram", "area", n) for n in range(1, 7)]
+        got = [count(FamilyBound("parallelogram", "area", n)) for n in range(1, 7)]
         assert got == want
 
     def test_fountain_by_even_coins(self):
         # diagonal (1) has a single coin on the even level
-        assert cached_count("fountain", "evenCoins", 1) == 1
+        assert count(FamilyBound("fountain", "evenCoins", 1)) == 1
         by_brute = {}
         for m in range(1, 12):
             for raw in iter_raw(FamilyBound("fountain", "diagonals", m)):
                 e = objects.fountain_stats(objects.CoinFountain(raw)).e
                 by_brute[e] = by_brute.get(e, 0) + 1
         for e in range(1, 6):
-            assert cached_count("fountain", "evenCoins", e) == by_brute[e]
+            assert count(FamilyBound("fountain", "evenCoins", e)) == by_brute[e]
 
 
 class TestStreaming:
@@ -210,12 +213,38 @@ class TestPathWalks:
         assert list(enumeration._gen_dyck(n, 2)) == list(
             recursive_dyck_triple_free(n))
 
-    @pytest.mark.parametrize("max_run", [1, 3])  # 2 is checked above
+    @pytest.mark.parametrize("max_run", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(13))
     def test_run_limited_dyck_matches_the_recursive_walk(self, n, max_run):
-        # the closing run of D is emitted whole only within max_run
         assert list(enumeration._gen_dyck(n, max_run)) == list(
             recursive_dyck_triple_free(n, max_run))
+
+    @pytest.mark.parametrize("max_run", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(13))
+    def test_run_limited_dyck_pops_only_prefixes_that_complete(self, n,
+                                                               max_run):
+        # the prefix each stack.pop() in the walk is about to take
+        popped = []
+        code = enumeration._gen_dyck.__code__
+
+        def profile(frame, event, arg):
+            if (event == "c_call" and frame.f_code is code
+                    and getattr(arg, "__name__", "") == "pop"):
+                popped.append(arg.__self__[-1][0])
+
+        sys.setprofile(profile)
+        try:
+            words = list(enumeration._gen_dyck(n, max_run))
+        finally:
+            sys.setprofile(None)
+        assert popped and words == sorted(words)
+
+        def starts_a_word(prefix: str) -> bool:
+            i = bisect_left(words, prefix)
+            return i < len(words) and words[i].startswith(prefix)
+
+        dead = [p for p in popped if not starts_a_word(p)]
+        assert dead == [], (len(dead), len(popped), dead[:3])
 
     @pytest.mark.parametrize("n", range(17))
     def test_peakless_motzkin_matches_the_recursive_walk(self, n):
