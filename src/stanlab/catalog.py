@@ -38,8 +38,8 @@ from .series import (
     continued_fraction,
     derivative,
     div_monomial,
+    divide,
     evaluate_at_one,
-    invert,
     pochhammer,
     series_json,
     solve_fixed_point,
@@ -77,22 +77,25 @@ _FIRST_ROW = {
 
 def _first_row(kind: str, order_x: int):
     """r, G(u) and G(1) of a first-row equation, r being the power-series
-    root of the kernel x r^2 - t r + 1 = 0 (the column-by-column method of
-    Bousquet-Melou, Discrete Math. 154, 1996).  Asserts the kernel equation,
-    G(1) r = r - 1 and each u^k slice x^lead (x r)^(k-1)."""
+    root of the kernel F(r) = x r^2 - t r + 1 = 0 (the column-by-column
+    method of Bousquet-Melou, Discrete Math. 154, 1996), found by Newton's
+    step r - F(r) / F'(r), which doubles the orders of x that are right
+    each round.  Asserts the kernel equation, G(1) r = r - 1 and each u^k
+    slice x^lead (x r)^(k-1)."""
     t_of, lead = _FIRST_ROW[kind]
     if order_x < lead:
         raise OutOfRange(f"order {order_x} < {lead}")
     ring = SeriesRing(("x", "u"), grade="x", order=order_x)
     x, u = ring.gens()
     t = t_of(x)
-    slack = 1 - t  # r = 1 + x r^2 + slack r gains an order of x each round
-    r = solve_fixed_point(lambda w: 1 + x * w * w + slack * w, ring.one())
+    # -F'(w) = t - 2 x w has constant term 1, so the division is exact
+    r = solve_fixed_point(
+        lambda w: w + divide(x * w * w - t * w + 1, t - 2 * x * w), ring.one())
     if not (x * r * r - t * r + 1).is_zero():
         raise MismatchBetweenForms(f"{kind} kernel root fails its equation")
     x_lead = ring.monomial(1, x=lead)
     xr = x * r
-    G = x_lead * u * invert(1 - u * xr)
+    G = divide(x_lead * u, 1 - u * xr)
     G1 = evaluate_at_one(G, "u")
     _assert_equal(G1 * r, r - 1, f"{kind} G(1) vs (r-1)/r")
     xr_pow = ring.one()
@@ -109,7 +112,7 @@ def _first_row_total(kind: str, r: TruncatedSeries, G: TruncatedSeries,
     and, times x^lead, to G(1)^2."""
     x_lead = G.ring.monomial(1, x=_FIRST_ROW[kind][1])
     total = evaluate_at_one(derivative(G, "u"), "u")
-    _assert_equal(total, x_lead * invert((1 - G.ring.var("x") * r) ** 2),
+    _assert_equal(total, divide(x_lead, (1 - G.ring.var("x") * r) ** 2),
                   f"{kind} first-row total closed form")
     _assert_equal(x_lead * total, G1 * G1,
                   f"{kind} first-row total vs the square of G(1)")
@@ -161,12 +164,12 @@ def gf_columns_corollaries(order_x: int) -> dict:
     xx = uni.var("x")
     uone = uni.one()
 
-    edgint_free = xx * (uone - 2 * xx) * invert(uone - 3 * xx + xx * xx)
+    edgint_free = divide(xx * (uone - 2 * xx), uone - 3 * xx + xx * xx)
     for n in range(2, order_x + 1):
         if edgint_free.coeff({"x": n}) != fibonacci(2 * n - 3):
             raise MismatchBetweenForms(f"edgint-free columns count at x^{n}")
 
-    point_free = xx * (uone - xx) * invert(uone - 2 * xx)
+    point_free = divide(xx * (uone - xx), uone - 2 * xx)
     for n in range(2, order_x + 1):
         if point_free.coeff({"x": n}) != 2 ** (n - 2):
             raise MismatchBetweenForms(f"point-free columns count at x^{n}")
@@ -227,7 +230,7 @@ def gf_semiperimeter_corollaries(order_x: int) -> dict:
     uni = SeriesRing(("x",), grade="x", order=order_x)
     xx = uni.var("x")
     uone = uni.one()
-    fib_series = xx * (uone - xx * xx) * invert(uone - xx - xx * xx)
+    fib_series = divide(xx * (uone - xx * xx), uone - xx - xx * xx)
     for n in range(2, order_x + 1):
         if fib_series.coeff({"x": n}) != fibonacci(n - 1):
             raise MismatchBetweenForms(f"Fibonacci series coefficient at x^{n}")
@@ -259,15 +262,14 @@ def gf_area(order_z: int) -> TruncatedSeries:
     while (level + 2) * (level + 1) // 2 <= order_z:
         sign = -1 if level % 2 else 1
         poch = pochhammer(z, z, level)
-        num = num + sign * ring.monomial(1, z=(level + 2) * (level + 1) // 2) * invert(
-            poch * poch * (one - ring.monomial(1, z=level + 1))
-        )
+        num = num + sign * divide(
+            ring.monomial(1, z=(level + 2) * (level + 1) // 2),
+            poch * poch * (one - ring.monomial(1, z=level + 1)))
         poch1 = pochhammer(z, z, level + 1)
-        den = den - sign * ring.monomial(
-            1, z=(level + 4) * (level + 1) // 2
-        ) * invert(poch1 * poch1)
+        den = den - sign * divide(
+            ring.monomial(1, z=(level + 4) * (level + 1) // 2), poch1 * poch1)
         level += 1
-    return num * invert(den)
+    return divide(num, den)
 
 
 # -- full five-variable series ---------------------------------------------------
@@ -285,8 +287,8 @@ def _full_closed(ring: SeriesRing) -> TruncatedSeries:
     level = 0
     while (level + 2) * (level + 1) // 2 <= ring.order:
         sign = -1 if level % 2 else 1
-        kernel_inv = invert(x * z * v ** level - one)
-        delta = sign * invert(pochhammer(x * z, v, level) * pochhammer(v, v, level))
+        kernel = x * z * v ** level - one
+        delta = pochhammer(x * z, v, level) * pochhammer(v, v, level)
         tri = level * (level + 3) // 2
         g_num = (
             ring.monomial(1, x=level + 2, y=level + 2, p=tri, q=tri,
@@ -295,9 +297,8 @@ def _full_closed(ring: SeriesRing) -> TruncatedSeries:
                             q=level * (level + 1) // 2,
                             z=(level + 2) * (level + 1) // 2) * p
         )
-        g_tot = g_tot + div_monomial(g_num * kernel_inv * delta,
-                                     {"p": 2 * level + 1, "q": level})
-        kernel_inv2 = invert(v ** (level + 1) - one)
+        g_tot = g_tot + sign * div_monomial(divide(g_num, kernel * delta),
+                                            {"p": 2 * level + 1, "q": level})
         h_num = (
             -ring.monomial(1, x=level + 1, y=level + 1, p=tri, q=tri,
                            z=(level + 4) * (level + 1) // 2)
@@ -306,10 +307,11 @@ def _full_closed(ring: SeriesRing) -> TruncatedSeries:
                             q=level * (level + 5) // 2 + 1,
                             z=(level + 6) * (level + 1) // 2) * (p - one)
         )
-        h_tot = h_tot + div_monomial(h_num * kernel_inv * kernel_inv2 * delta,
-                                     {"p": 2 * level, "q": level})
+        h_den = kernel * (v ** (level + 1) - one) * delta
+        h_tot = h_tot + sign * div_monomial(divide(h_num, h_den),
+                                            {"p": 2 * level, "q": level})
         level += 1
-    return g_tot * invert(one + h_tot)
+    return divide(g_tot, one + h_tot)
 
 
 def _full_iterated(ring: SeriesRing) -> TruncatedSeries:
@@ -319,15 +321,15 @@ def _full_iterated(ring: SeriesRing) -> TruncatedSeries:
 
     def a_of(big_u: TruncatedSeries) -> TruncatedSeries:
         num = x * z * big_u * (x * y * z * z * (p - one) * big_u - p) * y
-        return num * invert(p * (big_u * x * z - one))
+        return divide(num, p * (big_u * x * z - one))
 
     def b_of(big_u: TruncatedSeries) -> TruncatedSeries:
         num = big_u * big_u * z * z * (one - q * z * (p - one) * big_u) * y * x
-        return num * invert((big_u * x * z - one) * (big_u * z * q * p - one))
+        return divide(num, (big_u * x * z - one) * (big_u * z * q * p - one))
 
     def c_of(big_u: TruncatedSeries) -> TruncatedSeries:
         num = y * x * big_u * z
-        core = num * invert((one - big_u * x * z) * (big_u * z * q * p - one))
+        core = divide(num, (one - big_u * x * z) * (big_u * z * q * p - one))
         return div_monomial(core, {"q": 1, "p": 2})
 
     sum_a = sum_b = ring.zero()
@@ -339,7 +341,7 @@ def _full_iterated(ring: SeriesRing) -> TruncatedSeries:
         sum_b = sum_b + b_of(big_u) * c_prod
         c_prod = c_prod * c_of(big_u)
         level += 1
-    return sum_a * invert(one - sum_b)
+    return divide(sum_a, one - sum_b)
 
 
 def gf_full(order_x: int) -> TruncatedSeries:
@@ -394,7 +396,7 @@ def gf_continued_fractions(order: int) -> dict:
     a_pp0 = collapse(a.cofactor("v", 0), {"q": 1, "p": 1}, "p")
     fib_ring = SeriesRing(("p",), grade="p", order=order)
     pp = fib_ring.var("p")
-    fib_form = pp * pp * invert(fib_ring.one() - pp - pp * pp)
+    fib_form = divide(pp * pp, fib_ring.one() - pp - pp * pp)
     if a_pp0 != fib_form:
         raise MismatchBetweenForms("valley-free slice vs p^2/(1-p-p^2)")
     for n in range(2, order + 1):

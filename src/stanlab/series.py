@@ -16,7 +16,7 @@ bias; the grade owns the top slot, so keys sort by grade and "grade within
 the order" is the one compare ``key < ring._limit``.  With the zero vector's
 key taken off one operand, the key of a product of terms is one int add.  A
 capped variable's bias puts an exponent sum over its cap in the guard bit.
-Products and inverses group terms by the capped slots of their keys, so one
+Products and quotients group terms by the capped slots of their keys, so one
 add and one mask skip a whole pair of groups over a cap: no over-cap product
 is ever formed.
 Tuples appear only at the boundary: ``SeriesRing._build`` packs a dict of
@@ -29,7 +29,7 @@ slot, so a product's key is exact: no slot carries into or borrows from its
 neighbour.  The key is in range when no slot is below its low or above its
 high value, tested as ``(key - _lo | _hi - key) & _guards``: the lowest slot
 out of range sets its guard bit in one of the two differences.  ``__mul__``
-tests the terms of its result and ``invert`` each grade's terms before a
+tests the terms of its result and ``divide`` each grade's terms before a
 later grade uses them; a nonzero term out of range raises OutOfRange.
 """
 
@@ -100,17 +100,16 @@ class SeriesRing:
                                        f"{names} besides grade and Laurent")
             if not 0 <= cap < _HALF:
                 raise OutOfRange(f"cap on {name!r} outside [0, {_HALF}): {cap}")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "laurent", laurent)
-        object.__setattr__(self, "caps",
-                           tuple((n, caps[n]) for n in names if n in caps))
         # the packing: slots in the order of names, the grade's on top; a
         # capped slot's bias puts a sum over the cap in the slot's guard bit
         below = [n for n in names if n != self.grade]
         shift = {n: (SLOT_BITS + 1) * i for i, n in enumerate(below)}
         top = shift[self.grade] = (SLOT_BITS + 1) * len(below)
         bias = {n: _BIAS - 1 - caps[n] if n in caps else _BIAS for n in names}
-        packing = {
+        fields = {
+            "names": names,
+            "laurent": laurent,
+            "caps": tuple((n, caps[n]) for n in names if n in caps),
             "_slots": tuple((shift[n], bias[n]) for n in names),
             "_capmask": sum(_MASK << shift[n] for n in caps),
             "_capzero": sum(bias[n] << shift[n] for n in caps),
@@ -119,12 +118,14 @@ class SeriesRing:
             # _HALF); a capped one keeps [0, cap], within that
             "_lo": sum((bias[n] + 1 - _HALF) << shift[n] for n in names),
             "_hi": sum((bias[n] + _HALF - 1) << shift[n] for n in names),
-            "_guards": sum(_BIAS << shift[n] for n in names),
+            # none when every exponent is in [0, its cap or the order]
+            "_guards": 0 if not laurent and len(caps) == len(below)
+            and self.order < _HALF else sum(_BIAS << shift[n] for n in names),
             "_top": top,
             "_zero": sum(bias[n] << shift[n] for n in names),
             "_limit": (self.order + 1 + _BIAS) << top,
         }
-        for attr, value in packing.items():
+        for attr, value in fields.items():
             object.__setattr__(self, attr, value)
 
     def _unpack(self, key: int) -> Exponents:
@@ -147,6 +148,8 @@ class SeriesRing:
         """These exactly packed terms; OutOfRange if a nonzero one has an
         exponent outside (-_HALF, _HALF)."""
         lo, hi, guards = self._lo, self._hi, self._guards
+        if not guards:  # no exponent of this ring can leave the range
+            return packed
         for k, c in packed.items():
             if (k - lo | hi - k) & guards and c:
                 raise OutOfRange(f"exponents {self._unpack(k)} outside the "
@@ -291,8 +294,7 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise NotInvertible("negative powers: use invert")
-        out = self.ring.one()
-        base = self
+        out, base = self.ring.one(), self
         while n:
             if n & 1:
                 out = out * base
@@ -326,61 +328,65 @@ class TruncatedSeries:
 # -- operations ---------------------------------------------------------------
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse.
+    """Multiplicative inverse, the quotient 1 / a."""
+    return divide(a.ring.one(), a)
 
-    The grade-constant part must be a single monomial with coefficient 1 or
-    -1, supported only on Laurent variables; over the integers no other
-    series is invertible.  Dividing by it leaves 1 + t with t of positive
-    grade; the inverse of 1 + t is then built one grade at a time by the
-    coefficient recurrence for the reciprocal of a power series (Knuth,
-    TAOCP vol. 2, 4.7).
-    """
-    ring = a.ring
+
+def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
+    """The quotient num / den.  den's grade-constant part must be one
+    monomial m, coefficient 1 or -1, on Laurent variables only: over the
+    integers no other series is invertible.  den / m is 1 + t with t of
+    positive grade; q = num / (1 + t) is built one grade at a time by the
+    reciprocal's recurrence q_n = num_n - (t_1 q_{n-1} + ... + t_n q_0)
+    (Knuth, TAOCP vol. 2, 4.7), and the quotient is q / m."""
+    num._compat(den)
+    ring = den.ring
     top, zero, order = ring._top, ring._zero, ring.order
     capmask, capzero, capbits = ring._capmask, ring._capzero, ring._capbits
-    const = [(k, c) for k, c in a.packed.items() if k >> top == _BIAS]
+    const = [(k, c) for k, c in den.packed.items() if k >> top == _BIAS]
     if len(const) != 1:
-        raise NotInvertible(
-            f"grade-constant part has {len(const)} terms; need exactly one monomial"
-        )
+        raise NotInvertible(f"grade-constant part has {len(const)} terms; "
+                            "need exactly one monomial")
     (k0, c0), = const
     if c0 not in (1, -1):
         raise NotInvertible(f"grade-constant coefficient {c0} is not 1 or -1")
-    # 1 / c0 is c0; the ring refuses the negative exponents unless k0 is on
-    # Laurent variables
-    inv_mono = ring._build({tuple(-x for x in ring._unpack(k0)): c0})
-    u = a * inv_mono  # now 1 + t with t of positive grade valuation
-    t = u - ring.one()
+    # 1 / c0 is c0, and the ring refuses -k0 unless k0 is on Laurent
+    # variables; when den is 1 + t already, both products by it are skipped
+    inv_mono = None if k0 == zero and c0 == 1 else ring._build(
+        {tuple(-x for x in ring._unpack(k0)): c0})
+    t = (den if inv_mono is None else den * inv_mono) - ring.one()
     if t.packed and min(t.packed) < (_BIAS + 1) << top:
         raise NotInvertible("normalized series still has terms of grade 0 or below")
-    # terms of t by grade and of each b_n grouped by their capped slots,
-    # so that no product over a cap is formed
+    # t and q by grade, grouped by the capped slots of their keys (t's less
+    # capzero, q's absolute), so that no product over a cap is formed
     t_by_grade = [{} for _ in range(order + 1)]
     for k, c in t.packed.items():
         t_by_grade[(k >> top) - _BIAS].setdefault(
             (k & capmask) - capzero, []).append((k - zero, c))
-    # b_0 = 1 and b_n = -(t_1 b_{n-1} + ... + t_n b_0), one grade at a time;
-    # every product has grade n, so only the caps can drop it; b_n's keys
-    # are exact while b_{n-1}, ..., b_0 are in range
-    b = [{capzero: {zero: 1}}]
-    for n in range(1, order + 1):
-        bn: dict[int, dict] = {}
-        for k in range(1, n + 1):
+    low = min((k >> top for k in num.packed), default=_BIAS + order + 1) - _BIAS
+    q = [{} for _ in range(low, order + 1)]  # q[i] is q_{low + i}
+    for k, c in num.packed.items():
+        q[(k >> top) - _BIAS - low].setdefault(k & capmask, {})[k] = c
+    # every product has grade low + i, so only the caps can drop it; q_n's
+    # keys are exact while q_{n-1}, ..., q_low are in range
+    for i, qn in enumerate(q):
+        for k in range(1, min(i, order) + 1):
             for xt, terms in t_by_grade[k].items():
-                for xb, bx in b[n - k].items():
+                for xb, bx in q[i - k].items():
                     x = xt + xb
                     if x & capbits:
                         continue
-                    out = bn.setdefault(x, {})
+                    out = qn.setdefault(x, {})
                     get = out.get
                     for kt, ct in terms:
                         for kb, cb in bx.items():
                             key = kt + kb
                             out[key] = get(key, 0) - ct * cb
-        b.append({x: nz for x, out in bn.items()
-                  if (nz := ring._in_range({k: c for k, c in out.items() if c}))})
-    return ring._make({k: c for bn in b for out in bn.values()
-                       for k, c in out.items()}) * inv_mono
+        q[i] = {x: nz for x, out in qn.items()
+                if (nz := ring._in_range({k: c for k, c in out.items() if c}))}
+    out = ring._make({k: c for qn in q for out in qn.values()
+                      for k, c in out.items()})
+    return out if inv_mono is None else out * inv_mono
 
 
 def evaluate_at_one(a: TruncatedSeries, var: str) -> TruncatedSeries:
@@ -411,17 +417,14 @@ def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
     ring = a.ring
     if var not in ring.names:
         raise VariableMismatch(f"{var!r} not a series variable")
-    vi = ring.names.index(var)
-    out: dict[Exponents, int] = {}
-    for e, c in a.terms.items():
-        k = e[vi]
-        if k == 0:
-            continue
-        if ring._bounded(var):
+    s, b = ring._slots[ring.names.index(var)]
+    out: dict[int, int] = {}
+    for key, c in a.packed.items():
+        k = ((key >> s) & _MASK) - b
+        if k and ring._bounded(var):
             raise UnsoundSubstitution(f"derivative lowers the degree in {var}")
-        ne = e[:vi] + (k - 1,) + e[vi + 1 :]
-        out[ne] = out.get(ne, 0) + c * k
-    return ring._build(out)
+        out[key - (1 << s)] = c * k  # zero, so dropped, when k is 0
+    return ring._make(ring._in_range(out))
 
 
 def div_monomial(a: TruncatedSeries, exps: Mapping[str, int]) -> TruncatedSeries:
@@ -440,9 +443,8 @@ def div_monomial(a: TruncatedSeries, exps: Mapping[str, int]) -> TruncatedSeries
     return ring._build({tuple(map(sub, e, shift)): c for e, c in a.terms.items()})
 
 
-def collapse(
-    a: TruncatedSeries, weights: Mapping[str, int], new_var: str
-) -> TruncatedSeries:
+def collapse(a: TruncatedSeries, weights: Mapping[str, int],
+             new_var: str) -> TruncatedSeries:
     """Map every term to new_var**(weighted exponent sum).
 
     The grade variable needs a positive weight, which makes the result
@@ -468,10 +470,8 @@ def collapse(
     return SeriesRing((new_var,), new_var, a.ring.order)._build(out)
 
 
-def solve_fixed_point(
-    phi: Callable[[TruncatedSeries], TruncatedSeries],
-    seed: TruncatedSeries,
-) -> TruncatedSeries:
+def solve_fixed_point(phi: Callable[[TruncatedSeries], TruncatedSeries],
+                      seed: TruncatedSeries) -> TruncatedSeries:
     """Iterate phi, at most order + 2 times, until two successive series
     agree exactly."""
     rounds = seed.ring.order + 2
@@ -494,10 +494,8 @@ def pochhammer(a: TruncatedSeries, b: TruncatedSeries, k: int) -> TruncatedSerie
     return out
 
 
-def continued_fraction(
-    level: Callable[[int], TruncatedSeries],
-    numerator: TruncatedSeries,
-) -> TruncatedSeries:
+def continued_fraction(level: Callable[[int], TruncatedSeries],
+                       numerator: TruncatedSeries) -> TruncatedSeries:
     """Evaluate -1 + numerator / (L_1 - numerator / (L_2 - ...)).
 
     The depth is the truncation order plus 2, enough for the peak/valley

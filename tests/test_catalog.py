@@ -10,7 +10,7 @@ import pkgutil
 import pytest
 
 import stanlab
-from stanlab import cli
+from stanlab import catalog, cli
 from stanlab.catalog import (
     catalan,
     coeff_columns,
@@ -27,7 +27,7 @@ from stanlab.catalog import (
     record_json,
 )
 from stanlab.errors import OutOfRange
-from stanlab.series import TruncatedSeries
+from stanlab.series import TruncatedSeries, solve_fixed_point
 from stanlab.verification import full_tally
 
 
@@ -45,6 +45,30 @@ class TestNumberSequences:
 
     def test_catalan(self):
         assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+
+
+class TestFirstRowKernel:
+    @pytest.mark.parametrize("kind", ["columns", "semiperimeter"])
+    def test_newton_root_matches_one_order_per_round(self, kind, monkeypatch):
+        rounds = []
+
+        def counting(phi, seed):
+            def counted(w):
+                rounds[-1] += 1
+                return phi(w)
+            rounds.append(0)
+            return solve_fixed_point(counted, seed)
+
+        monkeypatch.setattr(catalog, "solve_fixed_point", counting)
+        t_of, _ = catalog._FIRST_ROW[kind]
+        for order in range(2, 61):
+            r, _, _ = catalog._first_row(kind, order)
+            x, one = r.ring.var("x"), r.ring.one()
+            slack = 1 - t_of(x)
+            # the reference gains one order of x per round
+            want = solve_fixed_point(lambda w: 1 + x * w * w + slack * w, one)
+            assert r == want, order
+            assert rounds.pop() <= order.bit_length() + 2, order
 
 
 class TestColumnsSeries:
@@ -167,7 +191,7 @@ class TestFullSeries:
             (2, 4, 0, 0): 1,
         }
 
-    @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12])
     def test_matches_brute_force_past_the_suite_size(self, n):
         # the column bound is the ring's cap on x: every class through n
         # columns is present and nothing beyond

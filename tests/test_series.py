@@ -20,6 +20,7 @@ from stanlab.series import (
     continued_fraction,
     derivative,
     div_monomial,
+    divide,
     evaluate_at_one,
     invert,
     pochhammer,
@@ -143,6 +144,54 @@ class TestInvert:
             invert(r.one() + r.monomial(1, x=-1))
 
 
+def _refused_denominators():
+    """Denominators that invert refuses, each with NotInvertible."""
+    r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+    x, y = r.gens()
+    lx = SeriesRing(("x", "y"), grade="x", order=4, laurent=("x",))
+    return {
+        "constant 2": r.constant(2) + x,
+        "monomial -3y": r.monomial(-3, y=1) + x,
+        "zero constant": x,
+        "zero": r.zero(),
+        "two grade-0 terms": r.one() + y + x,
+        "non-Laurent monomial": ring2().var("y") + ring2().var("x"),
+        "negative grade": lx.one() + lx.monomial(1, x=-1),
+    }
+
+
+class TestDivide:
+    def test_geometric_quotient(self):
+        r = ring2()
+        x, y = r.gens()
+        q = divide(y + x, r.one() - x)
+        assert q.terms == ({(n, 1): 1 for n in range(9)}
+                           | {(n, 0): 1 for n in range(1, 9)})
+
+    def test_numerator_below_grade_zero(self):
+        # a Laurent grade lets the quotient start below grade 0
+        r = SeriesRing(("x",), grade="x", order=4, laurent=("x",))
+        q = divide(r.monomial(1, x=-2), r.one() - r.var("x"))
+        assert q.terms == {(n,): 1 for n in range(-2, 5)}
+
+    @pytest.mark.parametrize("case", sorted(_refused_denominators()))
+    def test_refuses_what_invert_refuses(self, case):
+        den = _refused_denominators()[case]
+        with pytest.raises(NotInvertible):
+            invert(den)
+        with pytest.raises(NotInvertible):
+            divide(den.ring.one() + den.ring.var("x"), den)
+
+    @pytest.mark.parametrize("other", [ring2(order=6), SeriesRing(
+        ("x", "y"), grade="x", order=4, caps={"y": 2})])
+    def test_rings_must_match(self, other):
+        r = ring2(order=4)
+        with pytest.raises(VariableMismatch):
+            divide(r.var("y"), other.one())
+        with pytest.raises(VariableMismatch):
+            divide(other.var("y"), r.one())
+
+
 def _dict_mul(a: dict, b: dict, gi: int, order: int) -> dict:
     out: dict = {}
     for ea, ca in a.items():
@@ -236,6 +285,15 @@ class TestCaps:
         ta = [((max(gx, 1), ey, ew), c) for (gx, ey, ew), c in ta]
         want = invert(c0 + _series(free, ta))
         got = invert(c0 + _series(capped, ta))
+        assert got.terms == _under_cap(want.terms, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3), constants, cap_terms, cap_terms)
+    def test_divide_equals_uncapped_then_dropped(self, cap, c0, tn, ta):
+        free, capped = _capped_pair(cap)
+        ta = [((max(gx, 1), ey, ew), c) for (gx, ey, ew), c in ta]
+        want = divide(_series(free, tn), c0 + _series(free, ta))
+        got = divide(_series(capped, tn), c0 + _series(capped, ta))
         assert got.terms == _under_cap(want.terms, cap)
 
     @pytest.mark.parametrize("caps, laurent, err", [
@@ -552,27 +610,35 @@ def tuple_mul(ring, a: dict, b: dict) -> dict:
     return tuple_build(ring, out)
 
 
-def tuple_invert(ring, a: dict) -> dict:
+def tuple_divide(ring, num: dict, den: dict) -> dict:
+    """num / den on a grade that is not Laurent: den over its grade-0
+    monomial is 1 + t, q_n = num_n - (t_1 q_{n-1} + ... + t_n q_0) with no
+    truncation or range check, then the truncated and checked sum of the
+    q_n times the inverse monomial."""
     gi = ring.names.index(ring.grade)
-    (e0, c0), = ((e, c) for e, c in a.items() if e[gi] == 0)
+    (e0, c0), = ((e, c) for e, c in den.items() if e[gi] == 0)
     inv_mono = tuple_build(ring, {tuple(-x for x in e0): c0})
-    u = tuple_mul(ring, a, inv_mono)
+    u = tuple_mul(ring, den, inv_mono)
     one = (0,) * len(ring.names)
     t = tuple_add(ring, u, {one: -1})
     t_by_grade = [[] for _ in range(ring.order + 1)]
     for e, c in t.items():
         t_by_grade[e[gi]].append((e, c))
-    b = [{one: 1}]
+    q = [{e: c for e, c in num.items() if e[gi] == n}
+         for n in range(ring.order + 1)]
     for n in range(1, ring.order + 1):
-        bn = {}
         for k in range(1, n + 1):
             for et, ct in t_by_grade[k]:
-                for eb, cb in b[n - k].items():
-                    e = tuple(x + y for x, y in zip(et, eb))
-                    bn[e] = bn.get(e, 0) - ct * cb
-        b.append({e: c for e, c in bn.items() if c})
-    total = tuple_build(ring, {e: c for bn in b for e, c in bn.items()})
+                for eq, cq in q[n - k].items():
+                    e = tuple(x + y for x, y in zip(et, eq))
+                    q[n][e] = q[n].get(e, 0) - ct * cq
+        q[n] = {e: c for e, c in q[n].items() if c}
+    total = tuple_build(ring, {e: c for qn in q for e, c in qn.items()})
     return tuple_mul(ring, total, inv_mono)
+
+
+def tuple_invert(ring, a: dict) -> dict:
+    return tuple_divide(ring, {(0,) * len(ring.names): 1}, a)
 
 
 def typed(terms) -> dict:
@@ -628,6 +694,22 @@ class TestPackedAgainstTupleKernel:
         a = r._build(raw)
         want = tuple_invert(r, tuple_build(r, raw))
         assert typed(invert(a).terms) == typed(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_terms, st.sampled_from([1, -1]), st.integers(-2, 2),
+           kernel_terms)
+    def test_divide(self, num, c0, laurent_exp, rest):
+        r = KERNEL_RING
+        raw = {(0, laurent_exp, 0, 0): c0}
+        for (gx, ey, ew, ev), c in rest.items():
+            e = (max(gx, 1), ey, ew, ev)
+            raw[e] = raw.get(e, 0) + c
+        a, b = r._build(num), r._build(raw)
+        ta, tb = tuple_build(r, num), tuple_build(r, raw)
+        q = divide(a, b)
+        assert typed(q.terms) == typed(tuple_mul(r, ta, tuple_invert(r, tb)))
+        assert typed(q.terms) == typed(tuple_divide(r, ta, tb))
+        assert q * b == a
 
     @settings(max_examples=40, deadline=None)
     @given(kernel_terms, st.sampled_from(KERNEL_RING.names), st.integers(-3, 4))
@@ -698,6 +780,26 @@ class TestRangeGuard:
         a = r.monomial(1, y=3) + r.monomial(1, x=1, y=HALF // 2 + 3)
         with pytest.raises(OutOfRange):
             invert(a)
+
+    @pytest.mark.parametrize("ring, scans", [
+        (SeriesRing(("z",), grade="z", order=40), False),
+        (SeriesRing(("x", "w"), grade="x", order=4, caps={"w": 3}), False),
+        (SeriesRing(("x", "w"), grade="x", order=4), True),
+        (SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",)), True),
+        (SeriesRing(("x",), grade="x", order=4, laurent=("x",)), True),
+        (SeriesRing(("x",), grade="x", order=HALF), True),
+    ])
+    def test_scan_only_where_an_exponent_can_leave_the_range(self, ring,
+                                                             scans):
+        # a ring with no Laurent variable, caps on every other variable and
+        # an order below HALF cannot form this grade exponent, so it skips
+        # the scan that would refuse it
+        bad = {ring._zero + (HALF << ring._top): 1}
+        if scans:
+            with pytest.raises(OutOfRange):
+                ring._in_range(bad)
+        else:
+            assert ring._in_range(bad) is bad
 
     def test_inverse_past_the_slot_raises(self):
         r = SeriesRing(("x", "y"), grade="x", order=40)
@@ -770,3 +872,13 @@ class TestRangeGuardNearTheEdge:
         raw[(0, ey0, 0, 0)] = c0
         got = outcome(lambda: invert(r._build(raw)).terms)
         assert got == outcome(lambda: tuple_invert(r, raw))
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_terms, laurent_near_edge, st.sampled_from([1, -1]), edge_terms)
+    def test_divide(self, num, ey0, c0, rest):
+        r = EDGE_RING
+        raw = {(max(gx, 1), *e): c for (gx, *e), c in rest.items()}
+        raw[(0, ey0, 0, 0)] = c0
+        got = outcome(lambda: divide(r._build(num), r._build(raw)).terms)
+        assert got == outcome(
+            lambda: tuple_divide(r, tuple_build(r, num), raw))
