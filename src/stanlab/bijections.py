@@ -18,7 +18,6 @@ time linear in their output.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterable
 
 from . import enumeration
@@ -40,7 +39,6 @@ from .objects import (
     is_peakless,
     make_dyck,
     make_fountain,
-    make_motzkin,
     make_stanley,
     parallelogram_stats,
     stanley_stats,
@@ -58,15 +56,15 @@ def phi(p: StanleyPolyomino) -> DyckPath:
 def phi_inv(d: DyckPath) -> StanleyPolyomino:
     if not d.word:
         return make_stanley(((0, 1),))
-    runs = [(c, sum(1 for _ in g)) for c, g in groupby(d.word)]
-    a = [n for c, n in runs if c == "U"]
-    b = [n for c, n in runs if c == "D"]
-    rows = [(0, a[0] + 1)]
-    for i in range(1, len(a)):
+    # the valleys DU cut the word into one piece U^a D^b per row, less the
+    # U that opens each piece after the first and the D that closes each
+    # piece before the last
+    pieces = d.word.split("DU")
+    rows = [(0, pieces[0].count("U") + 1)]
+    for below, piece in zip(pieces, pieces[1:]):
         s, l = rows[-1]
-        start = s + b[i - 1]
-        end = s + l + a[i]
-        rows.append((start, end - start))
+        b = below.count("D") + 1
+        rows.append((s + b, l + piece.count("U") + 1 - b))
     return make_stanley(rows)
 
 
@@ -234,9 +232,10 @@ def psi(q: ParallelogramPolyomino) -> CoinFountain:
 # map name -> (the map, its sources of size m, target semiperimeter less
 # source size).  Plain tuples read by index, like objects.FAMILIES.
 SCANNED = {
-    "chi": (chi, lambda m: map(make_motzkin, enumeration.iter_raw(
-        enumeration.FamilyBound("peaklessMotzkin", "steps", m))), 2),
-    "chi_prime": (chi_prime, lambda m: map(make_dyck, enumeration._capped(
+    "chi": (chi, lambda m: enumeration.enumerate_family(
+        enumeration.FamilyBound("peaklessMotzkin", "steps", m)), 2),
+    # the walk emits valid words only, so they are wrapped unvalidated
+    "chi_prime": (chi_prime, lambda m: map(DyckPath, enumeration._capped(
         enumeration._gen_dyck(m, 2),
         f"triple-free Dyck words of semilength {m}")), 3),
 }

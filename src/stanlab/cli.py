@@ -4,8 +4,8 @@ Four subcommands: enumerate (stream objects or grouped counts), map (apply a
 bijection to JSON lines), series (emit a catalog series), verify (run a named
 check suite).  Output is JSON lines on stdout, diagnostics go to stderr, and
 exit codes separate usage errors (2), resource caps (3), bad input data (4),
-failed theorem checks (1 for verify suites, 5 for series assertions), and
-unexpected internal errors (6).
+failed theorem checks (1 for verify suites, 5 for series assertions and
+invariant failures), and unexpected internal errors (6).
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ def cmd_map(args) -> int:
                 data = json.loads(line)
                 src = objects.from_json_obj(family, data)
                 dst = func(src)
-            # the JSON and UTF-8 decoders raise ValueError, and the JSON
-            # decoder RecursionError on over-deep nesting; anything else is
-            # a fault in the code and exits 6
-            except (StanlabError, ValueError, RecursionError) as exc:
+            # bad input raises ValueError (InvalidObject, TooSmall, the
+            # decoders' errors) or, from the JSON decoder on over-deep
+            # nesting, RecursionError; main maps code faults to 5 or 6
+            except (ValueError, RecursionError) as exc:
                 if args.skip_invalid:
                     _diag(f"line {lineno}: skipped ({exc})")
                     continue

@@ -110,27 +110,29 @@ class ParallelogramStats(NamedTuple):
     overlaps: tuple[int, ...]
 
 
-def _pairs(items: Iterable, what: str) -> tuple[tuple, ...]:
-    """items as a tuple of pairs; any other shape raises InvalidObject."""
+def _pairs(items: Iterable, part: str, size: str) -> tuple[tuple, ...]:
+    """items as a tuple of pairs of exact ints, the second (the size)
+    positive; anything else raises InvalidObject, naming part and size."""
     try:
-        return tuple((a, b) for a, b in items)
+        pairs = tuple((a, b) for a, b in items)
     except (TypeError, ValueError):
-        raise InvalidObject(f"{what} must be a list of pairs") from None
+        raise InvalidObject(f"{part}s must be a list of pairs") from None
+    for a, b in pairs:
+        # exact type test: 1.5, "2" and true are refused, not truncated
+        if type(a) is not int or type(b) is not int:
+            raise InvalidObject(f"{part} ({a!r}, {b!r}) must be two integers")
+        if b <= 0:
+            raise NegativeOrZeroLength(f"{part} {size} {b} must be positive")
+    return pairs
 
 
 # -- Stanley polyominoes ----------------------------------------------------
 
 def make_stanley(rows: Iterable[Row]) -> StanleyPolyomino:
     """Validate and build a Stanley polyomino from (start, length) rows."""
-    rows = _pairs(rows, "rows")
+    rows = _pairs(rows, "row", "length")
     if not rows:
         raise EmptyInput("a Stanley polyomino needs at least one row")
-    for s, l in rows:
-        # exact type test: 1.5, "2" and true are refused, not truncated
-        if type(s) is not int or type(l) is not int:
-            raise InvalidObject(f"row ({s!r}, {l!r}) must be two integers")
-        if l <= 0:
-            raise NegativeOrZeroLength(f"row length {l} must be positive")
     if rows[0][0] != 0:
         raise NotLeftShifted(f"first row must start at column 0, got {rows[0][0]}")
     for i in range(1, len(rows)):
@@ -184,9 +186,12 @@ def ab_sequences(p: StanleyPolyomino) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 # -- Dyck and Motzkin paths -------------------------------------------------
 
-def make_dyck(word: str) -> DyckPath:
+def _path_word(word, name: str, steps: str) -> str:
+    """word in upper case, checked to be a string of steps from steps (U and
+    D, or U, D and F) that never dips below the axis and ends on it; name
+    says which kind of word in the messages."""
     if not isinstance(word, str):
-        raise InvalidPath(f"a Dyck word must be a string, got {word!r}")
+        raise InvalidPath(f"a {name} word must be a string, got {word!r}")
     w = word.upper()
     h = 0
     for c in w:
@@ -194,32 +199,21 @@ def make_dyck(word: str) -> DyckPath:
             h += 1
         elif c == "D":
             h -= 1
-        else:
-            raise InvalidPath(f"bad step {c!r} in Dyck word")
+        elif c not in steps:
+            raise InvalidPath(f"bad step {c!r} in {name} word")
         if h < 0:
-            raise InvalidPath("Dyck word dips below the axis")
+            raise InvalidPath(f"{name} word dips below the axis")
     if h != 0:
-        raise InvalidPath("Dyck word does not return to the axis")
-    return DyckPath(w)
+        raise InvalidPath(f"{name} word does not return to the axis")
+    return w
+
+
+def make_dyck(word: str) -> DyckPath:
+    return DyckPath(_path_word(word, "Dyck", "UD"))
 
 
 def make_motzkin(word: str) -> MotzkinPath:
-    if not isinstance(word, str):
-        raise InvalidPath(f"a Motzkin word must be a string, got {word!r}")
-    w = word.upper()
-    h = 0
-    for c in w:
-        if c == "U":
-            h += 1
-        elif c == "D":
-            h -= 1
-        elif c != "F":
-            raise InvalidPath(f"bad step {c!r} in Motzkin word")
-        if h < 0:
-            raise InvalidPath("Motzkin word dips below the axis")
-    if h != 0:
-        raise InvalidPath("Motzkin word does not return to the axis")
-    return MotzkinPath(w)
+    return MotzkinPath(_path_word(word, "Motzkin", "UDF"))
 
 
 def is_peakless(m: MotzkinPath) -> bool:
@@ -330,14 +324,9 @@ def diagonals_from_levels(levels: Sequence[int]) -> tuple[int, ...]:
 # -- parallelogram polyominoes ------------------------------------------------
 
 def make_parallelogram(columns: Iterable[tuple[int, int]]) -> ParallelogramPolyomino:
-    cols = _pairs(columns, "columns")
+    cols = _pairs(columns, "column", "height")
     if not cols:
         raise EmptyInput("a parallelogram polyomino needs at least one column")
-    for b, h in cols:
-        if type(b) is not int or type(h) is not int:
-            raise InvalidObject(f"column ({b!r}, {h!r}) must be two integers")
-        if h <= 0:
-            raise NegativeOrZeroLength(f"column height {h} must be positive")
     if cols[0][0] != 0:
         raise NonMonotoneBoundary(f"first column must start at row 0, got {cols[0][0]}")
     for i in range(1, len(cols)):

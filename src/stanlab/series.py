@@ -184,6 +184,13 @@ class SeriesRing:
         and within the order and caps, with zero coefficients dropped."""
         return TruncatedSeries(self, {k: c for k, c in packed.items() if c})
 
+    def _slot(self, var: str) -> tuple[int, int]:
+        """var's (shift, bias) in the packed key; VariableMismatch unless
+        var is a variable of this ring."""
+        if var not in self.names:
+            raise VariableMismatch(f"{var!r} not a series variable")
+        return self._slots[self.names.index(var)]
+
     def _bounded(self, var: str) -> bool:
         """Whether var's exponent is truncated, so may never be lowered."""
         return var == self.grade or any(n == var for n, _ in self.caps)
@@ -314,7 +321,7 @@ class TruncatedSeries:
     def cofactor(self, var: str, k: int) -> "TruncatedSeries":
         """Terms with var-exponent exactly k, with that exponent zeroed out."""
         ring = self.ring
-        s, b = ring._slots[ring.names.index(var)]
+        s, b = ring._slot(var)
         return ring._make({key - (k << s): c for key, c in self.packed.items()
                            if (key >> s) & _MASK == k + b})
 
@@ -396,9 +403,7 @@ def evaluate_at_one(a: TruncatedSeries, var: str) -> TruncatedSeries:
     pull unknown truncated terms into range.
     """
     ring = a.ring
-    if var not in ring.names:
-        raise VariableMismatch(f"{var!r} not a series variable")
-    s, b = ring._slots[ring.names.index(var)]
+    s, b = ring._slot(var)
     bounded = ring._bounded(var)
     out: dict[int, int] = {}
     for key, c in a.packed.items():
@@ -415,9 +420,7 @@ def evaluate_at_one(a: TruncatedSeries, var: str) -> TruncatedSeries:
 def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
     """Partial derivative; unsound in the grade or a capped variable."""
     ring = a.ring
-    if var not in ring.names:
-        raise VariableMismatch(f"{var!r} not a series variable")
-    s, b = ring._slots[ring.names.index(var)]
+    s, b = ring._slot(var)
     out: dict[int, int] = {}
     for key, c in a.packed.items():
         k = ((key >> s) & _MASK) - b

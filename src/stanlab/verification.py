@@ -658,13 +658,12 @@ def suite_cf(checks: list, max_size: int) -> None:
 
     class_limit = min(6, max_size)
     class_counts: dict[int, int] = defaultdict(int)
-    area = objects.STATISTICS[("stanley", "area")]
-    row = objects.STATISTICS[("stanley", "row")]
     for n in range(1, 2 * class_limit + 1):
-        for raw in iter_raw(FamilyBound("stanley", "area", n)):
-            k = area(raw) - row(raw)
-            if 1 <= k <= class_limit:
-                class_counts[k] += 1
+        # every polyomino in the stream has area n
+        for row, c in count_grouped(FamilyBound("stanley", "area", n),
+                                    "row").items():
+            if 1 <= n - row <= class_limit:
+                class_counts[n - row] += c
     _check(checks, "peak-sum collapse counts polyominoes by cells above "
            f"the row count through {class_limit}",
            {m: rec["a-1q1"].coeff({"q": m}) for m in range(1, class_limit + 1)},

@@ -26,7 +26,7 @@ from stanlab.catalog import (
     gf_semiperimeter_corollaries,
     record_json,
 )
-from stanlab.errors import OutOfRange
+from stanlab.errors import MismatchBetweenForms, OutOfRange
 from stanlab.series import TruncatedSeries, solve_fixed_point
 from stanlab.verification import full_tally
 
@@ -69,6 +69,25 @@ class TestFirstRowKernel:
             want = solve_fixed_point(lambda w: 1 + x * w * w + slack * w, one)
             assert r == want, order
             assert rounds.pop() <= order.bit_length() + 2, order
+
+    @pytest.mark.parametrize("kind", ["columns", "semiperimeter"])
+    def test_slice_identity_can_fail(self, kind, monkeypatch):
+        # G's division, the only one whose denominator carries u, gains
+        # x^order (u^2 - u): G(1) is unchanged, one u^2 and one u slice wrong
+        real = catalog.divide
+
+        def perturbed(num, den):
+            q = real(num, den)
+            if any(e[1] for e in den.terms):
+                ring = q.ring
+                q = q + ring.monomial(1, x=ring.order, u=2) \
+                    - ring.monomial(1, x=ring.order, u=1)
+            return q
+
+        monkeypatch.setattr(catalog, "divide", perturbed)
+        # the G(1) check runs first and passes; the identity fails
+        with pytest.raises(MismatchBetweenForms, match="u\\^k slices"):
+            catalog._first_row(kind, 8)
 
 
 class TestColumnsSeries:

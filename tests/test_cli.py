@@ -15,7 +15,7 @@ import pytest
 
 import stanlab.cli as cli
 from stanlab import objects, verification
-from stanlab.errors import CapExceeded, MismatchBetweenForms
+from stanlab.errors import CapExceeded, InvariantViolation, MismatchBetweenForms
 
 WORKED_ROWS = [[0, 6], [3, 6], [4, 7], [10, 3], [11, 5]]
 WORKED_WORD = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
@@ -257,6 +257,22 @@ class TestMap:
                              "--skip-invalid")
         assert (code, out) == (6, "")
         assert err.startswith("internal error: TypeError")
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_invariant_failure_in_a_map_exits_five(self, capsys, monkeypatch,
+                                                  skip):
+        # a failed invariant is a fault in the code, not bad input, so it
+        # is never skipped
+        def broken(p):
+            raise InvariantViolation("odd reduction emptied the polyomino")
+
+        monkeypatch.setitem(cli.BIJECTIONS, "f-inv", ("stanley", broken))
+        self.feed(monkeypatch, '{"rows": [[0, 2]]}\n{"rows": [[0, 3]]}\n')
+        code, out, err = run(capsys, "map", "--bijection", "f-inv",
+                             *(["--skip-invalid"] if skip else []))
+        assert (code, out) == (5, "")
+        assert err == ("theorem check failed: InvariantViolation: odd "
+                       "reduction emptied the polyomino\n")
 
     def test_skip_invalid_keeps_going(self, capsys, monkeypatch):
         self.feed(monkeypatch,

@@ -671,6 +671,65 @@ def test_wrong_shape_raises_invalid_object(case):
         make(data)
 
 
+# every validation message, word for word: the Dyck and Motzkin words share
+# one check, and the Stanley rows and parallelogram columns another
+MESSAGES = [
+    (objects.make_dyck, "UDF", InvalidPath, "bad step 'F' in Dyck word"),
+    (objects.make_dyck, "UDDU", InvalidPath, "Dyck word dips below the axis"),
+    (objects.make_dyck, "UUD", InvalidPath,
+     "Dyck word does not return to the axis"),
+    (objects.make_dyck, 5, InvalidPath, "a Dyck word must be a string, got 5"),
+    (objects.make_motzkin, "UXD", InvalidPath, "bad step 'X' in Motzkin word"),
+    (objects.make_motzkin, "FD", InvalidPath,
+     "Motzkin word dips below the axis"),
+    (objects.make_motzkin, "UF", InvalidPath,
+     "Motzkin word does not return to the axis"),
+    (objects.make_motzkin, None, InvalidPath,
+     "a Motzkin word must be a string, got None"),
+    (objects.make_stanley, [(0, 2), (1, 1.5)], InvalidObject,
+     "row (1, 1.5) must be two integers"),
+    (objects.make_stanley, [(0, 2), (1, 0)], NegativeOrZeroLength,
+     "row length 0 must be positive"),
+    (objects.make_stanley, [5], InvalidObject, "rows must be a list of pairs"),
+    (objects.make_parallelogram, [(0, 2), ("1", 2)], InvalidObject,
+     "column ('1', 2) must be two integers"),
+    (objects.make_parallelogram, [(0, 2), (1, -1)], NegativeOrZeroLength,
+     "column height -1 must be positive"),
+    (objects.make_parallelogram, [(0, 1, 2)], InvalidObject,
+     "columns must be a list of pairs"),
+]
+
+
+@pytest.mark.parametrize("make, data, error, message", MESSAGES,
+                         ids=[m for *_, m in MESSAGES])
+def test_validation_message(make, data, error, message):
+    with pytest.raises(error) as info:
+        make(data)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_package_imports_only_names_it_uses():
+    # no module imports a name it never reads; __init__ reads its imports
+    # through __all__
+    unused = []
+    for path in sorted(Path(objects.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(stanlab.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}:{name}")
+    assert unused == []
+
+
 class TestJsonRoundTrip:
     def test_all_families(self):
         cases = {

@@ -439,6 +439,15 @@ class TestSubstitution:
         with pytest.raises(VariableMismatch):
             evaluate_at_one(x, "z")
 
+    @pytest.mark.parametrize("view", [
+        lambda a, var: a.cofactor(var, 0), derivative],
+        ids=["cofactor", "derivative"])
+    def test_unknown_variable_rejected_by_every_view(self, view):
+        x, _ = ring2().gens()
+        with pytest.raises(VariableMismatch,
+                           match="^'w' not a series variable$"):
+            view(x, "w")
+
 
 class TestDerivativeAndDivision:
     def test_derivative(self):
