@@ -37,7 +37,6 @@ from .series import (
     collapse,
     continued_fraction,
     derivative,
-    div_monomial,
     divide,
     evaluate_at_one,
     pochhammer,
@@ -294,8 +293,8 @@ def _full_closed(ring: SeriesRing) -> TruncatedSeries:
                             q=level * (level + 1) // 2,
                             z=(level + 2) * (level + 1) // 2) * p
         )
-        g_tot = g_tot + sign * div_monomial(divide(g_num, kernel * delta),
-                                            {"p": 2 * level + 1, "q": level})
+        g_den = ring.monomial(1, p=2 * level + 1, q=level) * kernel * delta
+        g_tot = g_tot + sign * divide(g_num, g_den)
         h_num = (
             -ring.monomial(1, x=level + 1, y=level + 1, p=tri, q=tri,
                            z=(level + 4) * (level + 1) // 2)
@@ -304,9 +303,9 @@ def _full_closed(ring: SeriesRing) -> TruncatedSeries:
                             q=level * (level + 5) // 2 + 1,
                             z=(level + 6) * (level + 1) // 2) * (p - one)
         )
-        h_den = kernel * (v ** (level + 1) - one) * delta
-        h_tot = h_tot + sign * div_monomial(divide(h_num, h_den),
-                                            {"p": 2 * level, "q": level})
+        h_den = (ring.monomial(1, p=2 * level, q=level) * kernel
+                 * (v ** (level + 1) - one) * delta)
+        h_tot = h_tot + sign * divide(h_num, h_den)
         level += 1
     return divide(g_tot, one + h_tot)
 
@@ -325,9 +324,8 @@ def _full_iterated(ring: SeriesRing) -> TruncatedSeries:
         return divide(num, (big_u * x * z - one) * (big_u * z * q * p - one))
 
     def c_of(big_u: TruncatedSeries) -> TruncatedSeries:
-        num = y * x * big_u * z
-        core = divide(num, (one - big_u * x * z) * (big_u * z * q * p - one))
-        return div_monomial(core, {"q": 1, "p": 2})
+        den = p * p * q * (one - big_u * x * z) * (big_u * z * q * p - one)
+        return divide(y * x * big_u * z, den)
 
     sum_a = sum_b = ring.zero()
     c_prod = one

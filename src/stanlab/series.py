@@ -6,8 +6,8 @@ that may carry negative (Laurent) exponents and caps on other exponents; it
 checks them once and builds every series, dropping each term whose grade
 exponent exceeds the order or whose exponent exceeds a cap.
 Coefficients and scalars are ints; any other scalar raises NotInteger.
-Over the integers a series is invertible exactly when its grade-constant
-part is one monomial with coefficient 1 or -1.
+``divide`` is the one division: over the integers a denominator must have
+one monomial with coefficient 1 or -1 as its grade-constant part.
 
 Packed layout.  A series stores its terms as a dict from one packed int per
 exponent vector (Kronecker substitution) to the coefficient.  Each variable
@@ -38,7 +38,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -121,6 +120,10 @@ class SeriesRing:
             # none when every exponent is in [0, its cap or the order]
             "_guards": 0 if not laurent and len(caps) == len(below)
             and self.order < _HALF else sum(_BIAS << shift[n] for n in names),
+            # guard bits of the uncapped non-Laurent slots, set while the
+            # exponent is nonnegative
+            "_nonneg": sum(_BIAS << shift[n] for n in names
+                           if n not in laurent and n not in caps),
             "_top": top,
             "_zero": sum(bias[n] << shift[n] for n in names),
             "_limit": (self.order + 1 + _BIAS) << top,
@@ -178,6 +181,26 @@ class SeriesRing:
                 key += (exp + b) << s
             packed[key] = c
         return self._make(packed)
+
+    def _over(self, packed: dict, k0: int, c0: int) -> dict:
+        """These packed terms divided by c0 times the monomial keyed k0, for
+        c0 = 1 or -1: an exact shift of every key.  UnsoundSubstitution if
+        the monomial has a capped variable, since lowering a capped exponent
+        would pull truncated terms into range; NotInvertible if a
+        non-Laurent exponent goes negative; OutOfRange as for products."""
+        if k0 == self._zero and c0 == 1:
+            return packed
+        if k0 & self._capmask != self._capzero:
+            raise UnsoundSubstitution(
+                f"division by {self._unpack(k0)} lowers a capped exponent")
+        shift, nonneg = k0 - self._zero, self._nonneg
+        out = {k - shift: c0 * c for k, c in packed.items()}
+        for k in out:
+            if k & nonneg != nonneg:
+                raise NotInvertible(
+                    f"division by {self._unpack(k0)} leaves a negative "
+                    f"non-Laurent exponent in {self._unpack(k)}")
+        return self._in_range(out)
 
     def _make(self, packed: dict) -> "TruncatedSeries":
         """The series of these packed terms, whose nonzero ones are in range
@@ -300,7 +323,7 @@ class TruncatedSeries:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise NotInvertible("negative powers: use invert")
+            raise NotInvertible("negative powers: use divide")
         out, base = self.ring.one(), self
         while n:
             if n & 1:
@@ -326,26 +349,26 @@ class TruncatedSeries:
                            if (key >> s) & _MASK == k + b})
 
     def assert_no_negative_exponents(self, what: str):
-        for e in self.terms:
-            if any(x < 0 for x in e):
+        # an uncapped slot's guard bit is set while its exponent is
+        # nonnegative; a capped exponent is never negative
+        guards = sum(_BIAS << s for s, b in self.ring._slots if b == _BIAS)
+        for k in self.packed:
+            if k & guards != guards:
+                e = self.ring._unpack(k)
                 raise CancellationFailure(
                     f"{what} kept a negative exponent: {dict(zip(self.vars, e))}")
 
 
 # -- operations ---------------------------------------------------------------
 
-def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse, the quotient 1 / a."""
-    return divide(a.ring.one(), a)
-
-
 def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     """The quotient num / den.  den's grade-constant part must be one
-    monomial m, coefficient 1 or -1, on Laurent variables only: over the
+    monomial m, coefficient 1 or -1, on uncapped variables: over the
     integers no other series is invertible.  den / m is 1 + t with t of
     positive grade; q = num / (1 + t) is built one grade at a time by the
     reciprocal's recurrence q_n = num_n - (t_1 q_{n-1} + ... + t_n q_0)
-    (Knuth, TAOCP vol. 2, 4.7), and the quotient is q / m."""
+    (Knuth, TAOCP vol. 2, 4.7), and the quotient is q / m.  Both divisions
+    by m are exact shifts of the keys (``SeriesRing._over``)."""
     num._compat(den)
     ring = den.ring
     top, zero, order = ring._top, ring._zero, ring.order
@@ -357,17 +380,13 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     (k0, c0), = const
     if c0 not in (1, -1):
         raise NotInvertible(f"grade-constant coefficient {c0} is not 1 or -1")
-    # 1 / c0 is c0, and the ring refuses -k0 unless k0 is on Laurent
-    # variables; when den is 1 + t already, both products by it are skipped
-    inv_mono = None if k0 == zero and c0 == 1 else ring._build(
-        {tuple(-x for x in ring._unpack(k0)): c0})
-    t = (den if inv_mono is None else den * inv_mono) - ring.one()
-    if t.packed and min(t.packed) < (_BIAS + 1) << top:
-        raise NotInvertible("normalized series still has terms of grade 0 or below")
+    if min(den.packed) >> top < _BIAS:
+        raise NotInvertible("denominator has terms below grade 0")
+    t = ring._over({k: c for k, c in den.packed.items() if k != k0}, k0, c0)
     # t and q by grade, grouped by the capped slots of their keys (t's less
     # capzero, q's absolute), so that no product over a cap is formed
     t_by_grade = [{} for _ in range(order + 1)]
-    for k, c in t.packed.items():
+    for k, c in t.items():
         t_by_grade[(k >> top) - _BIAS].setdefault(
             (k & capmask) - capzero, []).append((k - zero, c))
     low = min((k >> top for k in num.packed), default=_BIAS + order + 1) - _BIAS
@@ -391,9 +410,8 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
                             out[key] = get(key, 0) - ct * cb
         q[i] = {x: nz for x, out in qn.items()
                 if (nz := ring._in_range({k: c for k, c in out.items() if c}))}
-    out = ring._make({k: c for qn in q for out in qn.values()
-                      for k, c in out.items()})
-    return out if inv_mono is None else out * inv_mono
+    return ring._make(ring._over({k: c for qn in q for out in qn.values()
+                                  for k, c in out.items()}, k0, c0))
 
 
 def evaluate_at_one(a: TruncatedSeries, var: str) -> TruncatedSeries:
@@ -430,29 +448,15 @@ def derivative(a: TruncatedSeries, var: str) -> TruncatedSeries:
     return ring._make(ring._in_range(out))
 
 
-def div_monomial(a: TruncatedSeries, exps: Mapping[str, int]) -> TruncatedSeries:
-    """Division by the monomial with these exponents and coefficient 1: a
-    shift of every exponent vector.  The ring checks that exponents stay in
-    range; a positive shift on the grade or a capped variable is unsound."""
-    ring = a.ring
-    unknown = set(exps) - set(ring.names)
-    if unknown:
-        raise VariableMismatch(f"unknown variables {sorted(unknown)}")
-    for var, k in exps.items():
-        if k > 0 and ring._bounded(var):
-            raise UnsoundSubstitution(
-                f"division lowers the degree in {var} by {k}")
-    shift = tuple(exps.get(v, 0) for v in ring.names)
-    return ring._build({tuple(map(sub, e, shift)): c for e, c in a.terms.items()})
-
-
 def collapse(a: TruncatedSeries, weights: Mapping[str, int],
              new_var: str) -> TruncatedSeries:
     """Map every term to new_var**(weighted exponent sum).
 
     The grade variable needs a positive weight, which makes the result
     complete through the input's order; a ring with caps is refused, since
-    its dropped terms would be missing at every order.
+    its dropped terms would be missing at every order, and so is a positive
+    weight on a Laurent variable besides the grade, since dropped terms with
+    a negative exponent there would belong in range.
     """
     if a.ring.caps:
         raise UnsoundSubstitution("collapse of a series with capped variables")
@@ -464,6 +468,8 @@ def collapse(a: TruncatedSeries, weights: Mapping[str, int],
         raise UnsoundSubstitution("collapse weights must be nonnegative")
     if weights.get(a.ring.grade, 0) < 1:
         raise UnsoundSubstitution("collapse needs weight >= 1 on the grade variable")
+    if any(weights.get(n, 0) for n in a.ring.laurent - {a.ring.grade}):
+        raise UnsoundSubstitution("collapse weights a Laurent variable")
     out: dict[tuple[int], int] = {}
     for e, c in a.terms.items():
         n = sum(x * y for x, y in zip(e, w))
@@ -504,8 +510,8 @@ def continued_fraction(level: Callable[[int], TruncatedSeries],
     The depth is the truncation order plus 2, enough for the peak/valley
     fraction, whose level k carries q^k.  The tail below the deepest level
     is replaced by the branch the infinite fraction actually selects: the
-    deepest denominator is L_depth minus 1, which keeps every partial
-    denominator a unit multiple of the numerator.  Evaluating at depth and
+    deepest denominator is L_depth minus 1, which keeps the grade-constant
+    part of every partial denominator the numerator's.  Evaluating at depth and
     depth+1 must give identical series through the truncation order, else
     Unstable is raised.
     """
@@ -518,18 +524,12 @@ def continued_fraction(level: Callable[[int], TruncatedSeries],
 
 
 def _cf_eval(level, numerator, depth) -> TruncatedSeries:
-    nu_terms = list(numerator.terms.items())
-    if len(nu_terms) != 1 or nu_terms[0][1] != 1:
-        raise NotInvertible(
-            "continued-fraction numerator must be a monomial with coefficient 1")
-    nu_exps = dict(zip(numerator.ring.names, nu_terms[0][0]))
+    # tail is numerator / S_k, where S_k is the k-th tail denominator
     one = numerator.ring.one()
-    # E_k = S_k / numerator - 1 where S_k is the k-th tail denominator
-    ek = div_monomial(level(depth) - one - numerator, nu_exps)
-    for k in range(depth - 1, 0, -1):
-        s_minus_nu = level(k) - one - numerator + (one - invert(one + ek))
-        ek = div_monomial(s_minus_nu, nu_exps)
-    return invert(one + ek) - one
+    tail = one
+    for k in range(depth, 0, -1):
+        tail = divide(numerator, level(k) - tail)
+    return tail - one
 
 
 # -- serialization -------------------------------------------------------------

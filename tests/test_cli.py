@@ -527,7 +527,7 @@ class TestVerify:
 
 # exit code and sha256 of the stdout of `verify --suite NAME --max-size 5`,
 # and of `verify --suite NAME` at its default size (bijections aside: at
-# size 12 it takes over a minute), frozen from the output before the check
+# size 12 it takes about 13 s), frozen from the output before the check
 # helpers were shared; semiperimeter and bijections at size 5 carry the
 # known reds
 VERIFY_SIZE_5 = {

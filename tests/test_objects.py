@@ -798,16 +798,28 @@ def test_no_public_library_code_only_tests_use():
     assert unused == []
 
 
+def _perfbench_tuples(name: str) -> dict:
+    """The top-level tuple constants of perfbench/<name>, read without
+    importing it."""
+    path = Path(__file__).parents[1] / "perfbench" / name
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Tuple)}
+
+
 def test_perfbench_physics_hooks_resolve():
-    # perfbench sums objects.fountain_physics.self_s over the functions its
-    # PHYSICS tuple names; a renamed function would read 0 there silently
-    layers = Path(__file__).parents[1] / "perfbench" / "layers.py"
-    tree = ast.parse(layers.read_text(encoding="utf-8"))
-    (names,) = [ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["PHYSICS"]]
-    assert names
-    for name in names:
+    # perfbench reads per-layer metrics off the spans of the functions these
+    # tables name; a renamed function would read 0 there silently
+    layers = _perfbench_tuples("layers.py")
+    suites = _perfbench_tuples("workloads.py")["SUITES"]
+    hooks = [f"objects.{fam}_stats" for fam in layers["FAMILY_STATS"]]
+    hooks += [f"bijections.{b}" for b in layers["BIJECTIONS"]]
+    hooks += [f"catalog.{g}" for g in layers["GFS"]]
+    hooks += ["verification.suite_" + s.replace("-", "_") for s in suites]
+    hooks += layers["PHYSICS"]
+    assert all(layers[t] for t in ("FAMILY_STATS", "BIJECTIONS", "GFS",
+                                   "PHYSICS")) and suites
+    for name in hooks:
         module, attr = name.split(".")
-        assert module == "objects"
-        assert callable(getattr(objects, attr, None)), name
+        assert callable(getattr(getattr(stanlab, module), attr, None)), name

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stanlab.errors import (
+    CancellationFailure,
     NotInteger,
     NotInvertible,
     OutOfRange,
@@ -19,10 +20,8 @@ from stanlab.series import (
     collapse,
     continued_fraction,
     derivative,
-    div_monomial,
     divide,
     evaluate_at_one,
-    invert,
     pochhammer,
     series_json,
     solve_fixed_point,
@@ -106,14 +105,14 @@ class TestInvert:
     def test_geometric(self):
         r = ring2()
         x, _ = r.gens()
-        s = invert(r.one() - x)
+        s = divide(r.one(), r.one() - x)
         assert all(s.coeff({"x": n}) == 1 for n in range(9))
 
     def test_inverse_multiplies_to_one(self):
         r = ring2()
         x, y = r.gens()
         a = r.constant(-1) + x * y + 3 * x * x
-        assert (a * invert(a)).terms == r.one().terms
+        assert (a * divide(r.one(), a)).terms == r.one().terms
 
     @pytest.mark.parametrize("c0", [2, -3])
     def test_non_unit_constant_rejected(self, c0):
@@ -121,31 +120,31 @@ class TestInvert:
         r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
         for const in (r.constant(c0), r.monomial(c0, y=1)):
             with pytest.raises(NotInvertible):
-                invert(const + r.var("x"))
+                divide(r.one(), const + r.var("x"))
 
     def test_zero_constant_rejected(self):
         r = ring2()
         x, _ = r.gens()
         with pytest.raises(NotInvertible):
-            invert(x)
+            divide(r.one(), x)
 
     def test_nongrade_constant_rejected(self):
         # grade-zero part 1 + y is not a single monomial
         r = ring2()
         x, y = r.gens()
         with pytest.raises(NotInvertible):
-            invert(r.one() + y + x)
+            divide(r.one(), r.one() + y + x)
 
     def test_negative_grade_rejected(self):
         # a Laurent grade variable may go below grade 0, where no
         # grade-by-grade expansion exists
         r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("x",))
         with pytest.raises(NotInvertible):
-            invert(r.one() + r.monomial(1, x=-1))
+            divide(r.one(), r.one() + r.monomial(1, x=-1))
 
 
 def _refused_denominators():
-    """Denominators that invert refuses, each with NotInvertible."""
+    """Denominators that divide refuses, each with NotInvertible."""
     r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
     x, y = r.gens()
     lx = SeriesRing(("x", "y"), grade="x", order=4, laurent=("x",))
@@ -178,7 +177,7 @@ class TestDivide:
     def test_refuses_what_invert_refuses(self, case):
         den = _refused_denominators()[case]
         with pytest.raises(NotInvertible):
-            invert(den)
+            divide(den.ring.one(), den)
         with pytest.raises(NotInvertible):
             divide(den.ring.one() + den.ring.var("x"), den)
 
@@ -241,7 +240,7 @@ class TestInvertAgainstGeometricReference:
         a = r.zero()
         for e, c in terms.items():
             a = a + r.monomial(c, **dict(zip(names, e)))
-        inv = invert(a)
+        inv = divide(r.one(), a)
         want = _geometric_inverse(a.terms, 0, order)
         assert inv.terms == want
         assert all(type(c) is int for c in inv.terms.values())
@@ -283,8 +282,8 @@ class TestCaps:
         # the grade-constant part of an invertible series is one constant
         free, capped = _capped_pair(cap)
         ta = [((max(gx, 1), ey, ew), c) for (gx, ey, ew), c in ta]
-        want = invert(c0 + _series(free, ta))
-        got = invert(c0 + _series(capped, ta))
+        want = divide(free.one(), c0 + _series(free, ta))
+        got = divide(capped.one(), c0 + _series(capped, ta))
         assert got.terms == _under_cap(want.terms, cap)
 
     @settings(max_examples=40, deadline=None)
@@ -323,7 +322,7 @@ class TestCaps:
         with pytest.raises(UnsoundSubstitution):
             derivative(s, "y")
         with pytest.raises(UnsoundSubstitution):
-            div_monomial(s * y, {"y": 1})
+            divide(s * y, y)
         with pytest.raises(UnsoundSubstitution):
             collapse(s, {"x": 1, "y": 1}, "t")
         assert s.cofactor("y", 0).terms == w.terms
@@ -333,14 +332,14 @@ class TestIntegerCoefficients:
     def test_integral_coefficients_are_ints(self):
         r = ring2()
         x, y = r.gens()
-        s = invert(r.one() - x - x * y) * (r.constant(-3) * 2)
+        s = divide(r.one(), r.one() - x - x * y) * (r.constant(-3) * 2)
         assert s.terms
         assert all(type(c) is int for c in s.terms.values())
         assert type(r.monomial(6, x=1).coeff({"x": 1})) is int
 
     def test_inverse_of_integer_constant_is_exact(self):
         r = ring2()
-        inv = invert(r.constant(-1) + r.var("x"))
+        inv = divide(r.one(), r.constant(-1) + r.var("x"))
         assert inv.terms == {(n, 0): -1 for n in range(9)}
         assert all(type(c) is int for c in inv.terms.values())
 
@@ -421,6 +420,16 @@ class TestSubstitution:
         a = _series(_laurent_ring(capped), terms)
         assert a.cofactor("w", 0).terms == _substitute(a, "w", 0)
 
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_negative_exponent_check_names_the_term(self, capped):
+        r = _laurent_ring(capped)
+        ok = r.monomial(1, x=1, w=2) + r.monomial(3, y=2)
+        ok.assert_no_negative_exponents("ok")
+        with pytest.raises(CancellationFailure, match=r"^form kept a negative "
+                           r"exponent: \{'x': 1, 'y': -1, 'w': 2\}$"):
+            (ok + r.monomial(1, x=1, y=-1, w=2)).assert_no_negative_exponents(
+                "form")
+
     def test_zero_kills_positive_powers(self):
         r = ring2()
         x, y = r.gens()
@@ -458,42 +467,32 @@ class TestDerivativeAndDivision:
         assert s.coeff({"x": 1}) == 2
 
     def test_div_monomial_exact(self):
+        # y is neither Laurent nor capped: dividing by it is an exact shift
         r = ring2()
         x, y = r.gens()
-        s = div_monomial(2 * x * x * y, {"y": 1})
-        assert s.terms == {(2, 0): 2}
-
-    def test_div_monomial_unknown_variable_rejected(self):
-        r = ring2()
-        x, y = r.gens()
-        with pytest.raises(VariableMismatch):
-            div_monomial(x * y, {"Y": 1})
+        s = divide(2 * x * x * y, y)
+        assert s == 2 * x * x
 
     def test_div_monomial_requires_divisibility(self):
         r = ring2()
         x, y = r.gens()
         with pytest.raises(NotInvertible):
-            div_monomial(x + y * x, {"y": 1})
+            divide(x + x * y, y)
 
     def test_div_monomial_by_grade_rejected(self):
-        # [x^3] of (1/(1-x) - 1)/x is 1, but the order-3 input lacks x^4
+        # [x^3] of (1/(1-x) - 1)/x is 1, but the order-3 input lacks x^4;
+        # x has no grade-constant part, so no division by it is offered
         r = SeriesRing(("x",), grade="x", order=3)
         x = r.var("x")
-        with pytest.raises(UnsoundSubstitution):
-            div_monomial(invert(r.one() - x) - r.one(), {"x": 1})
-
-    def test_div_monomial_raising_the_grade_is_sound(self):
-        # a negative shift multiplies by x*y
-        r = ring2(order=3)
-        s = div_monomial(invert(r.one() - r.var("x")), {"x": -1, "y": -1})
-        assert s.terms == {(1, 1): 1, (2, 1): 1, (3, 1): 1}
+        with pytest.raises(NotInvertible):
+            divide(divide(r.one(), r.one() - x) - r.one(), x)
 
     def test_derivative_in_grade_rejected(self):
         # [x^3] of d/dx 1/(1-x) is 4, but the order-3 input lacks x^4
         r = SeriesRing(("x",), grade="x", order=3)
         x = r.var("x")
         with pytest.raises(UnsoundSubstitution):
-            derivative(invert(r.one() - x), "x")
+            derivative(divide(r.one(), r.one() - x), "x")
 
 
 class TestCollapse:
@@ -510,6 +509,16 @@ class TestCollapse:
         p, q = r.gens()
         with pytest.raises(UnsoundSubstitution):
             collapse(p * q, {"p": 1}, "w")
+
+    def test_positive_weight_on_a_laurent_variable_is_unsound(self):
+        # the dropped x**(n+1) y**-(n+1) would collapse to t**0 at every
+        # order n, so the result would depend on the order
+        r = SeriesRing(("x", "y"), grade="x", order=2, laurent=("y",))
+        x, y = r.var("x"), r.monomial(1, y=-1)
+        s = divide(r.one(), r.one() - x * y)
+        with pytest.raises(UnsoundSubstitution):
+            collapse(s, {"x": 1, "y": 1}, "t")
+        assert collapse(s, {"x": 1}, "t").terms == {(0,): 1, (1,): 1, (2,): 1}
 
 
 class TestFixedPointAndPochhammer:
@@ -665,6 +674,16 @@ kernel_terms = st.dictionaries(
     max_size=6)
 
 
+def kernel_den(c0: int, laurent_exp: int, rest: dict) -> dict:
+    """Denominator terms: c0 * y**laurent_exp plus rest moved to grade 1
+    or more."""
+    raw = {(0, laurent_exp, 0, 0): c0}
+    for (gx, ey, ew, ev), c in rest.items():
+        e = (max(gx, 1), ey, ew, ev)
+        raw[e] = raw.get(e, 0) + c
+    return raw
+
+
 @st.composite
 def kernel_pair(draw):
     """Two term dicts; b may repeat some of a's terms negated or scaled, so
@@ -696,29 +715,37 @@ class TestPackedAgainstTupleKernel:
     @given(st.sampled_from([1, -1]), st.integers(-2, 2), kernel_terms)
     def test_invert(self, c0, laurent_exp, rest):
         r = KERNEL_RING
-        raw = {(0, laurent_exp, 0, 0): c0}
-        for (gx, ey, ew, ev), c in rest.items():
-            e = (max(gx, 1), ey, ew, ev)
-            raw[e] = raw.get(e, 0) + c
+        raw = kernel_den(c0, laurent_exp, rest)
         a = r._build(raw)
         want = tuple_invert(r, tuple_build(r, raw))
-        assert typed(invert(a).terms) == typed(want)
+        assert typed(divide(r.one(), a).terms) == typed(want)
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_terms, st.sampled_from([1, -1]), st.integers(-2, 2),
            kernel_terms)
     def test_divide(self, num, c0, laurent_exp, rest):
         r = KERNEL_RING
-        raw = {(0, laurent_exp, 0, 0): c0}
-        for (gx, ey, ew, ev), c in rest.items():
-            e = (max(gx, 1), ey, ew, ev)
-            raw[e] = raw.get(e, 0) + c
+        raw = kernel_den(c0, laurent_exp, rest)
         a, b = r._build(num), r._build(raw)
         ta, tb = tuple_build(r, num), tuple_build(r, raw)
         q = divide(a, b)
         assert typed(q.terms) == typed(tuple_mul(r, ta, tuple_invert(r, tb)))
         assert typed(q.terms) == typed(tuple_divide(r, ta, tb))
         assert q * b == a
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_terms, st.sampled_from([1, -1]), st.integers(-2, 2),
+           kernel_terms, st.sampled_from([1, -1]), st.integers(-3, 3),
+           st.integers(0, 3))
+    def test_common_monomial_cancels(self, num, c0, laurent_exp, rest,
+                                     cm, ey, ev):
+        # m sits on the uncapped variables: y is Laurent, v is not
+        r = KERNEL_RING
+        raw = kernel_den(c0, laurent_exp, rest)
+        m = r.monomial(cm, y=ey, v=ev)
+        q = divide(r._build(num) * m, r._build(raw) * m)
+        want = tuple_divide(r, tuple_build(r, num), tuple_build(r, raw))
+        assert typed(q.terms) == typed(want)
 
     @settings(max_examples=40, deadline=None)
     @given(kernel_terms, st.sampled_from(KERNEL_RING.names), st.integers(-3, 4))
@@ -788,7 +815,7 @@ class TestRangeGuard:
         r = SeriesRing(("x", "y"), grade="x", order=2, laurent=("y",))
         a = r.monomial(1, y=3) + r.monomial(1, x=1, y=HALF // 2 + 3)
         with pytest.raises(OutOfRange):
-            invert(a)
+            divide(r.one(), a)
 
     @pytest.mark.parametrize("ring, scans", [
         (SeriesRing(("z",), grade="z", order=40), False),
@@ -813,13 +840,13 @@ class TestRangeGuard:
     def test_inverse_past_the_slot_raises(self):
         r = SeriesRing(("x", "y"), grade="x", order=40)
         with pytest.raises(OutOfRange):
-            invert(r.one() - r.monomial(1, x=1, y=1 << 26))
+            divide(r.one(), r.one() - r.monomial(1, x=1, y=1 << 26))
 
     def test_inverse_with_a_loose_bound_but_small_exponents(self):
         # the x**4 term is at 2**30 in y, and no product of it is in order
         r = SeriesRing(("x", "y"), grade="x", order=4)
         big = r.monomial(1, x=4, y=1 << 30)
-        inv = invert(r.one() - r.var("x") - big)
+        inv = divide(r.one(), r.one() - r.var("x") - big)
         want = {(n, 0): 1 for n in range(5)}
         want[(4, 1 << 30)] = 1
         assert inv.terms == want
@@ -879,7 +906,7 @@ class TestRangeGuardNearTheEdge:
         r = EDGE_RING
         raw = {(max(gx, 1), *e): c for (gx, *e), c in rest.items()}
         raw[(0, ey0, 0, 0)] = c0
-        got = outcome(lambda: invert(r._build(raw)).terms)
+        got = outcome(lambda: divide(r.one(), r._build(raw)).terms)
         assert got == outcome(lambda: tuple_invert(r, raw))
 
     @settings(max_examples=150, deadline=None)
