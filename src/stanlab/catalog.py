@@ -1,12 +1,13 @@
 """Closed-form generating functions for the polyomino statistics.
 
 Every series here is produced at least two independent ways (closed form vs
-fixed-point iteration, coefficient formula vs series extraction, continued
-fraction vs ratio of q-sums) and the agreement is asserted before anything is
-returned.  Enumeration cross-checks that need object streams live in
-``verification``; the only enumeration used here is ``enumeration.count`` of
-parallelograms by area, backing the collapsed continued fraction.  Nothing is
-memoised: each call builds its series afresh and returns new objects.
+iterated functional equation, Newton's root vs its kernel equation,
+coefficient formula vs series extraction, continued fraction vs ratio of
+q-sums) and the agreement is asserted before anything is returned.
+Enumeration cross-checks that need object streams live in ``verification``;
+the only enumeration used here is ``enumeration.count`` of parallelograms by
+area, backing the collapsed continued fraction.  Nothing is memoised: each
+call builds its series afresh and returns new objects.
 
 Variable conventions, fixed throughout:
 
@@ -22,6 +23,7 @@ Variable conventions, fixed throughout:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -39,6 +41,7 @@ from .series import (
     derivative,
     divide,
     evaluate_at_one,
+    lift,
     pochhammer,
     series_json,
     solve_fixed_point,
@@ -78,20 +81,29 @@ def _first_row(kind: str, order_x: int):
     """r, G(u) and G(1) of a first-row equation, r being the power-series
     root of the kernel F(r) = x r^2 - t r + 1 = 0 (the column-by-column
     method of Bousquet-Melou, Discrete Math. 154, 1996), found by Newton's
-    step r - F(r) / F'(r), which doubles the orders of x that are right
-    each round.  Asserts the kernel equation, G(1) r = r - 1 and the
-    identity G (1 - u x r) = x^lead u.  As 1 - u x r is a unit, that
-    identity holds exactly when every u^k slice of G is x^lead (x r)^(k-1)."""
+    step r - F(r) / F'(r): a root right through p // 2 comes out right
+    through p, so the step runs at orders 1, 2, 4, ... below order_x, then
+    to a fixed point at order_x (Brent and Kung, J. ACM 25, 1978).
+    Asserts the kernel equation, G(1) r = r - 1 and the identity
+    G (1 - u x r) = x^lead u.  As 1 - u x r is a unit, that identity holds
+    exactly when every u^k slice of G is x^lead (x r)^(k-1)."""
     t_of, lead = _FIRST_ROW[kind]
     if order_x < lead:
         raise OutOfRange(f"order {order_x} < {lead}")
+
+    def newton(w):
+        x = w.ring.var("x")
+        t, xw = t_of(x), x * w
+        # -F'(w) = t - 2 x w has constant term 1, so the division is exact
+        return w + divide(w * (xw - t) + 1, t - xw - xw)
+
     ring = SeriesRing(("x", "u"), grade="x", order=order_x)
+    r, p = replace(ring, order=0).one(), 1
+    while p < order_x:
+        r, p = newton(lift(r, replace(ring, order=p))), 2 * p
+    r = solve_fixed_point(newton, lift(r, ring))
     x, u = ring.gens()
-    t = t_of(x)
-    # -F'(w) = t - 2 x w has constant term 1, so the division is exact
-    r = solve_fixed_point(
-        lambda w: w + divide(x * w * w - t * w + 1, t - 2 * x * w), ring.one())
-    if not (x * r * r - t * r + 1).is_zero():
+    if not (x * r * r - t_of(x) * r + 1).is_zero():
         raise MismatchBetweenForms(f"{kind} kernel root fails its equation")
     x_lead_u = ring.monomial(1, x=lead, u=1)
     kernel = 1 - u * x * r

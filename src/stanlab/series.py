@@ -36,7 +36,7 @@ later grade uses them; a nonzero term out of range raises OutOfRange.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -493,6 +493,13 @@ def solve_fixed_point(phi: Callable[[TruncatedSeries], TruncatedSeries],
     raise NoContraction(f"no fixed point after {rounds} rounds")
 
 
+def lift(a: TruncatedSeries, ring: SeriesRing) -> TruncatedSeries:
+    """a, right through its order, in ring: a's ring at a higher order."""
+    if ring.order < a.ring.order or replace(ring, order=a.ring.order) != a.ring:
+        raise VariableMismatch(f"cannot lift a series of {a.ring} into {ring}")
+    return TruncatedSeries(ring, a.packed)
+
+
 def pochhammer(a: TruncatedSeries, b: TruncatedSeries, k: int) -> TruncatedSeries:
     """prod_{j=0}^{k-1} (1 - a * b**j)."""
     one = a.ring.one()
@@ -513,23 +520,24 @@ def continued_fraction(level: Callable[[int], TruncatedSeries],
     deepest denominator is L_depth minus 1, which keeps the grade-constant
     part of every partial denominator the numerator's.  Evaluating at depth and
     depth+1 must give identical series through the truncation order, else
-    Unstable is raised.
+    Unstable is raised.  The depth+1 fraction is the depth one started from
+    the tail numerator / (L_(depth+1) - 1), so it runs only if that is not 1.
     """
     depth = numerator.ring.order + 2
-    first = _cf_eval(level, numerator, depth)
-    if first != _cf_eval(level, numerator, depth + 1):
+    one = numerator.ring.one()
+    first = _cf_eval(level, numerator, depth, one)
+    deeper = divide(numerator, level(depth + 1) - one)
+    if deeper != one and first != _cf_eval(level, numerator, depth, deeper):
         raise Unstable(f"depth {depth} and {depth + 1} disagree: the levels "
                        f"grow too slowly in the grade")
     return first
 
 
-def _cf_eval(level, numerator, depth) -> TruncatedSeries:
+def _cf_eval(level, numerator, depth, tail) -> TruncatedSeries:
     # tail is numerator / S_k, where S_k is the k-th tail denominator
-    one = numerator.ring.one()
-    tail = one
     for k in range(depth, 0, -1):
         tail = divide(numerator, level(k) - tail)
-    return tail - one
+    return tail - 1
 
 
 # -- serialization -------------------------------------------------------------

@@ -5,7 +5,8 @@ the no-internal-edge count by semiperimeter does not follow the claimed
 Fibonacci closed form, and the triple-run-free Dyck map is not injective.
 Those clauses get their own red tests so the summary stays honest; every
 other clause of the same criteria is asserted green.  The true sequences
-behind both reds are pinned by the last two tests.
+behind both reds are pinned by the tests at the end, the edge-free counts
+also as an exact rational series.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from conftest import ACCEPTANCE_LINES
 from stanlab.bijections import preimages
 from stanlab.catalog import catalan
 from stanlab.enumeration import FamilyBound, count
+from stanlab.series import SeriesRing, divide
 from stanlab.verification import (
     _fountain_brute_checks,
     edge_free_count,
@@ -148,15 +150,70 @@ def test_criterion_10_fountain_physics_brute_force():
 
 # -- the known reds as exact sequences ---------------------------------------
 
+EDGE_FREE_COUNTS = dict(enumerate(
+    [1, 1, 1, 2, 4, 7, 14, 26, 50, 95, 181, 345, 657, 1252, 2385, 4544, 8657],
+    start=2))
+
+# S(x) = x^2 P / Q, the edge-free polyominoes by semiperimeter, as
+# coefficient lists of P and Q from x^0
+EDGE_FREE_P = (1, 0, -2, -1, 1)
+EDGE_FREE_Q = (1, -1, -2, 0, 1)
+
+
 def test_edge_free_counts_by_semiperimeter_through_18():
-    counts = dict(enumerate(
-        [1, 1, 1, 2, 4, 7, 14, 26, 50, 95, 181, 345, 657, 1252, 2385, 4544,
-         8657], start=2))
+    counts = EDGE_FREE_COUNTS
     assert {n: edge_free_count(n) for n in counts} == counts
     # a(n) = a(n-1) + 2a(n-2) - a(n-4) from semiperimeter 7 on, not at 6
     misses = [n for n in range(6, 19) if counts[n] != counts[n - 1]
               + 2 * counts[n - 2] - counts[n - 4]]
     assert misses == [6]
+
+
+def edge_free_transfer(order: int):
+    """The edge-free polyominoes by semiperimeter x, from the two-state
+    transfer system.  Every overlap o is 1 or 2 and less than both rows it
+    joins, so a one-cell row stands alone and every other row has length 2
+    (state a) or at least 3 (state b); a row of length l' on overlap o adds
+    x^(1 + l' - o).  Then a = x^3 + x^2 (a + b) and
+    b = x^4/(1-x) + x^3/(1-x) (a + b) + x^2/(1-x) b, solved by Cramer's
+    rule, and S = x^2 + a + b."""
+    ring = SeriesRing(("x",), grade="x", order=order)
+    x, one = ring.var("x"), ring.one()
+    start_a, start_b = x ** 3, divide(x ** 4, one - x)
+    # (1 - M) (a, b) = (start_a, start_b) for the transfer matrix M
+    m_aa = m_ab = x * x
+    m_ba = divide(x ** 3, one - x)
+    m_bb = m_ba + divide(x * x, one - x)
+    det = (one - m_aa) * (one - m_bb) - m_ab * m_ba
+    a = divide(start_a * (one - m_bb) + m_ab * start_b, det)
+    b = divide((one - m_aa) * start_b + m_ba * start_a, det)
+    return x * x + a + b
+
+
+def edge_free_closed(order: int, p=EDGE_FREE_P, q=EDGE_FREE_Q):
+    ring = SeriesRing(("x",), grade="x", order=order)
+    x = ring.var("x")
+
+    def poly(cs):
+        return sum((c * x ** i for i, c in enumerate(cs)), ring.zero())
+
+    return divide(x * x * poly(p), poly(q))
+
+
+def test_edge_free_series_is_rational_through_60():
+    s = edge_free_transfer(60)
+    assert s == edge_free_closed(60)
+    assert {n: s.coeff({"x": n}) for n in EDGE_FREE_COUNTS} == EDGE_FREE_COUNTS
+    assert s.coeff({"x": 60}) == 4_949_344_043_795_952
+
+
+@pytest.mark.parametrize("which, i, delta", [
+    (which, i, delta) for which in "PQ" for i in range(5) for delta in (-1, 1)
+    if (which, i) != ("Q", 0)])  # Q's constant term must stay 1 to divide
+def test_edge_free_series_fails_under_a_one_term_change(which, i, delta):
+    p, q = list(EDGE_FREE_P), list(EDGE_FREE_Q)
+    (p if which == "P" else q)[i] += delta
+    assert edge_free_transfer(60) != edge_free_closed(60, p, q)
 
 
 def test_chi_prime_image_counts_through_semilength_14():

@@ -28,6 +28,7 @@ from stanlab.errors import (
     InvariantViolation,
     MultiplePreimages,
     NoPreimage,
+    NotPeakless,
     TooSmall,
 )
 from stanlab.objects import (
@@ -317,6 +318,12 @@ class TestChi:
         assert chi(make_motzkin("")).rows == ((0, 1),)
         assert chi(make_motzkin("F")).rows == ((0, 2),)
         assert chi(make_motzkin("UFD")).rows == ((0, 2), (1, 2))
+
+    @pytest.mark.parametrize("word", ["UD", "UDF", "FUUDD", "UFDUD"])
+    def test_rejects_a_peak(self, word):
+        # a Motzkin word, but its UD factor is a peak
+        with pytest.raises(NotPeakless, match="no UD factor"):
+            chi(make_motzkin(word))
 
     @pytest.mark.parametrize("m", range(0, 8))
     def test_bijective_onto_semiperimeter_class(self, m: int):

@@ -59,16 +59,28 @@ class TestFirstRowKernel:
             rounds.append(0)
             return solve_fixed_point(counted, seed)
 
+        orders, real_divide = [], catalog.divide
+
+        def recording(num, den):
+            orders.append(den.ring.order)
+            return real_divide(num, den)
+
         monkeypatch.setattr(catalog, "solve_fixed_point", counting)
+        monkeypatch.setattr(catalog, "divide", recording)
         t_of, _ = catalog._FIRST_ROW[kind]
         for order in range(2, 61):
+            orders.clear()
             r, _, _ = catalog._first_row(kind, order)
+            # one Newton step at each power of 2 below the order
+            assert [o for o in orders if o < order] == [
+                1 << k for k in range((order - 1).bit_length())], order
             x, one = r.ring.var("x"), r.ring.one()
             slack = 1 - t_of(x)
             # the reference gains one order of x per round
             want = solve_fixed_point(lambda w: 1 + x * w * w + slack * w, one)
             assert r == want, order
-            assert rounds.pop() <= order.bit_length() + 2, order
+            # Newton's steps below the order leave one step and its check
+            assert rounds.pop() <= 2, order
 
     @pytest.mark.parametrize("kind", ["columns", "semiperimeter"])
     def test_slice_identity_can_fail(self, kind, monkeypatch):

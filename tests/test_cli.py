@@ -213,6 +213,15 @@ class TestMap:
         assert code == 4
         assert "line 1" in err
 
+    def test_path_with_a_peak_exit_four(self, capsys, monkeypatch):
+        # chi refuses a Motzkin path with a UD factor
+        self.feed(monkeypatch, '{"word": "UDF"}\n')
+        code, out, err = run(capsys, "map", "--bijection", "chi")
+        assert code == 4
+        assert out == ""
+        assert "line 1: invalid input (chi expects a Motzkin path with no " \
+            "UD factor)" in err
+
     @pytest.mark.parametrize("bijection, line", [
         ("phi-inv", '{"word": 5}'),
         ("chi", '{"word": ["U", "D"]}'),

@@ -468,7 +468,7 @@ class TestFountains:
                 try:
                     objects.make_fountain(comp)
                     accepted = True
-                except Exception:
+                except InvalidObject:
                     accepted = False
                 assert accepted == physical, comp
 

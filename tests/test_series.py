@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stanlab import series
 from stanlab.errors import (
     CancellationFailure,
+    NoContraction,
     NotInteger,
     NotInvertible,
     OutOfRange,
@@ -22,6 +24,7 @@ from stanlab.series import (
     derivative,
     divide,
     evaluate_at_one,
+    lift,
     pochhammer,
     series_json,
     solve_fixed_point,
@@ -528,6 +531,19 @@ class TestFixedPointAndPochhammer:
         c = solve_fixed_point(lambda w: r.one() + x * w * w, r.one())
         assert [int(c.coeff({"x": n})) for n in range(6)] == [1, 1, 2, 5, 14, 42]
 
+    def test_no_fixed_point_after_order_plus_two_rounds(self):
+        r = SeriesRing(("x",), grade="x", order=6)
+        one = r.one()
+        rounds = []
+
+        def shift(w):
+            rounds.append(w)
+            return w + one
+
+        with pytest.raises(NoContraction, match="after 8 rounds"):
+            solve_fixed_point(shift, one)
+        assert len(rounds) == r.order + 2
+
     def test_pochhammer_telescopes(self):
         r = SeriesRing(("z",), grade="z", order=9)
         z = r.var("z")
@@ -551,16 +567,48 @@ class TestContinuedFraction:
         # the lowest-weight profile with a raised valley
         assert a.coeff({"q": 4, "v": 1}) == 1
 
-    def test_depth_too_small_is_unstable(self):
-        # level k has grade k // 4: the depth order + 2 is too shallow
+    @staticmethod
+    def count_divisions(monkeypatch) -> list:
+        calls = []
+        real = series.divide
+
+        def counted(num, den):
+            calls.append(den)
+            return real(num, den)
+
+        monkeypatch.setattr(series, "divide", counted)
+        return calls
+
+    def test_stable_fraction_evaluates_once(self, monkeypatch):
+        # the depth + 1 tail is 1, so the depth + 1 fraction is the depth
+        # one: order + 3 divisions, not 2 order + 5
+        r = SeriesRing(("p", "q", "v"), grade="q", order=20)
+        v = r.var("v")
+
+        def level(k):
+            return r.one() + v - r.monomial(1, p=1, q=k, v=k)
+
+        calls = self.count_divisions(monkeypatch)
+        a = continued_fraction(level, v)
+        assert len(calls) == 23
+        monkeypatch.undo()
+        # against the two full evaluations it replaces
+        for depth in (22, 23):
+            assert a == series._cf_eval(level, v, depth, r.one())
+
+    def test_depth_too_small_is_unstable(self, monkeypatch):
+        # level k has grade k // 4: the depth order + 2 is too shallow, and
+        # the depth + 1 tail is not 1, so both fractions are evaluated
         r = SeriesRing(("q", "v"), grade="q", order=7)
         v = r.var("v")
 
         def level(k):
             return r.one() + v - r.monomial(1, q=max(1, k // 4), v=k)
 
+        calls = self.count_divisions(monkeypatch)
         with pytest.raises(Unstable):
             continued_fraction(level, v)
+        assert len(calls) == 2 * r.order + 5
 
     def test_numerator_needs_coefficient_one(self):
         r = SeriesRing(("q", "v"), grade="q", order=4)
@@ -571,6 +619,32 @@ class TestContinuedFraction:
 
         with pytest.raises(NotInvertible):
             continued_fraction(level, 2 * v)
+
+
+class TestLift:
+    def test_keeps_the_terms_at_a_higher_order(self):
+        low, high = ring2(order=3), ring2(order=9)
+        x, y = low.gens()
+        a = 1 + 2 * x * y - x ** 3
+        lifted = lift(a, high)
+        assert lifted.ring == high
+        assert lifted.terms == a.terms
+        hx, hy = high.gens()
+        assert lifted * hx == 1 * hx + 2 * hx * hx * hy - hx ** 4
+        assert lift(a, low) == a
+
+    @pytest.mark.parametrize("ring", [
+        SeriesRing(("x", "z"), grade="x", order=9),
+        SeriesRing(("y", "x"), grade="x", order=9),
+        SeriesRing(("x", "y"), grade="y", order=9),
+        SeriesRing(("x", "y"), grade="x", order=9, laurent=("y",)),
+        SeriesRing(("x", "y"), grade="x", order=9, caps={"y": 4}),
+        SeriesRing(("x", "y"), grade="x", order=2),
+    ])
+    def test_refuses_any_other_ring(self, ring):
+        a = ring2(order=3).var("x")
+        with pytest.raises(VariableMismatch, match="cannot lift"):
+            lift(a, ring)
 
 
 class TestJson:
