@@ -241,8 +241,8 @@ SCANNED = {
 }
 
 # the largest source size table_inverse scans; raising it changes which
-# targets are refused.  On a 2-vCPU machine preimages("chi_prime", 14) takes
-# 0.9 to 1.0 s and preimages("chi", 14) 0.3 s; chi reaches 11 to 12 s at 18
+# targets are refused.  On 2 vCPUs under Python 3.11, preimages of chi_prime
+# takes 0.45 s at 14 and 3.1 s at 16; of chi 0.15, 0.95 and 6.9 s at 14, 16, 18
 MAX_SOURCE_SIZE = 14
 
 

@@ -203,7 +203,7 @@ def cmd_series(args) -> int:
         result["verified_against_oracle"] = gf.oracle(args.order, record)
     _stamp(args)
     _emit(result)
-    return 0
+    return 1 if result.get("verified_against_oracle") is False else 0
 
 
 # -- verify ------------------------------------------------------------------------

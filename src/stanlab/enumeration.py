@@ -7,16 +7,18 @@ tail in one step.  Every walk runs on an explicit stack, so no recursion
 limit bounds an object's length: the path walks (Dyck, peakless Motzkin) and
 the evenCoins walk keep their own, and the Stanley, parallelogram and
 fountain-diagonal walks share one driver over lazy child iterators.
-Re-invoking an iterator restarts the same stream.  A safety cap bounds
-stream length.  ``count`` counts a stream and ``count_grouped`` reads one
-statistic per object straight from the raw encoding; nothing is memoised,
-so every call walks its stream afresh.
+Re-invoking an iterator restarts the same stream.  A safety cap, counted
+in ``islice`` at no Python call per object, bounds stream length.  ``count``
+counts a stream and ``count_grouped`` reads one statistic per object
+straight from the raw encoding; nothing is memoised, so every call walks its
+stream afresh.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from . import objects
@@ -190,12 +192,14 @@ class FamilyBound:
 
 
 def _capped(stream: Iterable, what: object) -> Iterator:
-    """Pass the stream through, raising CapExceeded past DEFAULT_CAP items."""
+    """The stream, raising CapExceeded on drawing item DEFAULT_CAP + 1."""
     cap = DEFAULT_CAP
-    for count, item in enumerate(stream, 1):
-        if count > cap:
-            raise CapExceeded(f"{what} exceeded cap of {cap} objects")
-        yield item
+    stream = iter(stream)
+
+    def refuse(_item):
+        raise CapExceeded(f"{what} exceeded cap of {cap} objects")
+
+    return chain(islice(stream, cap), map(refuse, stream))
 
 
 def iter_raw(bound: FamilyBound) -> Iterator:

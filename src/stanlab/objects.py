@@ -165,8 +165,9 @@ def stanley_fields(rows: Sequence[Row]) -> StanleyStats:
     first_d = 1
     while first_d < k and rows[first_d][0] == first_d:
         first_d += 1
-    return StanleyStats(end, k, end + k, area, point, edgint, point + k - 1,
-                        rows[0][1], first_d)
+    # tuple.__new__ costs under half of the generated __new__'s field binding
+    return tuple.__new__(StanleyStats, (end, k, end + k, area, point, edgint,
+                                        point + k - 1, rows[0][1], first_d))
 
 
 def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
@@ -245,8 +246,9 @@ def dyck_fields(word: str) -> DyckStats:
             h -= 1
         prev = c
     # sumOneValleys is sumv: a valley at height 0 adds 0 to either sum
-    return DyckStats(len(word) // 2, nbp, sump, nbv, sumv, hills, one_valleys,
-                     sumv, first_peak, "UUU" not in word and "DDD" not in word)
+    return tuple.__new__(DyckStats, (len(word) // 2, nbp, sump, nbv, sumv,
+                                     hills, one_valleys, sumv, first_peak,
+                                     "UUU" not in word and "DDD" not in word))
 
 
 def dyck_stats(d: DyckPath) -> DyckStats:

@@ -407,44 +407,38 @@ def _h_psi_checks(checks: list, max_size: int) -> None:
            psi_detail or "classes match at every area")
 
 
-def _compositions(limit: int):
-    """Every composition with sum at most limit, once each, with its levels
-    as objects.fountain_levels gives them.  One depth-first walk suffices
-    because every prefix of such a composition is one too.  The child
-    comp + (h,) has the levels of comp + (h - 1,) plus the new diagonal's
-    bit on level h - 1, a new top level once h passes the height."""
-    stack = [((), 0, ())]
-    while stack:
-        comp, total, levels = stack.pop()
-        if comp:
-            yield comp, levels
-        bit = 1 << len(comp) + 1
-        for h in range(1, limit - total + 1):
-            if h > len(levels):
-                levels += (bit,)
-            else:
-                levels = levels[:h - 1] + (levels[h - 1] | bit,) + levels[h:]
-            stack.append((comp + (h,), total + h, levels))
-
-
 def _fountain_brute_checks(checks: list) -> None:
     # independent physics check: every coin above the base rests on two
-    # adjacent coins, tested on all diagonal compositions with <= 18 coins;
-    # an accepted fountain must also give back its diagonals and the levels
-    # the walk carried
+    # adjacent coins, tested on each diagonal composition with <= 18 coins as
+    # a depth-first walk makes it; an accepted fountain must also give back
+    # its diagonals and the levels the walk carried.  comp + (h,) has the
+    # levels of comp + (h - 1,) plus the new diagonal's bit on level h - 1 (a
+    # new top level past the height), so a node's list is updated in place.
     limit = 18
     bad = total = 0
-    for comp, levels in _compositions(limit):
-        total += 1
-        physical = objects.levels_support_ok(levels)
-        try:
-            fountain = objects.make_fountain(comp)
-        except InvalidObject:
-            bad += physical
-            continue
-        if (not physical or objects.diagonals_from_levels(levels) != comp
-                or objects.fountain_levels(fountain) != list(levels)):
-            bad += 1
+    stack = [((), 0, [])]
+    while stack:
+        comp, coins, levels = stack.pop()
+        bit = 1 << len(comp) + 1
+        for h in range(1, limit - coins + 1):
+            if h > len(levels):
+                levels.append(bit)
+            else:
+                levels[h - 1] |= bit
+            child = comp + (h,)
+            total += 1
+            physical = objects.levels_support_ok(levels)
+            try:
+                fountain = objects.make_fountain(child)
+            except InvalidObject:
+                bad += physical
+            else:
+                if (not physical
+                        or objects.diagonals_from_levels(levels) != child
+                        or objects.fountain_levels(fountain) != levels):
+                    bad += 1
+            if coins + h < limit:
+                stack.append((child, coins + h, levels[:]))
     _check(checks, "diagonal inequalities agree with coin-stacking physics "
            f"on all compositions of at most {limit}",
            f"0 disagreements over {total} compositions",

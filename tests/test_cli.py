@@ -338,10 +338,11 @@ class TestSeries:
         assert lines(out)[0]["verified_against_oracle"] is True
 
     def test_corollaries_verify_reports_false(self, capsys):
-        # one closed form disagrees with enumeration, and the flag says so
+        # one closed form disagrees with enumeration; the flag and the exit
+        # code say so, and the series is printed all the same
         code, out, _ = run(capsys, "series", "--gf", "corollaries",
                            "--order", "6", "--verify")
-        assert code == 0
+        assert code == 1
         assert lines(out)[0]["verified_against_oracle"] is False
 
     def test_order_zero_exit_two(self, capsys):
@@ -504,7 +505,7 @@ def test_tally_oracle_reads_the_field_tuples(capsys, monkeypatch, gf, order,
     monkeypatch.setattr(cli.verification.objects, name, off_by_one)
     code, out, _ = run(capsys, "series", "--gf", gf, "--order", order,
                        "--verify")
-    assert code == 0
+    assert code == 1
     assert lines(out)[0]["verified_against_oracle"] is False
 
 

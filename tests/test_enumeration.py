@@ -3,7 +3,7 @@ from bisect import bisect_left
 
 import pytest
 
-from stanlab import enumeration, objects
+from stanlab import bijections, enumeration, objects
 from stanlab.catalog import catalan
 from stanlab.enumeration import (
     SUPPORTED_PAIRS,
@@ -103,6 +103,27 @@ class TestStreaming:
         monkeypatch.setattr(enumeration, "DEFAULT_CAP", 41)
         with pytest.raises(CapExceeded, match="exceeded cap of 41 objects"):
             list(iter_raw(bound))
+
+    # 42 Dyck words of semilength 5; 82 triple-free ones of semilength 7,
+    # the chi-prime sources, which call the cap directly
+    @pytest.mark.parametrize("stream, size", [
+        (lambda: iter_raw(FamilyBound("dyck", "semilength", 5)), 42),
+        (lambda: bijections.SCANNED["chi_prime"][1](7), 82),
+    ], ids=["iter_raw", "chi_prime_sources"])
+    def test_cap_is_checked_item_by_item(self, monkeypatch, stream, size):
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", size)
+        items = stream()
+        for _ in range(size):
+            next(items)
+        with pytest.raises(StopIteration):
+            next(items)
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", size - 1)
+        items = stream()
+        for _ in range(size - 1):
+            next(items)
+        with pytest.raises(CapExceeded,
+                           match=f"exceeded cap of {size - 1} objects$"):
+            next(items)
 
     def test_even_coins_streams_in_canonical_order(self, monkeypatch):
         with monkeypatch.context() as m, pytest.raises(CapExceeded):

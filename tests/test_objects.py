@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -472,15 +473,17 @@ class TestFountains:
                     accepted = False
                 assert accepted == physical, comp
 
-    def test_level_masks_match_set_model(self):
-        # the mask functions against the set-based coin model they replaced
-        # and the levels the physics check's walk carries against both
-        for comp, levels in verification._compositions(12):
+    def test_level_masks_match_set_model(self, physics_run):
+        # the levels the physics check's walk carries against the mask
+        # functions for every composition and against the set-based coin
+        # model they replaced up to total 12, then the two models
+        assert physics_run.levels_unlike_masks == []
+        assert physics_run.levels_unlike_sets == []
+        for comp in physics_run.small:
             raw = objects.CoinFountain(comp)
             masks = objects.fountain_levels(raw)
             sets = set_fountain_levels(raw)
             assert masks == [sum(1 << j for j in lvl) for lvl in sets], comp
-            assert list(levels) == masks, comp
             supported = objects.levels_support_ok(masks)
             assert supported == set_levels_support_ok(sets), comp
             if supported:
@@ -524,25 +527,68 @@ def set_diagonals_from_levels(levels):
                  for j in range(1, len(levels[0]) + 1))
 
 
-def stack_compositions(limit):
-    """The stack walk the physics check used before it carried levels."""
-    stack = [((), 0)]
-    while stack:
-        comp, total = stack.pop()
-        if comp:
-            yield comp
-        stack.extend((comp + (head,), total + head)
-                     for head in range(1, limit - total + 1))
+SMALL = 12  # the largest total whose compositions a physics run keeps
+
+
+@pytest.fixture(scope="module")
+def physics_run():
+    """One run of the physics check through wrappers on the objects
+    functions it calls: its report, the calls to each function, the count
+    of compositions per total, the compositions of total SMALL or less, and
+    those whose levels disagree with fountain_levels or, up to SMALL, with
+    the set model.  Levels are compared as each composition is checked,
+    because the walk updates its level lists in place."""
+    real = {name: getattr(objects, name) for name in (
+        "make_fountain", "levels_support_ok", "diagonals_from_levels",
+        "fountain_levels")}
+    run = SimpleNamespace(calls=Counter(), totals=Counter(), small=[],
+                          levels_unlike_masks=[], levels_unlike_sets=[])
+    pending = {}
+
+    def meet(key, value):
+        # levels_support_ok and make_fountain each see half of a composition
+        pending[key] = value
+        if len(pending) < 2:
+            return
+        comp, levels = pending.pop("comp"), pending.pop("levels")
+        total = sum(comp)
+        run.totals[total] += 1
+        raw = objects.CoinFountain(comp)
+        if levels != real["fountain_levels"](raw):
+            run.levels_unlike_masks.append(comp)
+        if total <= SMALL:
+            run.small.append(comp)
+            sets = set_fountain_levels(raw)
+            if levels != [sum(1 << j for j in lvl) for lvl in sets]:
+                run.levels_unlike_sets.append(comp)
+
+    def counted(name, see=lambda arg: None):
+        def wrapper(arg):
+            run.calls[name] += 1
+            see(arg)
+            return real[name](arg)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(objects, "make_fountain", counted(
+            "make_fountain", lambda comp: meet("comp", tuple(comp))))
+        m.setattr(objects, "levels_support_ok", counted(
+            "levels_support_ok", lambda levels: meet("levels", list(levels))))
+        for name in ("diagonals_from_levels", "fountain_levels"):
+            m.setattr(objects, name, counted(name))
+        checks = []
+        verification._fountain_brute_checks(checks)
+    (run.check,) = checks
+    return run
 
 
 class TestFountainPhysicsCheck:
-    def test_walk_visits_every_composition_once(self):
-        walked = [comp for comp, _ in verification._compositions(10)]
-        assert len(walked) == 2 ** 10 - 1
-        assert len(set(walked)) == len(walked)
-        assert sorted(walked) == sorted(
-            c for n in range(1, 11) for c in old_compositions(n))
-        assert walked == list(stack_compositions(10))
+    def test_walk_visits_every_composition_once(self, physics_run):
+        assert physics_run.totals == {n: 2 ** (n - 1) for n in range(1, 19)}
+        small = physics_run.small
+        assert len(set(small)) == len(small)
+        assert sorted(small) == sorted(
+            c for n in range(1, SMALL + 1) for c in old_compositions(n))
 
     @staticmethod
     def run_check():
@@ -577,25 +623,11 @@ class TestFountainPhysicsCheck:
         assert check["status"] == "fail"
         assert check["actual"] == "15070 disagreements over 262143 compositions"
 
-    def test_every_composition_goes_through_each_check(self, monkeypatch):
-        calls = Counter()
-
-        def counted(name):
-            real = getattr(objects, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            monkeypatch.setattr(objects, name, wrapper)
-
-        for name in ("make_fountain", "levels_support_ok",
-                     "diagonals_from_levels", "fountain_levels"):
-            counted(name)
-        check = self.run_check()
-        assert check["status"] == "pass"
-        assert calls == {"make_fountain": 262143, "levels_support_ok": 262143,
-                         "diagonals_from_levels": 15070,
-                         "fountain_levels": 15070}
+    def test_every_composition_goes_through_each_check(self, physics_run):
+        assert physics_run.check["status"] == "pass"
+        assert physics_run.calls == {
+            "make_fountain": 262143, "levels_support_ok": 262143,
+            "diagonals_from_levels": 15070, "fountain_levels": 15070}
 
 
 class TestParallelograms:
