@@ -41,9 +41,13 @@ BIJECTIONS = {
     "psi": ("parallelogram", bijections.psi),
 }
 
+# one encoder for every line writes json.dumps' bytes; the circular check is
+# off because every record is a freshly built tree, which holds no cycle
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    sys.stdout.write(_encode(obj) + "\n")
 
 
 def _diag(msg: str) -> None:

@@ -286,10 +286,10 @@ def make_fountain(diagonals: Iterable[int]) -> CoinFountain:
 
 
 def fountain_stats(c: CoinFountain) -> FountainStats:
-    # bottom row sits at level 0, which counts as even
-    e = sum((x + 1) // 2 for x in c.diagonals)
-    o = sum(x // 2 for x in c.diagonals)
-    return FountainStats(e=e, o=o, m=len(c.diagonals), firstDiag=c.diagonals[0])
+    d = c.diagonals
+    # level 0 counts as even; a diagonal of x coins has x // 2 on odd levels
+    o = sum(x // 2 for x in d)
+    return tuple.__new__(FountainStats, (sum(d) - o, o, len(d), d[0]))
 
 
 def fountain_levels(c: CoinFountain) -> list[int]:
@@ -319,8 +319,16 @@ def levels_support_ok(levels: Sequence[int]) -> bool:
 
 
 def diagonals_from_levels(levels: Sequence[int]) -> tuple[int, ...]:
+    # one pass: each set bit j = 1 .. w (w coins at level 0) adds to diagonal j
     width = levels[0].bit_count()
-    return tuple(sum(lvl >> j & 1 for lvl in levels) for j in range(1, width + 1))
+    keep, sizes = (2 << width) - 2, [0] * (width + 1)
+    for lvl in levels:
+        lvl &= keep
+        while lvl:
+            low = lvl & -lvl
+            sizes[low.bit_length() - 1] += 1
+            lvl ^= low
+    return tuple(sizes[1:])
 
 
 # -- parallelogram polyominoes ------------------------------------------------
@@ -343,14 +351,13 @@ def make_parallelogram(columns: Iterable[tuple[int, int]]) -> ParallelogramPolyo
 
 def parallelogram_stats(q: ParallelogramPolyomino) -> ParallelogramStats:
     cols = q.columns
-    overlaps = tuple(
-        cols[i][0] + cols[i][1] - cols[i + 1][0] for i in range(len(cols) - 1)
-    )
-    return ParallelogramStats(
-        area=sum(h for _, h in cols),
-        colCount=len(cols),
-        overlaps=overlaps,
-    )
+    area = cols[0][1]
+    overlaps = []
+    for (b0, h0), (b1, h1) in zip(cols, cols[1:]):
+        overlaps.append(b0 + h0 - b1)
+        area += h1
+    return tuple.__new__(ParallelogramStats,
+                         (area, len(cols), tuple(overlaps)))
 
 
 # -- the family table -----------------------------------------------------------
@@ -380,12 +387,12 @@ def _family_of(x) -> str:
 
 
 def _lists(value):
-    """JSON shape of an object's or a record's field: a tuple, and the pairs
-    in it, become lists."""
+    """JSON shape of an object's field: a tuple, and the pairs in it, become
+    lists, so to_json_obj returns only JSON-native containers."""
     if not isinstance(value, tuple):
         return value
     if value and isinstance(value[0], tuple):
-        return [list(v) for v in value]
+        return list(map(list, value))
     return list(value)
 
 
@@ -407,9 +414,10 @@ def from_json_obj(family: str, data: dict):
 
 
 def stats_json(x) -> dict:
-    """Statistics record for any family, used by the CLI map/enumerate output."""
+    """A family's statistics record as a JSON dict: field order, tuples as lists."""
     record = FAMILIES[_family_of(x)][2](x)
-    return {key: _lists(value) for key, value in record._asdict().items()}
+    return {k: list(v) if type(v) is tuple else v
+            for k, v in zip(record._fields, record)}
 
 
 # -- one statistic from the raw encoding ----------------------------------------

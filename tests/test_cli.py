@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import importlib.util
 import io
@@ -582,6 +583,124 @@ def test_verify_digests_cover_every_suite():
 def test_verify_stdout_bytes_pinned(capsys, name, size, pinned):
     code, out, _ = run(capsys, "verify", "--suite", name, *size)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned
+
+
+# -- map and enumerate output lines ------------------------------------------
+# Lines are compact JSON with keys in record field order.  The expected
+# lines are literals, so a change of any byte fails here.
+
+STANLEY_STATS = ('"col":4,"row":2,"sper":6,"area":5,"point":0,"edgint":0,'
+                 '"adja":1,"first":2,"firstD":2')
+MAP_LINES = {
+    "phi": ('{"rows":[[0,2],[1,3]]}',
+            '{"in":{"rows":[[0,2],[1,3]]},"out":{"word":"UDUUDD"},'
+            '"stats_in":{' + STANLEY_STATS + '},'
+            '"stats_out":{"semilength":3,"nbp":2,"sump":3,"nbv":1,"sumv":0,'
+            '"hills":1,"oneValleys":0,"sumOneValleys":0,"firstPeakHeight":1,'
+            '"avoids3":true}}'),
+    "phi-inv": ('{"word":"UUDUDD"}',
+                '{"in":{"word":"UUDUDD"},"out":{"rows":[[0,3],[1,3]]},'
+                '"stats_in":{"semilength":3,"nbp":2,"sump":4,"nbv":1,'
+                '"sumv":1,"hills":0,"oneValleys":1,"sumOneValleys":1,'
+                '"firstPeakHeight":2,"avoids3":true},'
+                '"stats_out":{"col":4,"row":2,"sper":6,"area":6,"point":1,'
+                '"edgint":0,"adja":2,"first":3,"firstD":2}}'),
+    "chi": ('{"word":"UFUFDD"}',
+            '{"in":{"word":"UFUFDD"},"out":{"rows":[[0,2],[1,3],[3,2]]},'
+            '"stats_in":{"steps":6,"peakless":true},'
+            '"stats_out":{"col":5,"row":3,"sper":8,"area":7,"point":0,'
+            '"edgint":0,"adja":2,"first":2,"firstD":2}}'),
+    "chi-prime": ('{"word":"UUDUDD"}',
+                  '{"in":{"word":"UUDUDD"},"out":{"rows":[[0,2],[1,3]]},'
+                  '"stats_in":{"semilength":3,"nbp":2,"sump":4,"nbv":1,'
+                  '"sumv":1,"hills":0,"oneValleys":1,"sumOneValleys":1,'
+                  '"firstPeakHeight":2,"avoids3":true},'
+                  '"stats_out":{' + STANLEY_STATS + '}}'),
+    "f": ('{"diagonals":[2,3,2,1]}',
+          '{"in":{"diagonals":[2,3,2,1]},"out":{"rows":[[0,4],[2,3]]},'
+          '"stats_in":{"e":5,"o":3,"m":4,"firstDiag":2},'
+          '"stats_out":{"col":5,"row":2,"sper":7,"area":7,"point":1,'
+          '"edgint":0,"adja":2,"first":4,"firstD":1}}'),
+    "f-inv": ('{"rows":[[0,2],[1,3]]}',
+              '{"in":{"rows":[[0,2],[1,3]]},"out":{"diagonals":[1,2,1]},'
+              '"stats_in":{' + STANLEY_STATS + '},'
+              '"stats_out":{"e":3,"o":1,"m":3,"firstDiag":1}}'),
+    "h": ('{"columns":[[0,2],[1,2],[1,3]]}',
+          '{"in":{"columns":[[0,2],[1,2],[1,3]]},"out":{"word":"UUDDUUDUUDDD"},'
+          '"stats_in":{"area":7,"colCount":3,"overlaps":[1,2]},'
+          '"stats_out":{"semilength":6,"nbp":3,"sump":7,"nbv":2,"sumv":1,'
+          '"hills":0,"oneValleys":1,"sumOneValleys":1,"firstPeakHeight":2,'
+          '"avoids3":false}}'),
+    "psi": ('{"columns":[[0,2],[1,2],[1,3]]}',
+            '{"in":{"columns":[[0,2],[1,2],[1,3]]},'
+            '"out":{"diagonals":[2,1,3,2,2,1]},'
+            '"stats_in":{"area":7,"colCount":3,"overlaps":[1,2]},'
+            '"stats_out":{"e":7,"o":4,"m":6,"firstDiag":2}}'),
+}
+ENUMERATE_COLUMNS_4 = (
+    '{"object":{"rows":[[0,2],[1,2],[2,2]]},"stats":{"col":4,"row":3,'
+    '"sper":7,"area":6,"point":0,"edgint":0,"adja":2,"first":2,"firstD":3}}\n'
+    '{"object":{"rows":[[0,2],[1,3]]},"stats":{' + STANLEY_STATS + '}}\n'
+    '{"object":{"rows":[[0,3],[1,3]]},"stats":{"col":4,"row":2,"sper":6,'
+    '"area":6,"point":1,"edgint":0,"adja":2,"first":3,"firstD":2}}\n'
+    '{"object":{"rows":[[0,3],[2,2]]},"stats":{"col":4,"row":2,"sper":6,'
+    '"area":5,"point":0,"edgint":0,"adja":1,"first":3,"firstD":1}}\n'
+    '{"object":{"rows":[[0,4]]},"stats":{"col":4,"row":1,"sper":5,"area":4,'
+    '"point":0,"edgint":0,"adja":0,"first":4,"firstD":1}}\n')
+
+
+def test_map_lines_cover_every_bijection():
+    assert set(MAP_LINES) == set(cli.BIJECTIONS)
+
+
+@pytest.mark.parametrize("bijection", MAP_LINES)
+def test_map_stdout_bytes_pinned(capsys, monkeypatch, bijection):
+    line, expected = MAP_LINES[bijection]
+    TestMap().feed(monkeypatch, line + "\n")
+    assert run(capsys, "map", "--bijection", bijection) == \
+        (0, expected + "\n", "")
+
+
+def test_enumerate_stdout_bytes_pinned(capsys):
+    assert run(capsys, "enumerate", "--family", "stanley", "--measure",
+               "columns", "--value", "4") == (0, ENUMERATE_COLUMNS_4, "")
+
+
+def test_emit_writes_the_bytes_of_json_dumps(capsys):
+    record = {"t": (1, (2, 3), [4, (5, "six")]), "flags": [True, False, None],
+              "big": -(10 ** 99), "text": "façade ∑ \U0001F600 \"q\"\n",
+              "nested": {"pairs": ((0, 1), (2, 3)), "empty": ((), [], {})}}
+    assert len(str(record["big"])) == 101  # a sign and 100 digits
+    cli._emit(record)
+    out = capsys.readouterr().out
+    assert out == json.dumps(record, separators=(",", ":")) + "\n"
+    assert out.isascii()
+
+
+def test_benchmark_hooks_see_every_line(capsys, monkeypatch):
+    # perfbench reads cli.emit.* off calls to cli._emit and objects.stats_json
+    # off calls to objects.stats_json; both must stay the calls the CLI makes
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_emit", counted("emit", cli._emit))
+    monkeypatch.setattr(objects, "stats_json",
+                        counted("stats_json", objects.stats_json))
+    line = MAP_LINES["psi"][0] + "\n"
+    TestMap().feed(monkeypatch, line * 3)
+    code, out, _ = run(capsys, "map", "--bijection", "psi")
+    assert (code, len(out.splitlines())) == (0, 3)
+    assert calls == {"emit": 3, "stats_json": 6}
+    calls.clear()
+    code, out, _ = run(capsys, "enumerate", "--family", "stanley",
+                       "--measure", "columns", "--value", "4")
+    assert (code, len(out.splitlines())) == (0, 5)
+    assert calls == {"emit": 5, "stats_json": 5}
 
 
 # -- README stays in step with the code --------------------------------------

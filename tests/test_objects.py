@@ -444,6 +444,18 @@ class TestFountains:
         assert (s.e, s.o) == (5, 3)
         assert (s.m, s.firstDiag) == (4, 2)
 
+    def test_stats_match_the_two_sum_formula(self):
+        # every fountain with at most 10 diagonals (Catalan many for each m)
+        seen = 0
+        for m in range(1, 11):
+            for d in iter_raw(FamilyBound("fountain", "diagonals", m)):
+                s = objects.fountain_stats(objects.CoinFountain(d))
+                assert type(s) is objects.FountainStats
+                assert s == (sum((x + 1) // 2 for x in d),
+                             sum(x // 2 for x in d), len(d), d[0]), d
+                seen += 1
+        assert seen == 23713
+
     @settings(max_examples=60, deadline=None)
     @given(fountains)
     def test_levels_round_trip(self, c):
@@ -497,6 +509,14 @@ class TestFountains:
                 set_levels_support_ok(sets), sets
 
 
+def old_diagonals_from_levels(levels):
+    """The per-diagonal formula diagonals_from_levels replaced: bits 0 and
+    above the bottom level's coin count are ignored."""
+    width = levels[0].bit_count()
+    return tuple(sum(lvl >> j & 1 for lvl in levels)
+                 for j in range(1, width + 1))
+
+
 def old_compositions(n):
     """The recursive generator the physics check walked before."""
     if n == 0:
@@ -542,7 +562,8 @@ def physics_run():
         "make_fountain", "levels_support_ok", "diagonals_from_levels",
         "fountain_levels")}
     run = SimpleNamespace(calls=Counter(), totals=Counter(), small=[],
-                          levels_unlike_masks=[], levels_unlike_sets=[])
+                          levels_unlike_masks=[], levels_unlike_sets=[],
+                          accepted=[])
     pending = {}
 
     def meet(key, value):
@@ -574,8 +595,10 @@ def physics_run():
             "make_fountain", lambda comp: meet("comp", tuple(comp))))
         m.setattr(objects, "levels_support_ok", counted(
             "levels_support_ok", lambda levels: meet("levels", list(levels))))
-        for name in ("diagonals_from_levels", "fountain_levels"):
-            m.setattr(objects, name, counted(name))
+        m.setattr(objects, "diagonals_from_levels", counted(
+            "diagonals_from_levels",
+            lambda levels: run.accepted.append(list(levels))))
+        m.setattr(objects, "fountain_levels", counted("fountain_levels"))
         checks = []
         verification._fountain_brute_checks(checks)
     (run.check,) = checks
@@ -629,6 +652,20 @@ class TestFountainPhysicsCheck:
             "make_fountain": 262143, "levels_support_ok": 262143,
             "diagonals_from_levels": 15070, "fountain_levels": 15070}
 
+    def test_diagonals_match_the_old_formula(self, physics_run):
+        # the level lists the check accepts, then seeded masks with bit 0
+        # and bits above the bottom level's count set
+        assert len(physics_run.accepted) == 15070
+        for levels in physics_run.accepted:
+            assert objects.diagonals_from_levels(levels) == \
+                old_diagonals_from_levels(levels), levels
+        rng = random.Random(2026)
+        for _ in range(2000):
+            levels = [rng.getrandbits(rng.randint(0, 14))
+                      for _ in range(rng.randint(1, 8))]
+            assert objects.diagonals_from_levels(levels) == \
+                old_diagonals_from_levels(levels), levels
+
 
 class TestParallelograms:
     def test_worked_example(self):
@@ -641,7 +678,17 @@ class TestParallelograms:
 
     def test_single_column(self):
         s = objects.parallelogram_stats(objects.make_parallelogram([(0, 3)]))
-        assert (s.area, s.colCount) == (3, 1)
+        assert (s.area, s.colCount, s.overlaps) == (3, 1, ())
+
+    def test_one_pass_matches_the_column_formulas(self):
+        for n in range(1, 10):
+            for cols in iter_raw(FamilyBound("parallelogram", "area", n)):
+                s = objects.parallelogram_stats(
+                    objects.ParallelogramPolyomino(cols))
+                assert type(s) is objects.ParallelogramStats
+                assert s == (sum(h for _, h in cols), len(cols), tuple(
+                    cols[i][0] + cols[i][1] - cols[i + 1][0]
+                    for i in range(len(cols) - 1))), cols
 
     def test_columns_must_touch(self):
         with pytest.raises(DisconnectedColumns):
@@ -763,7 +810,8 @@ def test_package_imports_only_names_it_uses():
 
 
 class TestJsonRoundTrip:
-    def test_all_families(self):
+    @staticmethod
+    def one_of_each_family() -> dict:
         cases = {
             "stanley": objects.make_stanley(WORKED),
             "dyck": objects.make_dyck("UUDD"),
@@ -772,6 +820,10 @@ class TestJsonRoundTrip:
             "parallelogram": objects.make_parallelogram([(0, 2), (1, 2)]),
         }
         assert set(cases) == set(objects.FAMILIES)
+        return cases
+
+    def test_all_families(self):
+        cases = self.one_of_each_family()
         for family, (cls, _, _) in objects.FAMILIES.items():
             x = cases[family]
             assert type(x) is cls
@@ -780,6 +832,22 @@ class TestJsonRoundTrip:
             assert decoded == data
             # JSON integers pass the exact int type test
             assert objects.from_json_obj(family, decoded) == x
+
+    def test_stats_json_is_the_record_in_field_order(self):
+        for family, x in self.one_of_each_family().items():
+            record = objects.FAMILIES[family][2](x)
+            data = objects.stats_json(x)
+            assert list(data) == list(record._fields), family
+            for key, value in zip(record._fields, record):
+                if type(value) is tuple:
+                    assert type(data[key]) is list, (family, key)
+                    assert data[key] == list(value), (family, key)
+                else:
+                    assert type(data[key]) is type(value), (family, key)
+                    assert data[key] == value, (family, key)
+        # the parallelogram's overlaps is the one tuple field
+        assert objects.stats_json(objects.make_parallelogram(
+            [(0, 2), (1, 2)]))["overlaps"] == [1]
 
 
 def test_package_has_no_assert_statements():
