@@ -242,7 +242,7 @@ SCANNED = {
 
 # the largest source size table_inverse scans; raising it changes which
 # targets are refused.  On 2 vCPUs under Python 3.11, preimages of chi_prime
-# takes 0.45 s at 14 and 3.1 s at 16; of chi 0.15, 0.95 and 6.9 s at 14, 16, 18
+# takes 0.36 s at 14 and 2.5 s at 16; of chi 0.10, 0.77 and 5.1 s at 14, 16, 18
 MAX_SOURCE_SIZE = 14
 
 

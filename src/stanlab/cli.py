@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import bijections, catalog, objects, verification
@@ -72,12 +73,9 @@ def cmd_enumerate(args) -> int:
         counts = count_grouped(bound, args.group_by)
         _emit({str(k): v for k, v in counts.items()})
         return 0
-    emitted = 0
-    for x in enumerate_family(bound):
-        if args.limit is not None and emitted >= args.limit:
-            break
+    # islice draws no object past the limit
+    for x in islice(enumerate_family(bound), args.limit):
         _emit({"object": objects.to_json_obj(x), "stats": objects.stats_json(x)})
-        emitted += 1
     return 0
 
 

@@ -3,15 +3,14 @@
 Streams are generated by DFS over canonical prefixes and arrive in
 lexicographic order of the canonical field encoding (rows, word, diagonals,
 columns).  Each walk expands only prefixes that complete and emits a forced
-tail in one step.  Every walk runs on an explicit stack, so no recursion
-limit bounds an object's length: the path walks (Dyck, peakless Motzkin) and
-the evenCoins walk keep their own, and the Stanley, parallelogram and
-fountain-diagonal walks share one driver over lazy child iterators.
-Re-invoking an iterator restarts the same stream.  A safety cap, counted
-in ``islice`` at no Python call per object, bounds stream length.  ``count``
-counts a stream and ``count_grouped`` reads one statistic per object
-straight from the raw encoding; nothing is memoised, so every call walks its
-stream afresh.
+tail in one step.  All eight walks share one driver over lazy child
+iterators on an explicit stack, so no recursion limit bounds an object's
+length; it finishes each node with little left from a per-walk table of its
+state's completions.  Re-invoking an iterator restarts the same stream.  A
+safety cap, counted in ``islice`` at no Python call per object, bounds
+stream length.  ``count`` counts a stream and ``count_grouped`` reads one
+statistic per object straight from the raw encoding; no table outlives its
+walk, so every call walks its stream afresh.
 """
 
 from __future__ import annotations
@@ -31,23 +30,44 @@ DEFAULT_CAP = 10_000_000
 # Raw form: stanley/parallelogram -> tuple of pairs, dyck/motzkin -> word,
 # fountain -> tuple of ints.  DFS choice order matches the canonical order.
 
-def _walk(roots: Iterable[tuple], children) -> Iterator:
-    """Depth-first over nodes (object, ..., left): a node with nothing left
-    is a leaf and its object is yielded; any other is expanded by
+TABLE_LIMIT = 1024  # the most completions a table holds, whatever the bound
+
+
+def _walk(roots: Iterable[tuple], children, near: int = 0) -> Iterator:
+    """Depth-first over nodes (object, *state, left): a node with nothing
+    left is a leaf and its object is yielded; any other is expanded by
     children(*node).  The stack holds one lazy child iterator per level, so
-    objects come out in the order the children are listed."""
+    objects come out in the order the children are listed.  A node with at
+    most near left is finished from its state's completion suffixes, listed
+    in child order on first use by walking from the empty object and kept
+    for this walk only; a state with over TABLE_LIMIT of them is expanded."""
+    tables = {}
     stack = [iter(roots)]
     while stack:
         for node in stack[-1]:
-            if node[-1]:
-                stack.append(children(*node))
-                break
-            yield node[0]
+            left = node[-1]
+            if not left:
+                yield node[0]
+                continue
+            if left <= near:
+                table = tables.get(node[1:])
+                if table is None:
+                    table = list(islice(_walk(children(node[0][:0], *node[1:]),
+                                              children), TABLE_LIMIT + 1))
+                    if len(table) > TABLE_LIMIT:
+                        table = ()
+                    tables[node[1:]] = table
+                if table:
+                    yield from map(node[0].__add__, table)
+                    continue
+            stack.append(children(*node))
+            break
         else:
             stack.pop()
 
 
-def _gen_stanley(n: int, per_row: int, per_overlap: int) -> Iterator[tuple]:
+def _gen_stanley(n: int, per_row: int, per_overlap: int,
+                 near: int) -> Iterator[tuple]:
     # A first row of l cells costs l + per_row; a row (s2, e2) on the row
     # (s, e) costs e2 - e + per_row + per_overlap * (e - s2), so the budget n
     # is the last end (columns), the last end plus the row count
@@ -68,89 +88,67 @@ def _gen_stanley(n: int, per_row: int, per_overlap: int) -> Iterator[tuple]:
     least = 1 + per_row + per_overlap  # the cheapest next row
     last = n - per_row  # the first row that spends the budget
     firsts = [*range(2, last - least + 1), last] if last > 0 else []
-    return _walk(((((0, l1),), 0, l1, last - l1) for l1 in firsts), children)
+    return _walk(((((0, l1),), 0, l1, last - l1) for l1 in firsts), children,
+                 near)
 
 
 def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
     """Dyck words of semilength n; with max_run, only those whose runs of
     U and of D are at most max_run long."""
-    total = 2 * n
     limit = n if max_run is None else max_run  # no run is longer than n
-    # run: length of the last run of steps, negative for a run of D.  A
-    # prefix ending in a run of a D (a = 0 after a U) completes iff a plus
-    # its D left fit in runs of at most limit, one run more than its U left.
-    # A D keeps that so; a U does iff the (rest + h) / 2 D left fit in
-    # (rest - h) / 2 runs, that is h (limit + 1) <= (limit - 1) rest.  Once
-    # h == rest the closing run of D is emitted whole.
-    highest = [(limit - 1) * rest // (limit + 1) for rest in range(total + 1)]
-    stack = [("", 0, 0)]
-    while stack:
-        word, h, run = stack.pop()
-        rest = total - len(word)
-        if h == rest:
-            yield word + "D" * h
-            continue
-        # U is pushed first so that D, which sorts before it, comes out first
+    # Node (word, h, run, rest), run the length of the last run of steps,
+    # negative for D.  A prefix ending in a run of a D (a = 0 after a U)
+    # completes iff a plus its D left fit in runs of at most limit, one run
+    # more than its U left.  A D keeps that so; a U does iff the (rest + h)
+    # / 2 D left fit in (rest - h) / 2 runs, that is h (limit + 1) <= (limit
+    # - 1) rest.  A U leaving h == rest comes with the closing run of D.
+    highest = [(limit - 1) * rest // (limit + 1) for rest in range(2 * n + 1)]
+
+    def children(word: str, h: int, run: int, rest: int):
+        if h and run > -limit:  # D sorts before U
+            yield word + "D", h - 1, min(run, 0) - 1, rest - 1
         if h <= highest[rest] and run < limit:
-            stack.append((word + "U", h + 1, run + 1 if run > 0 else 1))
-        if h > 0 and run > -limit:
-            stack.append((word + "D", h - 1, run - 1 if run < 0 else -1))
+            if h + 2 < rest:
+                yield word + "U", h + 1, max(run, 0) + 1, rest - 1
+            else:
+                yield word + "U" + "D" * (h + 1), 0, 0, 0
+
+    return _walk([("", 0, 0, 2 * n)], children, 8)
 
 
 def _gen_peakless_motzkin(n: int) -> Iterator[str]:
-    # A prefix pushed keeps h <= rest (h < rest after a U), so every prefix
-    # completes; at h == rest the closing run of D is emitted whole.
-    stack = [("", 0)]
-    while stack:
-        word, h = stack.pop()
-        rest = n - len(word)
-        if h == rest:
-            yield word + "D" * h
-            continue
-        # pushed U, F, D so they come out in the order D < F < U
+    # Node (word, h, up, rest), up after a U.  Every node keeps h < rest, so
+    # every prefix completes; an F that leaves h == rest is followed by the
+    # closing run of D whole.
+    def children(word: str, h: int, up: bool, rest: int):
+        if h and not up:  # D < F < U, and no UD factor
+            yield word + "D", h - 1, False, rest - 1
+        if h + 1 < rest:
+            yield word + "F", h, False, rest - 1
+        else:
+            yield word + "F" + "D" * h, 0, False, 0
         if h + 3 <= rest:  # a U needs a non-D step plus the way back down
-            stack.append((word + "U", h + 1))
-        stack.append((word + "F", h))
-        if h > 0 and word[-1] != "U":  # no UD factor
-            stack.append((word + "D", h - 1))
+            yield word + "U", h + 1, True, rest - 1
+
+    return _walk([("", 0, False, n)], children, 8)
 
 
-def _fountain_children(diag: tuple, left: int):
-    # left counts the diagonals still to come; descending to 1 by unit steps
-    # bounds the next size by left, which makes the last diagonal 1; d ==
-    # left forces the rest, left - 1, ..., 1, so that child is one leaf
-    for d in range(max(1, diag[-1] - 1) if diag else 1, left):
-        yield diag + (d,), left - 1
-    if left:
-        yield diag + tuple(range(left, 0, -1)), 0
-
-
-def _gen_fountain_even_coins(e: int) -> Iterator[tuple]:
-    # Left-to-right DFS over one list.  A last diagonal d is feasible while
-    # evens + d*d//4 <= e: walking down from d to 1 costs exactly d*d//4 more
-    # even coins and 1s spend any remainder, so every prefix kept completes
-    # and the smallest next diagonal always fits.
-    if e < 1:
-        return
-    diag = [1]
-    evens = 1
-    while diag:
-        if evens < e:
-            d = max(1, diag[-1] - 1)
-            diag.append(d)
-            evens += (d + 1) // 2
-            continue
-        yield tuple(diag)
-        # the next prefix in canonical order: raise the last diagonal, or
-        # drop it and raise the one before
-        while diag:
-            d = diag.pop()
-            evens -= (d + 1) // 2
+def _gen_fountain(m: int, even: bool, near: int) -> Iterator[tuple]:
+    # m counts diagonals or, if even, even coins: a diagonal d costs 1 or (d
+    # + 1) // 2, and walking down from it to 1 by unit steps, which ends every
+    # fountain, costs d - 1 or d * d // 4 more.  A next diagonal is kept while
+    # both fit, 1s spending any remainder; an exact fit forces the walk down,
+    # so that child is one leaf.
+    def children(diag: tuple, last: int, left: int):
+        d = max(1, last - 1)
+        while (spare := left - ((d + 1) ** 2 // 4 if even else d)) >= 0:
+            if spare:
+                yield diag + (d,), d, left - ((d + 1) // 2 if even else 1)
+            else:
+                yield diag + tuple(range(d, 0, -1)), 1, 0
             d += 1
-            if evens + (d + 1) // 2 + d * d // 4 <= e:
-                diag.append(d)
-                evens += (d + 1) // 2
-                break
+
+    return _walk(children((), 0, m), children, near)
 
 
 def _parallelogram_children(cols: tuple, b: int, top: int, left: int):
@@ -162,17 +160,17 @@ def _parallelogram_children(cols: tuple, b: int, top: int, left: int):
             yield cols + ((b2, h2),), b2, b2 + h2 - 1, left - h2
 
 
+# each walk's near (8 for both paths) is the fastest at the benchmark's sizes
 _GENERATORS = {
-    ("stanley", "columns"): lambda n: _gen_stanley(n, 0, 0),
-    ("stanley", "semiperimeter"): lambda n: _gen_stanley(n, 1, 0),
-    ("stanley", "area"): lambda n: _gen_stanley(n, 0, 1),
+    ("stanley", "columns"): lambda n: _gen_stanley(n, 0, 0, 3),
+    ("stanley", "semiperimeter"): lambda n: _gen_stanley(n, 1, 0, 5),
+    ("stanley", "area"): lambda n: _gen_stanley(n, 0, 1, 7),
     ("dyck", "semilength"): _gen_dyck,
     ("peaklessMotzkin", "steps"): _gen_peakless_motzkin,
-    ("fountain", "diagonals"):
-        lambda m: _walk(_fountain_children((), m), _fountain_children),
-    ("fountain", "evenCoins"): _gen_fountain_even_coins,
+    ("fountain", "diagonals"): lambda m: _gen_fountain(m, False, 6),
+    ("fountain", "evenCoins"): lambda e: _gen_fountain(e, True, 7),
     ("parallelogram", "area"): lambda n: _walk(
-        _parallelogram_children((), 0, 0, n), _parallelogram_children),
+        _parallelogram_children((), 0, 0, n), _parallelogram_children, 5),
 }
 
 SUPPORTED_PAIRS = set(_GENERATORS)
@@ -187,6 +185,8 @@ class FamilyBound:
     def __post_init__(self):
         if (self.family, self.measure) not in SUPPORTED_PAIRS:
             raise UnsupportedPair(f"({self.family}, {self.measure}) not supported")
+        if type(self.value) is not int:  # refuses 2.5, "3" and True alike
+            raise UnsupportedPair(f"measure value must be an integer, got {self.value!r}")
         if self.value < 0:
             raise UnsupportedPair(f"measure value must be nonnegative, got {self.value}")
 

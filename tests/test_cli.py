@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import stanlab.cli as cli
-from stanlab import objects, verification
+from stanlab import enumeration, objects, verification
 from stanlab.errors import CapExceeded, InvariantViolation, MismatchBetweenForms
 
 WORKED_ROWS = [[0, 6], [3, 6], [4, 7], [10, 3], [11, 5]]
@@ -83,6 +83,35 @@ class TestEnumerate:
                            "--measure", "semilength", "--value", "5",
                            "--limit", "0")
         assert (code, out) == (0, "")
+
+    def test_limit_draws_no_object_past_it(self, capsys, monkeypatch):
+        # 14 Dyck words of semilength 4: a cap of 5 refuses the sixth, which
+        # a limit of 5 must not draw
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 5)
+        code, out, err = run(capsys, "enumerate", "--family", "dyck",
+                             "--measure", "semilength", "--value", "4",
+                             "--limit", "5")
+        assert (code, err) == (0, "")
+        assert [r["object"]["word"] for r in lines(out)] == [
+            "UDUDUDUD", "UDUDUUDD", "UDUUDDUD", "UDUUDUDD", "UDUUUDDD"]
+
+    @pytest.mark.parametrize("limit", [0, 1, 3])
+    def test_limit_draws_exactly_limit_objects(self, capsys, monkeypatch,
+                                               limit):
+        real = cli.enumerate_family
+        drawn = []
+
+        def counted(bound):
+            for x in real(bound):
+                drawn.append(x)
+                yield x
+
+        monkeypatch.setattr(cli, "enumerate_family", counted)
+        code, out, _ = run(capsys, "enumerate", "--family", "dyck",
+                           "--measure", "semilength", "--value", "5",
+                           "--limit", str(limit))
+        assert code == 0
+        assert len(lines(out)) == len(drawn) == limit
 
     def test_negative_limit_exit_two(self, capsys):
         code, out, err = run(capsys, "enumerate", "--family", "dyck",

@@ -1,5 +1,5 @@
-import sys
-from bisect import bisect_left
+import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -32,6 +32,18 @@ class TestBounds:
     def test_negative_value(self):
         with pytest.raises(UnsupportedPair):
             FamilyBound("dyck", "semilength", -1)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True, False, None])
+    def test_value_must_be_an_exact_int(self, value):
+        # refused before any walk starts, not leaked as a TypeError from it
+        # or, for True, counted as 1
+        with pytest.raises(UnsupportedPair, match="must be an integer"):
+            count(FamilyBound("dyck", "semilength", value))
+
+    def test_non_int_value_message(self):
+        with pytest.raises(UnsupportedPair) as info:
+            FamilyBound("fountain", "evenCoins", "3")
+        assert str(info.value) == "measure value must be an integer, got '3'"
 
 
 class TestCounts:
@@ -224,6 +236,45 @@ def recursive_peakless_motzkin(n: int):
     yield from walk([], 0)
 
 
+def completes(children, node, known: dict) -> bool:
+    """Whether a plain recursive walk below node reaches a leaf."""
+    state = node[1:]
+    if state not in known:
+        known[state] = not node[-1] or any(
+            completes(children, kid, known) for kid in children(*node))
+    return known[state]
+
+
+def dead_nodes(generator, n: int, monkeypatch):
+    """Runs generator(n) and returns the nodes the driver handed to children
+    that have no completion, how many it handed over, and how many tables
+    it built.  Expanded nodes and the empty-object root of every table all
+    go through children; a table is built by a walk without tables."""
+    walk = enumeration._walk
+    handed = []
+    builds = []
+
+    def recorded(roots, children, near=0):
+        original = getattr(children, "original", children)
+        if not near:
+            builds.append(roots)
+
+        def listed(*node):
+            handed.append((original, node))
+            return original(*node)
+        listed.original = original
+        return walk(roots, listed, near)
+
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_walk", recorded)
+        for _ in generator(n):
+            pass
+    known = {}
+    dead = [node for children, node in handed
+            if not completes(children, node, known)]
+    return dead, len(handed), len(builds)
+
+
 class TestPathWalks:
     @pytest.mark.parametrize("n", range(13))
     def test_dyck_matches_the_recursive_walk(self, n):
@@ -242,30 +293,14 @@ class TestPathWalks:
 
     @pytest.mark.parametrize("max_run", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(13))
-    def test_run_limited_dyck_pops_only_prefixes_that_complete(self, n,
-                                                               max_run):
-        # the prefix each stack.pop() in the walk is about to take
-        popped = []
-        code = enumeration._gen_dyck.__code__
-
-        def profile(frame, event, arg):
-            if (event == "c_call" and frame.f_code is code
-                    and getattr(arg, "__name__", "") == "pop"):
-                popped.append(arg.__self__[-1][0])
-
-        sys.setprofile(profile)
-        try:
-            words = list(enumeration._gen_dyck(n, max_run))
-        finally:
-            sys.setprofile(None)
-        assert popped and words == sorted(words)
-
-        def starts_a_word(prefix: str) -> bool:
-            i = bisect_left(words, prefix)
-            return i < len(words) and words[i].startswith(prefix)
-
-        dead = [p for p in popped if not starts_a_word(p)]
-        assert dead == [], (len(dead), len(popped), dead[:3])
+    def test_run_limited_dyck_pops_only_prefixes_that_complete(
+            self, n, max_run, monkeypatch):
+        # every prefix the driver takes off its stack to expand, and every
+        # table it builds, has at least one completion
+        dead, expanded, _ = dead_nodes(
+            lambda n: enumeration._gen_dyck(n, max_run), n, monkeypatch)
+        assert dead == [], (len(dead), expanded, dead[:3])
+        assert expanded or n == 0  # the empty word is a leaf at once
 
     @pytest.mark.parametrize("n", range(17))
     def test_peakless_motzkin_matches_the_recursive_walk(self, n):
@@ -372,19 +407,94 @@ class TestWideWalks:
         walk = enumeration._walk
         empty = []
 
-        def listed(roots, children):
+        def listed(roots, children, *near):
             def checked(*node):
                 kids = list(children(*node))
                 if not kids:
                     empty.append(node)
                 return iter(kids)
-            return walk(roots, checked)
+            return walk(roots, checked, *near)
 
         monkeypatch.setattr(enumeration, "_walk", listed)
         for n in range(top + 1):
             for _ in iter_raw(FamilyBound(family, measure, n)):
                 pass
             assert empty == [], (n, len(empty), empty[:3])
+
+
+# Every generator through the sizes the tests above compare to a reference
+# (evenCoins through 16, which reaches its tables), then the run-limited
+# Dyck walks, whose completion check is TestPathWalks'.
+GENERATORS = [
+    (f"{family}/{measure}", enumeration._GENERATORS[family, measure], top)
+    for family, measure, top in [
+        ("stanley", "columns", 12),
+        ("stanley", "semiperimeter", 17),
+        ("stanley", "area", 20),
+        ("dyck", "semilength", 12),
+        ("peaklessMotzkin", "steps", 16),
+        ("fountain", "diagonals", 11),
+        ("fountain", "evenCoins", 16),
+        ("parallelogram", "area", 14),
+    ]]
+DRIVEN = GENERATORS + [
+    (f"dyck/max_run={k}", lambda n, k=k: enumeration._gen_dyck(n, k),
+     14 if k == 2 else 12) for k in (1, 2, 3, 4)]
+
+
+class TestDriver:
+    @pytest.mark.parametrize("name, generator, top", GENERATORS,
+                             ids=[name for name, _, _ in GENERATORS])
+    def test_every_expanded_node_and_table_completes(self, name, generator,
+                                                     top, monkeypatch):
+        for n in range(top + 1):
+            dead, expanded, builds = dead_nodes(generator, n, monkeypatch)
+            assert dead == [], (n, len(dead), expanded, dead[:3])
+        assert builds, "the largest size builds no table"
+
+    @pytest.mark.parametrize("name, generator, top", DRIVEN,
+                             ids=[name for name, _, _ in DRIVEN])
+    def test_tables_on_and_off_give_the_same_stream(self, name, generator,
+                                                    top, monkeypatch):
+        with_tables = [list(generator(n)) for n in range(top + 1)]
+        walk = enumeration._walk
+        monkeypatch.setattr(enumeration, "_walk",
+                            lambda roots, children, near=0: walk(roots,
+                                                                 children))
+        assert [list(generator(n)) for n in range(top + 1)] == with_tables
+
+    def test_tables_stay_bounded_in_a_wide_walk(self, monkeypatch):
+        # At columns 100 a row on the first row (0, 96) may start anywhere on
+        # it, so states near the end have far more than TABLE_LIMIT
+        # completions; they are expanded, not tabled.
+        walk = enumeration._walk
+
+        def first_objects(tabled: bool):
+            walks = []
+
+            def from_row_96(roots, children, near=0):
+                if near:  # the top-level walk, not a table's
+                    roots = [r for r in roots if r[0] == ((0, 96),)]
+                    near = near if tabled else 0
+                walks.append(walk(roots, children, near))
+                return walks[-1]
+
+            monkeypatch.setattr(enumeration, "_walk", from_row_96)
+            stream = enumeration._GENERATORS["stanley", "columns"](100)
+            return list(islice(stream, 1000)), walks[0]
+
+        tracemalloc.start()
+        try:
+            first, top = first_objects(tabled=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = top.gi_frame.f_locals["tables"]
+        assert len(first) == 1000 and first[0][0] == (0, 96)
+        assert max(map(len, tables.values())) <= enumeration.TABLE_LIMIT
+        assert () in tables.values()  # some state was too wide for a table
+        assert peak < 4 * 2**20, peak
+        assert first_objects(tabled=False)[0] == first
 
 
 class TestGrouping:
