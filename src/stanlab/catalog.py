@@ -68,6 +68,18 @@ def _assert_equal(a: TruncatedSeries, b: TruncatedSeries, what: str) -> None:
         raise MismatchBetweenForms(f"{what}: the two forms disagree")
 
 
+def _checked_ratio(order: int, var: str, num, den, want, what: str):
+    """num(t) / den(t) in the one-variable ring of t = var through t^order,
+    its coefficient at each t^n from t^2 on asserted equal to want(n)."""
+    ring = SeriesRing((var,), grade=var, order=order)
+    t = ring.var(var)
+    ratio = divide(num(t), den(t))
+    for n in range(2, order + 1):
+        if ratio.coeff({var: n}) != want(n):
+            raise MismatchBetweenForms(f"{what} at {var}^{n}")
+    return ratio
+
+
 # -- first-row kernel: columns and semiperimeter ----------------------------------
 
 # t and the lead exponent of each first-row equation G(u) = x^lead u / (1 - u x r)
@@ -168,19 +180,12 @@ def gf_columns_corollaries(order_x: int) -> dict:
         for n in range(1, order_x + 1)
     ]
 
-    uni = SeriesRing(("x",), grade="x", order=order_x)
-    xx = uni.var("x")
-    uone = uni.one()
-
-    edgint_free = divide(xx * (uone - 2 * xx), uone - 3 * xx + xx * xx)
-    for n in range(2, order_x + 1):
-        if edgint_free.coeff({"x": n}) != fibonacci(2 * n - 3):
-            raise MismatchBetweenForms(f"edgint-free columns count at x^{n}")
-
-    point_free = divide(xx * (uone - xx), uone - 2 * xx)
-    for n in range(2, order_x + 1):
-        if point_free.coeff({"x": n}) != 2 ** (n - 2):
-            raise MismatchBetweenForms(f"point-free columns count at x^{n}")
+    edgint_free = _checked_ratio(
+        order_x, "x", lambda x: x * (1 - 2 * x), lambda x: 1 - 3 * x + x * x,
+        lambda n: fibonacci(2 * n - 3), "edgint-free columns count")
+    point_free = _checked_ratio(
+        order_x, "x", lambda x: x * (1 - x), lambda x: 1 - 2 * x,
+        lambda n: 2 ** (n - 2), "point-free columns count")
 
     return {
         "first-row-total": {
@@ -235,13 +240,9 @@ def gf_semiperimeter_corollaries(order_x: int) -> dict:
     first_row_total = _first_row_total(
         "semiperimeter", *_first_row("semiperimeter", order_x))
 
-    uni = SeriesRing(("x",), grade="x", order=order_x)
-    xx = uni.var("x")
-    uone = uni.one()
-    fib_series = divide(xx * (uone - xx * xx), uone - xx - xx * xx)
-    for n in range(2, order_x + 1):
-        if fib_series.coeff({"x": n}) != fibonacci(n - 1):
-            raise MismatchBetweenForms(f"Fibonacci series coefficient at x^{n}")
+    fib_series = _checked_ratio(
+        order_x, "x", lambda x: x * (1 - x * x), lambda x: 1 - x - x * x,
+        lambda n: fibonacci(n - 1), "Fibonacci series coefficient")
 
     return {
         "first-row-total": {
@@ -401,14 +402,11 @@ def gf_continued_fractions(order: int) -> dict:
     a_1qq = collapse(a, {"q": 1, "v": 1}, "q")
 
     a_pp0 = collapse(a.cofactor("v", 0), {"q": 1, "p": 1}, "p")
-    fib_ring = SeriesRing(("p",), grade="p", order=order)
-    pp = fib_ring.var("p")
-    fib_form = divide(pp * pp, fib_ring.one() - pp - pp * pp)
-    if a_pp0 != fib_form:
+    if a_pp0 != _checked_ratio(order, "p", lambda p: p * p,
+                               lambda p: 1 - p - p * p,
+                               lambda n: fibonacci(n - 1),
+                               "valley-free coefficient"):
         raise MismatchBetweenForms("valley-free slice vs p^2/(1-p-p^2)")
-    for n in range(2, order + 1):
-        if a_pp0.coeff({"p": n}) != fibonacci(n - 1):
-            raise MismatchBetweenForms(f"valley-free coefficient at p^{n}")
 
     enum_limit = min(order, 9)
     for n in range(1, enum_limit + 1):

@@ -11,7 +11,8 @@ regression in the series engine cannot silently agree with itself.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from operator import attrgetter
 
 from . import bijections, catalog, objects
 from .enumeration import (
@@ -98,8 +99,10 @@ SUITE_DEFAULT_SIZE = {
 MIN_SUITE_SIZE = 2
 
 
-def _check(checks: list, name: str, expected, actual) -> bool:
-    ok = expected == actual
+def _check(checks: list, name: str, expected, actual, ok=None) -> bool:
+    """Record one check; it passes when ok, or when ok is None and
+    expected == actual."""
+    ok = expected == actual if ok is None else ok
     checks.append({
         "name": name,
         "status": "pass" if ok else "fail",
@@ -144,27 +147,40 @@ def _dict_delta(expected: dict, actual: dict) -> str:
 
 def _check_dict(checks: list, name: str, expected: dict, actual: dict) -> bool:
     ok = expected == actual
-    checks.append({
-        "name": name,
-        "status": "pass" if ok else "fail",
-        "expected": f"{len(expected)} classes, all equal",
-        "actual": "match" if ok else _dict_delta(expected, actual),
-    })
-    return ok
+    return _check(checks, name, f"{len(expected)} classes, all equal",
+                  "match" if ok else _dict_delta(expected, actual), ok)
 
 
-# -- brute-force tallies, shared with `stanlab series --verify` ---------------------
+# -- brute-force comparisons, shared with `stanlab series --verify` -----------------
+
+def upto(terms: dict, slot: int, limit: int) -> dict:
+    """The terms whose exponent in the given slot is at most limit."""
+    return {e: c for e, c in terms.items() if e[slot] <= limit}
+
+
+def count_mismatches(series, family: str, measure: str, sizes,
+                     shift: int = 0) -> list[str]:
+    """The sizes n, as strings, at which the series' coefficient of grade^n
+    differs from the count of family objects of measure n - shift."""
+    grade = series.ring.grade
+    return [str(n) for n in sizes if series.coeff({grade: n})
+            != count(FamilyBound(family, measure, n - shift))]
+
+
+def _tally(family: str, measure: str, largest: int, fields, key) -> Counter:
+    """Objects of sizes 1 .. largest counted by key(fields(raw object))."""
+    counted = Counter()
+    for n in range(1, largest + 1):
+        counted.update(map(key, map(fields, iter_raw(
+            FamilyBound(family, measure, n)))))
+    return counted
+
 
 def full_tally(max_columns: int) -> dict[tuple, int]:
     """Polyominoes of 1 .. max_columns columns counted by
     (columns, rows, area, edgint, point), the five-variable series' exponents."""
-    counted: dict[tuple, int] = defaultdict(int)
-    fields = objects.stanley_fields
-    for n in range(1, max_columns + 1):
-        for rows in iter_raw(FamilyBound("stanley", "columns", n)):
-            s = fields(rows)
-            counted[(s.col, s.row, s.area, s.edgint, s.point)] += 1
-    return dict(counted)
+    return _tally("stanley", "columns", max_columns, objects.stanley_fields,
+                  attrgetter("col", "row", "area", "edgint", "point"))
 
 
 def cf_tally(max_sump: int) -> dict[tuple, int]:
@@ -172,14 +188,8 @@ def cf_tally(max_sump: int) -> dict[tuple, int]:
     (peaks, peak height sum, valley height sum).  A path's semilength is at
     most its peak height sum, so semilengths up to the same bound exhaust
     them."""
-    counted: dict[tuple, int] = defaultdict(int)
-    fields = objects.dyck_fields
-    for m in range(1, max_sump + 1):
-        for word in iter_raw(FamilyBound("dyck", "semilength", m)):
-            s = fields(word)
-            if s.sump <= max_sump:
-                counted[(s.nbp, s.sump, s.sumv)] += 1
-    return dict(counted)
+    return upto(_tally("dyck", "semilength", max_sump, objects.dyck_fields,
+                       attrgetter("nbp", "sump", "sumv")), 1, max_sump)
 
 
 def edge_free_count(semiperimeter: int) -> int:
@@ -231,6 +241,17 @@ def suite_table1(checks: list, max_size: int) -> None:
 
 # -- bijections --------------------------------------------------------------------
 
+def _round_trips(checks: list, name: str, family: str, measure: str, sizes,
+                 there, back) -> None:
+    """Check that back(there(x)) gives back each object x of the sizes."""
+    total = good = 0
+    for n in sizes:
+        for x in enumerate_family(FamilyBound(family, measure, n)):
+            total += 1
+            good += back(there(x)) == x
+    _check(checks, name, f"{total} round-trips", f"{good} round-trips")
+
+
 def _phi_checks(checks: list, max_size: int) -> None:
     bad_round = 0
     words: set[str] = set()
@@ -249,17 +270,9 @@ def _phi_checks(checks: list, max_size: int) -> None:
            f"{total} round-trips", f"{total - bad_round} round-trips")
     _check(checks, "staircase word map is injective on polyominoes",
            total, len(words))
-
-    bad_back = 0
-    back_total = 0
-    for m in range(0, max_size):
-        bound = FamilyBound("dyck", "semilength", m)
-        for d in enumerate_family(bound):
-            back_total += 1
-            if bijections.phi(bijections.phi_inv(d)).word != d.word:
-                bad_back += 1
-    _check(checks, "staircase word map round-trips from words",
-           f"{back_total} round-trips", f"{back_total - bad_back} round-trips")
+    _round_trips(checks, "staircase word map round-trips from words", "dyck",
+                 "semilength", range(max_size), bijections.phi_inv,
+                 bijections.phi)
 
 
 def _steps_on_axis(word: str) -> int:
@@ -348,18 +361,9 @@ def _f_checks(checks: list, max_size: int) -> None:
     _check(checks, "coin diagonal map round-trips with the stated column "
            "and area marks", f"{total} clean round-trips",
            f"{total - bad} clean round-trips")
-
-    bad_back = 0
-    back_total = 0
-    for n in range(2, max_size + 2):
-        bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound):
-            back_total += 1
-            c = bijections.f_inv(p)
-            if bijections.f_map(c).rows != p.rows:
-                bad_back += 1
-    _check(checks, "coin diagonal map round-trips from polyominoes",
-           f"{back_total} round-trips", f"{back_total - bad_back} round-trips")
+    _round_trips(checks, "coin diagonal map round-trips from polyominoes",
+                 "stanley", "columns", range(2, max_size + 2), bijections.f_inv,
+                 bijections.f_map)
 
 
 def _h_psi_checks(checks: list, max_size: int) -> None:
@@ -468,10 +472,9 @@ def suite_thm_full(checks: list, max_size: int) -> None:
                 series.terms)
 
     ref_limit = min(5, max_size)
-    ref = {e: c for e, c in REFERENCE_FULL.items() if e[0] <= ref_limit}
-    got = {e: c for e, c in series.terms.items() if e[0] <= ref_limit}
     _check_dict(checks, f"printed expansion through {ref_limit} columns",
-                ref, got)
+                upto(REFERENCE_FULL, 0, ref_limit),
+                upto(series.terms, 0, ref_limit))
 
 
 # -- columns -----------------------------------------------------------------------
@@ -480,11 +483,9 @@ def suite_columns(checks: list, max_size: int) -> None:
     series, _ = catalog.gf_columns(max_size)
 
     ref_limit = min(7, max_size)
-    got = {(e[0], e[1]): c for e, c in series.terms.items()
-           if e[0] <= ref_limit}
-    ref = {k: v for k, v in REFERENCE_COLUMNS.items() if k[0] <= ref_limit}
     _check_dict(checks, f"printed expansion through {ref_limit} columns",
-                ref, got)
+                upto(REFERENCE_COLUMNS, 0, ref_limit),
+                upto(series.terms, 0, ref_limit))
 
     formula_bad: list[str] = []
     enum_bad: list[str] = []
@@ -534,21 +535,15 @@ def suite_semiperimeter(checks: list, max_size: int) -> None:
     order = max_size + 2
     series, g1 = catalog.gf_semiperimeter(order)
 
-    motzkin_bad: list[str] = []
-    for n in range(2, order + 1):
-        if g1.coeff({"x": n}) != count(
-                FamilyBound("peaklessMotzkin", "steps", n - 2)):
-            motzkin_bad.append(str(n))
     _check_all_equal(checks, "semiperimeter counts equal flat-step path "
-                     f"counts through {order}", motzkin_bad, "off at n = ")
+                     f"counts through {order}", count_mismatches(
+                         g1, "peaklessMotzkin", "steps", range(2, order + 1),
+                         2), "off at n = ")
 
     ref_limit = min(8, order)
-    got = {(e[0], e[1]): c for e, c in series.terms.items()
-           if e[0] <= ref_limit}
-    ref = {k: v for k, v in REFERENCE_SEMIPERIMETER.items()
-           if k[0] <= ref_limit}
     _check_dict(checks, f"printed expansion through semiperimeter {ref_limit}",
-                ref, got)
+                upto(REFERENCE_SEMIPERIMETER, 0, ref_limit),
+                upto(series.terms, 0, ref_limit))
 
     formula_bad: list[str] = []
     for n in range(2, order + 1):
@@ -588,11 +583,10 @@ def suite_semiperimeter(checks: list, max_size: int) -> None:
 def suite_area(checks: list, max_size: int) -> None:
     series = catalog.gf_area(max_size)
 
-    enum_bad = [str(n) for n in range(1, max_size + 1)
-                if series.coeff({"z": n})
-                != count(FamilyBound("stanley", "area", n))]
     _check_all_equal(checks, "area series equals brute-force counts through "
-                     f"{max_size}", enum_bad, "off at n = ")
+                     f"{max_size}", count_mismatches(
+                         series, "stanley", "area", range(1, max_size + 1)),
+                     "off at n = ")
 
     ref_limit = min(11, max_size)
     _check(checks, f"printed expansion through area {ref_limit}",
@@ -618,10 +612,9 @@ def suite_cf(checks: list, max_size: int) -> None:
     # full trivariate slice vs brute force
     counted = cf_tally(max_size)
     full_limit = min(6, max_size)
-    want = {e: c for e, c in counted.items() if e[1] <= full_limit}
-    got = {e: c for e, c in a.terms.items() if e[1] <= full_limit}
     _check_dict(checks, "three-statistic terms equal brute-force counts "
-                f"through peak sum {full_limit}", want, got)
+                f"through peak sum {full_limit}", upto(counted, 1, full_limit),
+                upto(a.terms, 1, full_limit))
 
     for deg in sorted(REFERENCE_CF):
         if deg > max_size:

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stanlab import bijections, enumeration
+from stanlab import bijections, enumeration, verification
 from stanlab.bijections import (
     chi,
     chi_prime,
@@ -606,3 +606,27 @@ class TestTableInverse:
         w = make_motzkin("UFUFFDFFDUFFFD")
         assert len(w.word) == bijections.MAX_SOURCE_SIZE
         assert table_inverse("chi", chi(w)) == w
+
+
+@pytest.mark.parametrize("name, checks_of, check, pair", [
+    ("phi", "_phi_checks", "staircase word map round-trips from words",
+     (DyckPath("UDUD"), DyckPath("UUDD"))),
+    ("f_map", "_f_checks", "coin diagonal map round-trips from polyominoes",
+     (StanleyPolyomino(((0, 3),)), StanleyPolyomino(((0, 2), (1, 2))))),
+], ids=["phi", "f"])
+def test_round_trip_checks_count_each_miss(monkeypatch, name, checks_of,
+                                           check, pair):
+    # the map swaps the images of two objects, so neither comes back
+    real = getattr(bijections, name)
+    swap = {pair[0]: pair[1], pair[1]: pair[0]}
+
+    def swapped(x):
+        y = real(x)
+        return swap.get(y, y)
+
+    monkeypatch.setattr(bijections, name, swapped)
+    checks = []
+    getattr(verification, checks_of)(checks, 5)
+    (got,) = (c for c in checks if c["name"] == check)
+    total = int(got["expected"].split()[0])
+    assert (got["status"], got["actual"]) == ("fail", f"{total - 2} round-trips")

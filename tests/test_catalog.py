@@ -102,6 +102,21 @@ class TestFirstRowKernel:
             catalog._first_row(kind, 8)
 
 
+@pytest.mark.parametrize("build, message", [
+    (gf_columns_corollaries, "edgint-free columns count at x^2"),
+    (gf_semiperimeter_corollaries, "Fibonacci series coefficient at x^2"),
+    (gf_continued_fractions, "valley-free coefficient at p^2"),
+])
+def test_one_variable_ratio_checks_can_fail(monkeypatch, build, message):
+    # F(1) one off: each ratio's first checked coefficient, at x^2 or p^2,
+    # reads it
+    real = catalog.fibonacci
+    monkeypatch.setattr(catalog, "fibonacci", lambda n: real(n) + (n == 1))
+    with pytest.raises(MismatchBetweenForms) as exc:
+        build(6)
+    assert str(exc.value) == message
+
+
 class TestColumnsSeries:
     def test_evaluation_at_one_is_catalan(self):
         _, g1 = gf_columns(9)

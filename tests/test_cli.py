@@ -8,7 +8,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -190,14 +193,18 @@ class TestEnumerate:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
 
-    def test_timestamp_prologue(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--family", "dyck",
-                           "--measure", "semilength", "--value", "1",
-                           "--timestamps")
-        assert code == 0
-        rows = lines(out)
-        assert set(rows[0]) == {"timestamp"}
-        assert len(rows) == 2
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "dyck", "--measure", "semilength", "--value", "1"],
+    ["map", "--bijection", "phi"],
+    ["series", "--gf", "columns", "--order", "2"],
+    ["verify", "--suite", "table1", "--max-size", "2"],
+], ids=lambda argv: argv[0])
+def test_timestamps_option_is_gone(capsys, argv):
+    # output carries no wall-clock line: each run's bytes are reproducible
+    code, out, err = run(capsys, *argv, "--timestamps")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --timestamps" in err
 
 
 class TestMap:
@@ -539,6 +546,31 @@ def test_tally_oracle_reads_the_field_tuples(capsys, monkeypatch, gf, order,
     assert lines(out)[0]["verified_against_oracle"] is False
 
 
+class _Unequal(dict):
+    """A restriction that equals no other: a comparison made with it fails."""
+
+    def __eq__(self, other):
+        return False
+
+
+@pytest.mark.parametrize("name, broken, gf, order, suite", [
+    ("count_mismatches", lambda *args: ["1"], "area", "8", "area"),
+    ("upto", lambda terms, slot, limit: _Unequal(), "full", "5", "thm-full"),
+])
+def test_suites_and_series_verify_share_one_comparison(
+        capsys, monkeypatch, name, broken, gf, order, suite):
+    # one broken definition in verification fails both the series oracle
+    # and the suite
+    monkeypatch.setattr(verification, name, broken)
+    code, out, _ = run(capsys, "series", "--gf", gf, "--order", order,
+                       "--verify")
+    assert code == 1
+    assert '"verified_against_oracle":false' in out
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 1
+    assert "fail" in {c["status"] for c in lines(out)[0]["checks"]}
+
+
 class TestVerify:
     def test_passing_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "table1",
@@ -612,6 +644,25 @@ def test_verify_digests_cover_every_suite():
 def test_verify_stdout_bytes_pinned(capsys, name, size, pinned):
     code, out, _ = run(capsys, "verify", "--suite", name, *size)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    *(pytest.param(["series", "--gf", gf, "--order", "6"], (0, pin), id=gf)
+      for gf, pin in SERIES_ORDER_6_SHA256.items()),
+    pytest.param(["verify", "--suite", "table1"], VERIFY_DEFAULT_SIZE["table1"],
+                 id="table1"),
+])
+def test_stdout_bytes_pinned_without_asserts(argv, pinned):
+    # python -O strips every assert statement: no output may rest on one
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "stanlab", *argv],
+                          capture_output=True, check=False,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == pinned
 
 
 # -- map and enumerate output lines ------------------------------------------
