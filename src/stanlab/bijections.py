@@ -7,13 +7,12 @@ DDD.  f_map sends coin fountains to Stanley polyominoes one column up, and
 h_map reads a parallelogram polyomino as a Dyck path through its column
 heights and overlaps.  psi chains h_map, phi_inv and f_inv.
 
-The recursive definitions are unrolled into peel/replay loops so deep inputs
-never hit the interpreter recursion limit.  The row surgery of f_map, f_inv,
-chi and chi_prime keeps the rows in a list with the bottom row last, so adding
-or dropping the bottom row is an append or a pop, and carries "shift every
-row one column" as one running offset added back when the final rows are
-built.  Each step then touches only the rows it changes, and the maps run in
-time linear in their output.
+f_map, chi and chi_prime build rows bottom up in one pass over a list of
+diagonal sizes: an odd size k at position j makes the next row, ending at
+column j + (k + 3) // 2, and an even size k widens the next k // 2 rows by
+one cell on the left.  f_inv reads the sizes back off the row starts in one
+pass: row i is the i-th odd size, and starts[i + 1] - starts[i] - 1
+widenings end at row i, in the order they began.
 """
 
 from __future__ import annotations
@@ -68,25 +67,24 @@ def phi_inv(d: DyckPath) -> StanleyPolyomino:
     return make_stanley(rows)
 
 
-# -- shared row surgery --------------------------------------------------------
+# -- shared row building ---------------------------------------------------------
 
-def _replay(ops: Iterable[tuple[str, int]], first_len: int) -> StanleyPolyomino:
-    """Grow rows from one row of first_len cells by ops, in order: ("row", k)
-    adds a bottom row of k cells one column left of the old bottom row,
-    ("cells", m) adds a cell at the left end of each of the m lowest rows, and
-    both then shift every row one column right (through off)."""
-    rows = [(0, first_len)]  # bottom row last; true start = start + off
-    off = 0
-    for kind, n in ops:
-        off += 1
-        if kind == "row":
-            rows.append((-off, n))
+def _rows(sizes: Iterable[int]) -> StanleyPolyomino:
+    """Rows, bottom first, from diagonal sizes read left to right.  A row
+    starts at its position less the widenings still open when it is made;
+    last counts the widenings that stop at each row."""
+    rows: list[tuple[int, int]] = []
+    open_ = 0
+    last: dict[int, int] = {}
+    for j, k in enumerate(sizes):
+        if k % 2:
+            rows.append((j - open_, (k + 3) // 2 + open_))
+            open_ -= last.pop(len(rows) - 1, 0)
         else:
-            k = len(rows)
-            for i in range(k - n if n < k else 0, k):
-                s, l = rows[i]
-                rows[i] = (s - 1, l + 1)
-    return make_stanley([(s + off, l) for s, l in reversed(rows)])
+            open_ += 1
+            i = len(rows) + k // 2 - 1
+            last[i] = last.get(i, 0) + 1
+    return make_stanley(rows)
 
 
 # -- chi: peakless Motzkin paths -> Stanley polyominoes -------------------------
@@ -116,18 +114,19 @@ def chi(m: MotzkinPath) -> StanleyPolyomino:
                 open_at.append(i)
     if len(open_at) != 1:
         raise InvariantViolation("unbalanced word")
-    ops: list[tuple] = []
+    sizes: list[int] = []
     blocks = inside[-1]  # the current word's steps on the axis
     for i, c in enumerate(word):
         if c == "F":
             blocks -= 1
-            ops.append(("cells", 1))
+            sizes.append(2)
         elif c == "U":
             # a row of one more cell than the axis steps from U to the end
             blocks -= 1
-            ops.append(("row", blocks + 2))
+            sizes.append(2 * blocks + 1)
             blocks += inside[i]
-    return _replay(reversed(ops), 1)
+    sizes.append(-1)  # the one-cell top row
+    return _rows(sizes)
 
 
 # -- chi_prime: Dyck paths avoiding UUU and DDD -> Stanley polyominoes ----------
@@ -156,57 +155,49 @@ def chi_prime(d: DyckPath) -> StanleyPolyomino:
             dropped.add(i - 2)
     if len(open_at) != 1:
         raise InvariantViolation("unbalanced word")
-    ops: list[tuple] = []
+    sizes: list[int] = []
     left = hills[-1]  # the current word's hills
     for i, c in enumerate(word):
         if c != "U" or i in dropped:
             continue
         if word[i + 1] == "D":
             left -= 1
-            ops.append(("cells", 1))
+            sizes.append(2)
         else:
-            ops.append(("row", left + 2))
+            sizes.append(2 * left + 1)
             left += hills[i] - 1
-    return _replay(reversed(ops), 2)
+    sizes.append(1)  # the two-cell top row
+    return _rows(sizes)
 
 
 # -- f: coin fountains <-> Stanley polyominoes ----------------------------------
 
 def f_map(c: CoinFountain) -> StanleyPolyomino:
-    return _replay([("row", (k - 1) // 2 + 2) if k % 2 else ("cells", k // 2)
-                    for k in reversed(c.diagonals[:-1])], 2)
+    return _rows(c.diagonals)
 
 
 def f_inv(p: StanleyPolyomino) -> CoinFountain:
-    top_start, top_len = p.rows[-1]
+    rows = p.rows
+    top_start, top_len = rows[-1]
     if top_start + top_len < 2:
         raise TooSmall("f_inv needs at least two columns")
-    rows = list(reversed(p.rows))  # bottom row last; true start = start + off
-    off = 0
+    # the last row of each widening, in the order they start and end
+    ends = [i for i in range(len(rows) - 1)
+            for _ in range(rows[i + 1][0] - rows[i][0] - 1)]
+    ends += [len(rows) - 1] * (top_len - 2)
     sizes: list[int] = []
-    while len(rows) > 1 or rows[0] != (-off, 2):
-        k = len(rows)
-        r = rows[-1][1]
-        # firstD, counted only up to first - 1: the branch below only asks
-        # whether firstD <= first - 2
-        d = 1
-        stop = k if k < r else r - 1
-        while d < stop and rows[-1 - d][0] + off == d:
-            d += 1
-        off -= 1  # both branches shift every remaining row one column left
-        if d <= r - 2:
-            sizes.append(2 * d)
-            for i in range(k - d, k):
-                s, l = rows[i]
-                rows[i] = (s + 1, l - 1)
-        else:
-            # here firstD >= first - 1, and the bottom row of first = l + 2
-            # cells gives a diagonal of size 2l + 1
-            sizes.append(2 * r - 3)
-            rows.pop()
-            if not rows:
-                raise InvariantViolation("odd reduction emptied the polyomino")
-    sizes.append(1)
+    q = 0  # widenings read; s - b of them end below row b
+    for b, (s, l) in enumerate(rows):
+        r = l - (q - s + b)  # row b's length less the read widenings over it
+        # the fountain rule puts the widening over rows b..ends[q] before
+        # row b's size exactly when it is at most that size plus one
+        while q < len(ends) and ends[q] - b + 3 <= r:
+            sizes.append(2 * (ends[q] - b + 1))
+            q += 1
+            r -= 1
+        sizes.append(2 * r - 3)
+    if q < len(ends) or sizes[-1] != 1:
+        raise InvariantViolation("rows do not read as a fountain")
     return make_fountain(sizes)
 
 
@@ -242,7 +233,7 @@ SCANNED = {
 
 # the largest source size table_inverse scans; raising it changes which
 # targets are refused.  On 2 vCPUs under Python 3.11, preimages of chi_prime
-# takes 0.36 s at 14 and 2.5 s at 16; of chi 0.10, 0.77 and 5.1 s at 14, 16, 18
+# takes 0.28 s at 14 and 1.9 s at 16; of chi 0.08, 0.56 and 3.7 s at 14, 16, 18
 MAX_SOURCE_SIZE = 14
 
 

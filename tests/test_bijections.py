@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,29 +74,40 @@ def random_stanley(draw):
 
 
 # -- large objects, built valid step by step --------------------------------------
+#
+# Each builder takes randint(lo, hi), which hypothesis draws or a seeded
+# random.Random supplies.
 
-@st.composite
-def large_stanley(draw):
-    """30-60 columns; every row but the last has two or more cells, so the
+def build_stanley(randint, lo: int, hi: int):
+    """lo-hi columns; every row but the last has two or more cells, so the
     next row can start strictly inside it and end strictly past it."""
-    n = draw(st.integers(30, 60))
-    s, e = 0, draw(st.integers(2, 6))
+    n = randint(lo, hi)
+    s, e = 0, randint(2, 6)
     rows = [(s, e)]
     while e < n:
-        s2 = draw(st.integers(s + 1, e - 1))
-        e2 = draw(st.integers(e + 1, min(n, e + 6)))
+        s2 = randint(s + 1, e - 1)
+        e2 = randint(e + 1, min(n, e + 6))
         rows.append((s2, e2 - s2))
         s, e = s2, e2
     return make_stanley(rows)
 
 
+def build_fountain(randint, lo: int, hi: int):
+    """lo-hi diagonals: d_m = 1 and d_j <= d_{j+1} + 1, built right to left."""
+    d = [1]
+    for _ in range(randint(lo - 1, hi - 1)):
+        d.append(randint(1, d[-1] + 1))
+    return make_fountain(d[::-1])
+
+
+@st.composite
+def large_stanley(draw):
+    return build_stanley(lambda a, b: draw(st.integers(a, b)), 30, 60)
+
+
 @st.composite
 def large_fountain(draw):
-    """40-60 diagonals: d_m = 1 and d_j <= d_{j+1} + 1, built right to left."""
-    d = [1]
-    for _ in range(draw(st.integers(39, 59))):
-        d.append(draw(st.integers(1, d[-1] + 1)))
-    return make_fountain(d[::-1])
+    return build_fountain(lambda a, b: draw(st.integers(a, b)), 40, 60)
 
 
 @st.composite
@@ -127,7 +138,9 @@ def _next_steps(alphabet: str, h: int, left: int, last: str, run: int) -> tuple:
             continue
         if alphabet == "UFD" and last + c == "UD":
             continue
-        run2 = run + 1 if c == last else 1
+        # a third equal step is refused in "UD" words and runs are unread in
+        # "UFD" words, so capping the run at 2 keeps the cache small
+        run2 = min(run + 1, 2) if c == last else 1
         if left == 1:
             if h2 == 0:
                 out.append(c)
@@ -136,22 +149,26 @@ def _next_steps(alphabet: str, h: int, left: int, last: str, run: int) -> tuple:
     return tuple(out)
 
 
-@st.composite
-def long_word(draw, alphabet: str):
-    """A word of length 60-120 (even for Dyck words) drawn one feasible step
+def build_word(randint, alphabet: str, lo: int, hi: int) -> str:
+    """A word of length lo-hi (even for Dyck words) drawn one feasible step
     at a time."""
+    length = randint(lo, hi)
     if alphabet == "UD":
-        length = 2 * draw(st.integers(30, 60))
-    else:
-        length = draw(st.integers(60, 120))
+        length -= length % 2
     word, h, last, run = [], 0, "", 0
     for left in range(length, 0, -1):
-        c = draw(st.sampled_from(_next_steps(alphabet, h, left, last, run)))
+        steps = _next_steps(alphabet, h, left, last, run)
+        c = steps[randint(0, len(steps) - 1)]
         h += (c == "U") - (c == "D")
-        run = run + 1 if c == last else 1
+        run = min(run + 1, 2) if c == last else 1
         last = c
         word.append(c)
     return "".join(word)
+
+
+@st.composite
+def long_word(draw, alphabet: str):
+    return build_word(lambda a, b: draw(st.integers(a, b)), alphabet, 60, 120)
 
 
 # -- the tuple-based maps these replaced, one full row rewrite per step -----------
@@ -203,12 +220,6 @@ def tuple_f_inv(p):
     return make_fountain(sizes)
 
 
-def tuple_chi(fn, x):
-    """fn (chi or chi_prime) with its row surgery done by tuple_replay."""
-    with mock.patch.object(bijections, "_replay", tuple_replay):
-        return fn(x)
-
-
 # -- the word-rebuilding peels chi and chi_prime replaced, quadratic in length --
 
 def _steps_on_axis(word: str) -> int:
@@ -247,7 +258,7 @@ def word_peel_chi(m):
             cut = _first_return(word)
             ops.append(("row", _steps_on_axis(word) + 1))
             word = word[1 : cut - 1] + word[cut:]
-    return bijections._replay(reversed(ops), 1)
+    return tuple_replay(reversed(ops), 1)
 
 
 def word_peel_chi_prime(d):
@@ -262,7 +273,7 @@ def word_peel_chi_prime(d):
             assert body.endswith("UD")
             ops.append(("row", _hills(tail) + 2))
             word = body[:-2] + tail
-    return bijections._replay(reversed(ops), 2)
+    return tuple_replay(reversed(ops), 2)
 
 
 def fountains(diagonals: int):
@@ -435,8 +446,9 @@ class TestLargeObjects:
 
 
 class TestTupleReference:
-    """The list-plus-offset row surgery gives the same rows as the tuple
-    rewrites it replaced."""
+    """f_map and f_inv, which read diagonal sizes in one pass, agree with the
+    tuple rewrites of the recursive definition, one diagonal per step; chi
+    and chi_prime agree with the word peels, whose rows are tuple rewrites."""
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_f_map_exhaustive(self, m: int):
@@ -451,9 +463,9 @@ class TestTupleReference:
     @pytest.mark.parametrize("size", range(0, 9))
     def test_chi_and_chi_prime_exhaustive(self, size: int):
         for m in motzkins(size):
-            assert chi(m) == tuple_chi(chi, m)
+            assert chi(m) == word_peel_chi(m)
         for d in triple_free_dycks(size):
-            assert chi_prime(d) == tuple_chi(chi_prime, d)
+            assert chi_prime(d) == word_peel_chi_prime(d)
 
     @given(large_fountain(), large_stanley())
     @settings(max_examples=40, deadline=None)
@@ -465,12 +477,33 @@ class TestTupleReference:
     @settings(max_examples=40, deadline=None)
     def test_chi_maps_large(self, w, v):
         m, d = make_motzkin(w), make_dyck(v)
-        assert chi(m) == tuple_chi(chi, m)
-        assert chi_prime(d) == tuple_chi(chi_prime, d)
+        assert chi(m) == word_peel_chi(m)
+        assert chi_prime(d) == word_peel_chi_prime(d)
+
+    def test_seeded_objects_of_200_to_400(self):
+        randint = random.Random(31).randint
+        for _ in range(50):
+            c = build_fountain(randint, 200, 400)
+            p = f_map(c)
+            assert p == tuple_f_map(c)
+            assert f_inv(p) == c
+            q = build_stanley(randint, 200, 400)
+            c = f_inv(q)
+            assert c == tuple_f_inv(q)
+            assert f_map(c) == q
+            m = make_motzkin(build_word(randint, "UFD", 1, 400))
+            d = make_dyck(build_word(randint, "UD", 1, 400))
+            assert chi(m) == word_peel_chi(m)
+            assert chi_prime(d) == word_peel_chi_prime(d)
 
     def test_one_column_too_small(self):
         with pytest.raises(TooSmall):
             f_inv(make_stanley(((0, 1),)))
+
+    def test_rows_that_read_as_no_fountain(self):
+        # unvalidated: the top row of one cell reads as a last size of -1
+        with pytest.raises(InvariantViolation, match="as a fountain"):
+            f_inv(StanleyPolyomino(((0, 3), (1, 1))))
 
 
 class TestWordPeelReference:

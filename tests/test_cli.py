@@ -310,15 +310,15 @@ class TestMap:
         # a failed invariant is a fault in the code, not bad input, so it
         # is never skipped
         def broken(p):
-            raise InvariantViolation("odd reduction emptied the polyomino")
+            raise InvariantViolation("rows do not read as a fountain")
 
         monkeypatch.setitem(cli.BIJECTIONS, "f-inv", ("stanley", broken))
         self.feed(monkeypatch, '{"rows": [[0, 2]]}\n{"rows": [[0, 3]]}\n')
         code, out, err = run(capsys, "map", "--bijection", "f-inv",
                              *(["--skip-invalid"] if skip else []))
         assert (code, out) == (5, "")
-        assert err == ("theorem check failed: InvariantViolation: odd "
-                       "reduction emptied the polyomino\n")
+        assert err == ("theorem check failed: InvariantViolation: rows do "
+                       "not read as a fountain\n")
 
     def test_skip_invalid_keeps_going(self, capsys, monkeypatch):
         self.feed(monkeypatch,
