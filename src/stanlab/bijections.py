@@ -48,7 +48,7 @@ from .objects import (
 
 def phi(p: StanleyPolyomino) -> DyckPath:
     a, b = ab_sequences(p)
-    word = "".join("U" * ai + "D" * bi for ai, bi in zip(a, b))
+    word = "".join(["U" * ai + "D" * bi for ai, bi in zip(a, b)])
     return make_dyck(word)
 
 

@@ -185,11 +185,24 @@ def full_tally(max_columns: int) -> dict[tuple, int]:
 
 def cf_tally(max_sump: int) -> dict[tuple, int]:
     """Dyck paths with peak height sum at most max_sump counted by
-    (peaks, peak height sum, valley height sum).  A path's semilength is at
-    most its peak height sum, so semilengths up to the same bound exhaust
-    them."""
-    return upto(_tally("dyck", "semilength", max_sump, objects.dyck_fields,
-                       attrgetter("nbp", "sump", "sumv")), 1, max_sump)
+    (peaks, peak height sum, valley height sum).  The walk takes a U from
+    height h only while the heights of the peaks already passed plus h + 1
+    fit max_sump, since that U promises a peak at least h + 1 high; so every
+    prefix it makes closes by D steps into a path it keeps."""
+    fields, key = objects.dyck_fields, attrgetter("nbp", "sump", "sumv")
+    counted = Counter()
+    # node (word, height, heights of the peaks passed, last step is a U)
+    stack = [("U", 1, 0, True)] if max_sump > 0 else []
+    while stack:
+        word, h, passed, up = stack.pop()
+        if h:
+            stack.append((word + "D", h - 1, passed + h if up else passed,
+                          False))
+        else:
+            counted[key(fields(word))] += 1
+        if passed + h < max_sump:
+            stack.append((word + "U", h + 1, passed, True))
+    return counted
 
 
 def edge_free_count(semiperimeter: int) -> int:

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -403,6 +404,32 @@ class TestFieldTuplesReachTheChecks:
                     counted[(s.nbp, s.sump, s.sumv)] += 1
         assert verification.cf_tally(8) == dict(counted)
 
+    def test_pruned_cf_tally_equals_the_filtered_full_walk(self, monkeypatch):
+        # the tally before pruning: every path of semilength 1 .. bound,
+        # then the terms whose peak height sum fits the bound
+        real = objects.dyck_fields
+
+        def filtered(bound):
+            counted = Counter()
+            for n in range(1, bound + 1):
+                for word in iter_raw(FamilyBound("dyck", "semilength", n)):
+                    counted[attrgetter("nbp", "sump", "sumv")(real(word))] += 1
+            return verification.upto(counted, 1, bound)
+
+        for bound in range(13):
+            expected = filtered(bound)
+            words = []
+
+            def recording(word):
+                words.append(word)
+                return real(word)
+
+            monkeypatch.setattr(objects, "dyck_fields", recording)
+            assert verification.cf_tally(bound) == expected, bound
+            monkeypatch.setattr(objects, "dyck_fields", real)
+            assert len(set(words)) == len(words) == sum(expected.values())
+            assert all(real(w).sump <= bound for w in words)
+
 
 class TestMotzkinPaths:
     def test_peakless(self):
@@ -455,6 +482,34 @@ class TestFountains:
                              sum(x // 2 for x in d), len(d), d[0]), d
                 seen += 1
         assert seen == 23713
+
+    def test_parity_table_entries_match_the_two_sum_formulas(self):
+        # the o and e entries of STATISTICS, not the record, which shares
+        # their helper, against the formulas they replace
+        odd = objects.STATISTICS[("fountain", "o")]
+        even = objects.STATISTICS[("fountain", "e")]
+
+        def check(ds):
+            assert list(map(odd, ds)) == [sum(x // 2 for x in d) for d in ds]
+            assert list(map(even, ds)) == [sum((x + 1) // 2 for x in d)
+                                           for d in ds]
+
+        seen = 0
+        for measure, largest in (("diagonals", 12), ("evenCoins", 14)):
+            for value in range(largest + 1):
+                ds = list(iter_raw(FamilyBound("fountain", measure, value)))
+                check(ds)
+                seen += len(ds)
+        assert seen == 354844
+        rng = random.Random(32)
+        seeded = []
+        for _ in range(200):
+            d = [1]
+            for _ in range(rng.randint(0, 400)):
+                d.append(rng.randint(1, d[-1] + 1))
+            seeded.append(tuple(reversed(d)))
+        check(seeded + [tuple(range(3000, 0, -1)), (1,) * 3000,
+                        (2, 1) * 1500, (3000, 2999, 1)])
 
     @settings(max_examples=60, deadline=None)
     @given(fountains)
