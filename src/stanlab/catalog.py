@@ -24,8 +24,7 @@ Variable conventions, fixed throughout:
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .enumeration import FamilyBound, count
 from .errors import (
@@ -166,6 +165,13 @@ def coeff_columns(n: int, k: int) -> int:
     return val
 
 
+def _ratio(num: int, den: int) -> str:
+    """num / den in lowest terms for positive num and den: "a/b", or "a"
+    when the denominator is 1."""
+    g = gcd(num, den)
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"
+
+
 def gf_columns_corollaries(order_x: int) -> dict:
     """First-row totals, edgint-free and point-free counts, by columns."""
     r, G, G1 = _columns(order_x)
@@ -175,7 +181,7 @@ def gf_columns_corollaries(order_x: int) -> dict:
         if first_row_total.coeff({"x": n}) != catalan(n):
             raise MismatchBetweenForms(f"first-row total at x^{n}")
     ratios = [
-        {"n": n, "ratio": str(Fraction(catalan(n), catalan(n - 1))),
+        {"n": n, "ratio": _ratio(catalan(n), catalan(n - 1)),
          "value": catalan(n) / catalan(n - 1)}
         for n in range(1, order_x + 1)
     ]

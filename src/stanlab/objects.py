@@ -257,31 +257,43 @@ def dyck_stats(d: DyckPath) -> DyckStats:
 
 # -- coin fountains ----------------------------------------------------------
 
-def make_fountain(diagonals: Iterable[int]) -> CoinFountain:
-    """Validate a northeast-diagonal size sequence.
+def fountain_fault(d: tuple) -> InvalidObject | None:
+    """The first fountain rule the diagonal sizes d break, as an unraised
+    error, or None when d is a fountain.
 
     Every coin above level 0 rests on two adjacent coins below, which forces
     each diagonal to be a contiguous run from the bottom and bounds each size
-    by the next size plus one.
+    by the next size plus one.  The faults are found in this order: no
+    diagonal, then each size's type and sign, then the last size, then the
+    drops, left to right.
     """
+    if not d:
+        return EmptyInput("a fountain needs at least one diagonal")
+    for x in d:
+        if type(x) is not int:
+            return InvalidObject(f"diagonal size {x!r} must be an integer")
+        if x <= 0:
+            return NegativeOrZeroLength(f"diagonal size {x} must be positive")
+    if d[-1] != 1:
+        return BadLastDiagonal(f"last diagonal must be 1, got {d[-1]}")
+    for j in range(len(d) - 1):
+        if d[j] > d[j + 1] + 1:
+            return DiagonalDrop(
+                f"diagonal {j + 1} of size {d[j]} exceeds neighbour {d[j + 1]} + 1"
+            )
+    return None
+
+
+def make_fountain(diagonals: Iterable[int]) -> CoinFountain:
+    """Validate a northeast-diagonal size sequence: raise the error
+    fountain_fault returns for it, if any."""
     try:
         d = tuple(diagonals)
     except TypeError:
         raise InvalidObject("diagonals must be a list of integers") from None
-    if not d:
-        raise EmptyInput("a fountain needs at least one diagonal")
-    for x in d:
-        if type(x) is not int:
-            raise InvalidObject(f"diagonal size {x!r} must be an integer")
-        if x <= 0:
-            raise NegativeOrZeroLength(f"diagonal size {x} must be positive")
-    if d[-1] != 1:
-        raise BadLastDiagonal(f"last diagonal must be 1, got {d[-1]}")
-    for j in range(len(d) - 1):
-        if d[j] > d[j + 1] + 1:
-            raise DiagonalDrop(
-                f"diagonal {j + 1} of size {d[j]} exceeds neighbour {d[j + 1]} + 1"
-            )
+    fault = fountain_fault(d)
+    if fault is not None:
+        raise fault
     return CoinFountain(d)
 
 

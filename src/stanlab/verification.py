@@ -22,7 +22,7 @@ from .enumeration import (
     enumerate_family,
     iter_raw,
 )
-from .errors import InvalidObject, OutOfRange, StanlabError
+from .errors import OutOfRange, StanlabError
 
 # Frozen printed expansion of the five-variable series through x^5.
 # Exponent order (x, y, z, p, q) = (columns, rows, area, edgint, point).
@@ -431,7 +431,13 @@ def _fountain_brute_checks(checks: list) -> None:
     # its diagonals and the levels the walk carried.  comp + (h,) has the
     # levels of comp + (h - 1,) plus the new diagonal's bit on level h - 1 (a
     # new top level past the height), so a node's list is updated in place.
+    # The rule's fault is returned, not raised, because raising it for the
+    # 247,073 rejected compositions cost more than the rest of the check;
+    # make_fountain builds only the compositions the rule accepts.
     limit = 18
+    fault, make = objects.fountain_fault, objects.make_fountain
+    support_ok = objects.levels_support_ok
+    diagonals, levels_of = objects.diagonals_from_levels, objects.fountain_levels
     bad = total = 0
     stack = [((), 0, [])]
     while stack:
@@ -444,15 +450,13 @@ def _fountain_brute_checks(checks: list) -> None:
                 levels[h - 1] |= bit
             child = comp + (h,)
             total += 1
-            physical = objects.levels_support_ok(levels)
-            try:
-                fountain = objects.make_fountain(child)
-            except InvalidObject:
+            physical = support_ok(levels)
+            if fault(child) is not None:
                 bad += physical
             else:
-                if (not physical
-                        or objects.diagonals_from_levels(levels) != child
-                        or objects.fountain_levels(fountain) != levels):
+                fountain = make(child)
+                if (not physical or diagonals(levels) != child
+                        or levels_of(fountain) != levels):
                     bad += 1
             if coins + h < limit:
                 stack.append((child, coins + h, levels[:]))

@@ -465,6 +465,41 @@ class TestFountains:
         with pytest.raises(EmptyInput):
             objects.make_fountain(())
 
+    def test_rule_matches_the_raising_constructor(self):
+        # every composition of at most 12 coins, the fountain inputs of
+        # MESSAGES and seeded lists of small ints, non-ints, bools and ():
+        # make_fountain raises what old_make_fountain raised, word for word,
+        # or builds the same fountain, and fountain_fault is None exactly
+        # when it builds
+        def outcome(make, data):
+            try:
+                return make(data)
+            except InvalidObject as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(33)
+        pool = [*range(-2, 6), 1.0, "1", None, True, False, ()]
+        inputs = [c for n in range(1, 13) for c in old_compositions(n)]
+        inputs += [data for make, data, *_ in MESSAGES
+                   if make is objects.make_fountain]
+        inputs += [[rng.choice(pool) for _ in range(rng.randint(0, 6))]
+                   for _ in range(20000)]
+        built = 0
+        for data in inputs:
+            new = outcome(objects.make_fountain, data)
+            assert new == outcome(old_make_fountain, data), data
+            if isinstance(new, objects.CoinFountain):
+                built += 1
+            try:
+                d = tuple(data)
+            except TypeError:
+                continue
+            fault = objects.fountain_fault(d)
+            assert (fault is None) == isinstance(new, objects.CoinFountain)
+            if fault is not None:
+                assert (type(fault), str(fault)) == new, data
+        assert built == 788  # the fountains among the inputs
+
     def test_coin_parities(self):
         s = objects.fountain_stats(objects.make_fountain((2, 3, 2, 1)))
         # ceil halves on even levels, floor halves above
@@ -564,6 +599,29 @@ class TestFountains:
                 set_levels_support_ok(sets), sets
 
 
+def old_make_fountain(diagonals):
+    """make_fountain as it was before its rule moved to fountain_fault."""
+    try:
+        d = tuple(diagonals)
+    except TypeError:
+        raise InvalidObject("diagonals must be a list of integers") from None
+    if not d:
+        raise EmptyInput("a fountain needs at least one diagonal")
+    for x in d:
+        if type(x) is not int:
+            raise InvalidObject(f"diagonal size {x!r} must be an integer")
+        if x <= 0:
+            raise NegativeOrZeroLength(f"diagonal size {x} must be positive")
+    if d[-1] != 1:
+        raise BadLastDiagonal(f"last diagonal must be 1, got {d[-1]}")
+    for j in range(len(d) - 1):
+        if d[j] > d[j + 1] + 1:
+            raise DiagonalDrop(
+                f"diagonal {j + 1} of size {d[j]} exceeds neighbour {d[j + 1]} + 1"
+            )
+    return objects.CoinFountain(d)
+
+
 def old_diagonals_from_levels(levels):
     """The per-diagonal formula diagonals_from_levels replaced: bits 0 and
     above the bottom level's coin count are ignored."""
@@ -614,19 +672,20 @@ def physics_run():
     the set model.  Levels are compared as each composition is checked,
     because the walk updates its level lists in place."""
     real = {name: getattr(objects, name) for name in (
-        "make_fountain", "levels_support_ok", "diagonals_from_levels",
-        "fountain_levels")}
+        "fountain_fault", "make_fountain", "levels_support_ok",
+        "diagonals_from_levels", "fountain_levels")}
     run = SimpleNamespace(calls=Counter(), totals=Counter(), small=[],
                           levels_unlike_masks=[], levels_unlike_sets=[],
                           accepted=[])
-    pending = {}
+    pending = []
 
-    def meet(key, value):
-        # levels_support_ok and make_fountain each see half of a composition
-        pending[key] = value
-        if len(pending) < 2:
+    def meet(comp):
+        # the walk asks fountain_fault right after levels_support_ok, so the
+        # levels that call left are this composition's; make_fountain asks
+        # the rule again with nothing pending
+        if not pending:
             return
-        comp, levels = pending.pop("comp"), pending.pop("levels")
+        comp, levels = tuple(comp), pending.pop()
         total = sum(comp)
         run.totals[total] += 1
         raw = objects.CoinFountain(comp)
@@ -646,10 +705,10 @@ def physics_run():
         return wrapper
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(objects, "make_fountain", counted(
-            "make_fountain", lambda comp: meet("comp", tuple(comp))))
+        m.setattr(objects, "fountain_fault", counted("fountain_fault", meet))
+        m.setattr(objects, "make_fountain", counted("make_fountain"))
         m.setattr(objects, "levels_support_ok", counted(
-            "levels_support_ok", lambda levels: meet("levels", list(levels))))
+            "levels_support_ok", lambda levels: pending.append(list(levels))))
         m.setattr(objects, "diagonals_from_levels", counted(
             "diagonals_from_levels",
             lambda levels: run.accepted.append(list(levels))))
@@ -676,13 +735,14 @@ class TestFountainPhysicsCheck:
         return check
 
     def test_looser_inequality_is_caught(self, monkeypatch):
-        def loose(diagonals):
-            d = tuple(diagonals)
+        # make_fountain reads the rule from the module, so it builds what
+        # the looser rule accepts
+        def loose(d):
             if d[-1] != 1 or any(a > b + 2 for a, b in zip(d, d[1:])):
-                raise DiagonalDrop(f"{d} drops by more than 2")
-            return objects.CoinFountain(d)
+                return DiagonalDrop(f"{d} drops by more than 2")
+            return None
 
-        monkeypatch.setattr(objects, "make_fountain", loose)
+        monkeypatch.setattr(objects, "fountain_fault", loose)
         check = self.run_check()
         assert check["status"] == "fail"
         assert check["actual"] == "43718 disagreements over 262143 compositions"
@@ -702,10 +762,13 @@ class TestFountainPhysicsCheck:
         assert check["actual"] == "15070 disagreements over 262143 compositions"
 
     def test_every_composition_goes_through_each_check(self, physics_run):
+        # fountain_fault sees every composition from the walk and each of
+        # the 15,070 fountains again inside make_fountain
         assert physics_run.check["status"] == "pass"
         assert physics_run.calls == {
-            "make_fountain": 262143, "levels_support_ok": 262143,
-            "diagonals_from_levels": 15070, "fountain_levels": 15070}
+            "fountain_fault": 262143 + 15070, "levels_support_ok": 262143,
+            "make_fountain": 15070, "diagonals_from_levels": 15070,
+            "fountain_levels": 15070}
 
     def test_diagonals_match_the_old_formula(self, physics_run):
         # the level lists the check accepts, then seeded masks with bit 0
@@ -831,6 +894,18 @@ MESSAGES = [
      "column height -1 must be positive"),
     (objects.make_parallelogram, [(0, 1, 2)], InvalidObject,
      "columns must be a list of pairs"),
+    (objects.make_fountain, 7, InvalidObject,
+     "diagonals must be a list of integers"),
+    (objects.make_fountain, [], EmptyInput,
+     "a fountain needs at least one diagonal"),
+    (objects.make_fountain, [1, True], InvalidObject,
+     "diagonal size True must be an integer"),
+    (objects.make_fountain, [2, -1, 1], NegativeOrZeroLength,
+     "diagonal size -1 must be positive"),
+    (objects.make_fountain, [2, 2], BadLastDiagonal,
+     "last diagonal must be 1, got 2"),
+    (objects.make_fountain, [1, 3, 1], DiagonalDrop,
+     "diagonal 2 of size 3 exceeds neighbour 1 + 1"),
 ]
 
 
