@@ -447,9 +447,8 @@ class TestLargeObjects:
 
 class TestTupleReference:
     """f_map and f_inv, which read diagonal sizes in one pass, agree with the
-    tuple rewrites of the recursive definition, one diagonal per step; on
-    large seeded objects chi and chi_prime also agree with the word peels
-    (TestWordPeelReference checks them exhaustively)."""
+    tuple rewrites of the recursive definition, one diagonal per step; chi
+    and chi_prime agree with the word peels, whose rows are tuple rewrites."""
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_f_map_exhaustive(self, m: int):
@@ -461,11 +460,25 @@ class TestTupleReference:
         for p in stanleys(n):
             assert f_inv(p) == tuple_f_inv(p)
 
+    @pytest.mark.parametrize("size", range(0, 9))
+    def test_chi_and_chi_prime_exhaustive(self, size: int):
+        for m in motzkins(size):
+            assert chi(m) == word_peel_chi(m)
+        for d in triple_free_dycks(size):
+            assert chi_prime(d) == word_peel_chi_prime(d)
+
     @given(large_fountain(), large_stanley())
     @settings(max_examples=40, deadline=None)
     def test_f_maps_large(self, c, p):
         assert f_map(c) == tuple_f_map(c)
         assert f_inv(p) == tuple_f_inv(p)
+
+    @given(long_word("UFD"), long_word("UD"))
+    @settings(max_examples=40, deadline=None)
+    def test_chi_maps_large(self, w, v):
+        m, d = make_motzkin(w), make_dyck(v)
+        assert chi(m) == word_peel_chi(m)
+        assert chi_prime(d) == word_peel_chi_prime(d)
 
     def test_seeded_objects_of_200_to_400(self):
         randint = random.Random(31).randint
