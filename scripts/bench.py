@@ -1,0 +1,190 @@
+"""Measure stanlab end to end and layer by layer into one JSON file.
+
+    python3 scripts/bench.py --out BENCH_34.json
+    python3 scripts/bench.py --out BENCH_34.json --root ../parent --root .
+
+Each --root is a checkout (default: the one holding this script).  For each
+root the file records:
+
+- the four perfbench workloads' end-to-end metrics: ``perfbench/run.py
+  --trace 0`` of that root, run as a subprocess (reference seconds);
+- the median time to ``import stanlab.cli`` over fresh interpreters;
+- the Tier-1 wall time and pytest's summary line;
+- in process, in wall seconds: each suite at its default size
+  (``bijections`` at 12), each ``gf_*`` builder at its ``series`` cap, and
+  objects per second from each generator.
+
+With several roots every timed part but Tier-1 alternates between roots, so
+a change in the machine's load reaches all of them alike.  The in-process
+timings run in a fresh interpreter that imports the root's sources, three
+times per root; each is the least of the three, since load from other
+processes only ever adds time.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+WORKLOADS = ("count-grouped", "verify-suites", "series-build", "map-stream")
+IMPORT_STARTS = 20
+PERFBENCH_SECONDS = 8  # perfbench's --seconds for each workload run
+REPEATS = 3  # in-process timings are the least of this many runs
+
+# builder -> the `series --gf` choice whose cap it is built at
+BUILDERS = {
+    "gf_full": "full",
+    "gf_columns": "columns",
+    "gf_semiperimeter": "semiperimeter",
+    "gf_area": "area",
+    "gf_continued_fractions": "cf-a",
+    "gf_columns_corollaries": "corollaries",
+    "gf_semiperimeter_corollaries": "corollaries",
+}
+
+# generator bounds, the sizes perfbench's count-grouped workload counts
+GENERATORS = {
+    ("stanley", "columns"): 11,
+    ("stanley", "semiperimeter"): 16,
+    ("stanley", "area"): 19,
+    ("dyck", "semilength"): 10,
+    ("peaklessMotzkin", "steps"): 16,
+    ("fountain", "diagonals"): 10,
+    ("fountain", "evenCoins"): 14,
+    ("parallelogram", "area"): 13,
+}
+
+
+def _timed(fn) -> tuple[float, object]:
+    """Wall time of one call of fn, and its result."""
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
+def in_process() -> dict:
+    """One in-process timing of each part of the stanlab on sys.path."""
+    from stanlab import catalog, cli, enumeration, verification
+
+    suites, builders, generators = {}, {}, {}
+    for name, size in verification.SUITE_DEFAULT_SIZE.items():
+        size = 12 if name == "bijections" else size
+        suites[f"{name}@{size}"], _ = _timed(
+            lambda: verification.run_suite(name, size))
+    for name, gf in BUILDERS.items():
+        cap = cli.SERIES[gf].cap
+        builders[f"{name}@{cap}"], _ = _timed(
+            lambda: getattr(catalog, name)(cap))
+    for (family, measure), value in GENERATORS.items():
+        bound = enumeration.FamilyBound(family, measure, value)
+        s, n = _timed(lambda: enumeration.count(bound))
+        generators[f"{family}/{measure}@{value}"] = n / s
+    return {"suites_s": suites, "builders_s": builders,
+            "generators_objects_per_s": generators}
+
+
+def _env(root: str) -> dict:
+    return {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+
+
+def import_ms(root: str) -> float:
+    """Milliseconds one fresh interpreter takes to import stanlab.cli."""
+    code = ("import time; t = time.perf_counter(); import stanlab.cli; "
+            "print(time.perf_counter() - t)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(root),
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout) * 1000
+
+
+def perfbench(root: str, workload: str) -> tuple[dict, dict]:
+    """One workload's end-to-end metrics and verdict, and the provenance."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    prov, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+    out = {name: m["value"] for name, m in result["metrics"].items()}
+    out.update(correct=result["correct"], failed=result["failed"],
+               attempted=result["attempted"])
+    return out, prov["provenance"]
+
+
+def tier1(root: str) -> dict:
+    """Wall time of the root's Tier-1 tests and pytest's summary line."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=root, env=_env(root), capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
+    return {"wall_s": wall, "summary": summary.strip("= ")}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--root", action="append",
+                        help="a checkout to measure (repeatable; default: "
+                             "this script's checkout)")
+    args = parser.parse_args(argv)
+    roots = [os.path.abspath(r) for r in args.root or [os.path.dirname(HERE)]]
+    found = {r: {"perfbench": {}} for r in roots}
+
+    for workload in WORKLOADS:
+        for root in roots:
+            metrics, prov = perfbench(root, workload)
+            found[root]["perfbench"][workload] = metrics
+            found[root].update(git_commit=prov["git_commit"],
+                               source_sha256=prov["source_sha256"])
+            print(f"{os.path.basename(root)} {workload}: {metrics}",
+                  file=sys.stderr, flush=True)
+    starts = {r: [] for r in roots}
+    for _ in range(IMPORT_STARTS):
+        for root in roots:
+            starts[root].append(import_ms(root))
+    code = (f"import json, sys; sys.path.insert(0, {HERE!r}); "
+            "import bench; print(json.dumps(bench.in_process()))")
+    runs = {r: [] for r in roots}
+    for _ in range(REPEATS):
+        for root in roots:
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  env=_env(root), capture_output=True,
+                                  text=True, check=True)
+            runs[root].append(json.loads(proc.stdout))
+    for root in roots:
+        found[root]["import_stanlab_cli_ms"] = {
+            "median": statistics.median(starts[root]),
+            "samples": starts[root]}
+        for part, values in runs[root][0].items():
+            best = max if part == "generators_objects_per_s" else min
+            found[root][part] = {
+                key: best(run[part][key] for run in runs[root])
+                for key in values}
+    for root in roots:
+        found[root]["tier1"] = tier1(root)
+
+    record = {
+        "machine": {"cpus": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "platform": platform.platform()},
+        "settings": {"perfbench_seconds": PERFBENCH_SECONDS, "seed": 1,
+                     "import_starts": IMPORT_STARTS,
+                     "in_process_repeats": REPEATS},
+        "checkouts": [found[r] for r in roots],
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,6 @@ Variable conventions, fixed throughout:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import comb, gcd
 
 from .enumeration import FamilyBound, count
@@ -109,9 +108,9 @@ def _first_row(kind: str, order_x: int):
         return w + divide(w * (xw - t) + 1, t - xw - xw)
 
     ring = SeriesRing(("x", "u"), grade="x", order=order_x)
-    r, p = replace(ring, order=0).one(), 1
+    r, p = ring.at_order(0).one(), 1
     while p < order_x:
-        r, p = newton(lift(r, replace(ring, order=p))), 2 * p
+        r, p = newton(lift(r, ring.at_order(p))), 2 * p
     r = solve_fixed_point(newton, lift(r, ring))
     x, u = ring.gens()
     if not (x * r * r - t_of(x) * r + 1).is_zero():

@@ -16,12 +16,12 @@ walk, so every call walks its stream afresh.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from . import objects
 from .errors import CapExceeded, UnsupportedPair
+from .frozen import Frozen
 
 DEFAULT_CAP = 10_000_000
 
@@ -176,19 +176,22 @@ _GENERATORS = {
 SUPPORTED_PAIRS = set(_GENERATORS)
 
 
-@dataclass(frozen=True)
-class FamilyBound:
+class FamilyBound(Frozen):
+    __slots__ = __match_args__ = ("family", "measure", "value")
     family: str
     measure: str
     value: int
 
-    def __post_init__(self):
-        if (self.family, self.measure) not in SUPPORTED_PAIRS:
-            raise UnsupportedPair(f"({self.family}, {self.measure}) not supported")
-        if type(self.value) is not int:  # refuses 2.5, "3" and True alike
-            raise UnsupportedPair(f"measure value must be an integer, got {self.value!r}")
-        if self.value < 0:
-            raise UnsupportedPair(f"measure value must be nonnegative, got {self.value}")
+    def __init__(self, family: str, measure: str, value: int):
+        if (family, measure) not in SUPPORTED_PAIRS:
+            raise UnsupportedPair(f"({family}, {measure}) not supported")
+        if type(value) is not int:  # refuses 2.5, "3" and True alike
+            raise UnsupportedPair(f"measure value must be an integer, got {value!r}")
+        if value < 0:
+            raise UnsupportedPair(f"measure value must be nonnegative, got {value}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "measure", measure)
+        object.__setattr__(self, "value", value)
 
 
 def _capped(stream: Iterable, what: object) -> Iterator:

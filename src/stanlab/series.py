@@ -36,7 +36,6 @@ later grade uses them; a nonzero term out of range raises OutOfRange.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -51,6 +50,7 @@ from .errors import (
     UnsoundSubstitution,
     VariableMismatch,
 )
+from .frozen import Frozen
 
 Exponents = tuple[int, ...]
 
@@ -69,44 +69,48 @@ def _int(c) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class SeriesRing:
+class SeriesRing(Frozen):
     """Variables, grade, order, Laurent variables and caps shared by its
     series.  A cap is the largest exponent a non-grade, non-Laurent
     variable may keep; no operation may lower a capped exponent."""
 
+    __match_args__ = ("names", "grade", "order", "laurent", "caps")
     names: tuple[str, ...]
     grade: str
     order: int
-    laurent: frozenset[str] = frozenset()
+    laurent: frozenset[str]
     # given as a mapping, kept as (name, cap) pairs in the order of names
-    caps: tuple[tuple[str, int], ...] = ()
+    caps: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        names, laurent = tuple(self.names), frozenset(self.laurent)
-        if self.order < 0:
-            raise OutOfRange(f"order {self.order} < 0")
-        if self.grade not in names:
-            raise VariableMismatch(f"grade {self.grade!r} not among {names}")
+    def __init__(self, names: Iterable[str], grade: str, order: int,
+                 laurent: Iterable[str] = frozenset(),
+                 caps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
+        names, laurent = tuple(names), frozenset(laurent)
+        if order < 0:
+            raise OutOfRange(f"order {order} < 0")
+        if grade not in names:
+            raise VariableMismatch(f"grade {grade!r} not among {names}")
         unknown = laurent - set(names)
         if unknown:
             raise VariableMismatch(
                 f"Laurent variables {sorted(unknown)} not among {names}")
-        caps = dict(self.caps)
+        caps = dict(caps)
         for name, cap in caps.items():
-            if name not in names or name == self.grade or name in laurent:
+            if name not in names or name == grade or name in laurent:
                 raise VariableMismatch(f"cap on {name!r}: not a variable of "
                                        f"{names} besides grade and Laurent")
             if not 0 <= cap < _HALF:
                 raise OutOfRange(f"cap on {name!r} outside [0, {_HALF}): {cap}")
         # the packing: slots in the order of names, the grade's on top; a
         # capped slot's bias puts a sum over the cap in the slot's guard bit
-        below = [n for n in names if n != self.grade]
+        below = [n for n in names if n != grade]
         shift = {n: (SLOT_BITS + 1) * i for i, n in enumerate(below)}
-        top = shift[self.grade] = (SLOT_BITS + 1) * len(below)
+        top = shift[grade] = (SLOT_BITS + 1) * len(below)
         bias = {n: _BIAS - 1 - caps[n] if n in caps else _BIAS for n in names}
         fields = {
             "names": names,
+            "grade": grade,
+            "order": order,
             "laurent": laurent,
             "caps": tuple((n, caps[n]) for n in names if n in caps),
             "_slots": tuple((shift[n], bias[n]) for n in names),
@@ -119,17 +123,22 @@ class SeriesRing:
             "_hi": sum((bias[n] + _HALF - 1) << shift[n] for n in names),
             # none when every exponent is in [0, its cap or the order]
             "_guards": 0 if not laurent and len(caps) == len(below)
-            and self.order < _HALF else sum(_BIAS << shift[n] for n in names),
+            and order < _HALF else sum(_BIAS << shift[n] for n in names),
             # guard bits of the uncapped non-Laurent slots, set while the
             # exponent is nonnegative
             "_nonneg": sum(_BIAS << shift[n] for n in names
                            if n not in laurent and n not in caps),
             "_top": top,
             "_zero": sum(bias[n] << shift[n] for n in names),
-            "_limit": (self.order + 1 + _BIAS) << top,
+            "_limit": (order + 1 + _BIAS) << top,
         }
         for attr, value in fields.items():
             object.__setattr__(self, attr, value)
+
+    def at_order(self, order: int) -> "SeriesRing":
+        """This ring, truncated at order."""
+        return SeriesRing(self.names, self.grade, order, self.laurent,
+                          self.caps)
 
     def _unpack(self, key: int) -> Exponents:
         return tuple(((key >> s) & _MASK) - b for s, b in self._slots)
@@ -241,13 +250,17 @@ class SeriesRing:
         return tuple(self.var(n) for n in self.names)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Packed key -> nonzero coefficient.  Two series are equal when their
     rings and terms are."""
 
+    __match_args__ = ("ring", "packed")
     ring: SeriesRing
     packed: dict
+
+    def __init__(self, ring: SeriesRing, packed: dict):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "packed", packed)
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -495,8 +508,11 @@ def solve_fixed_point(phi: Callable[[TruncatedSeries], TruncatedSeries],
 
 def lift(a: TruncatedSeries, ring: SeriesRing) -> TruncatedSeries:
     """a, right through its order, in ring: a's ring at a higher order."""
-    if ring.order < a.ring.order or replace(ring, order=a.ring.order) != a.ring:
-        raise VariableMismatch(f"cannot lift a series of {a.ring} into {ring}")
+    b = a.ring
+    same = (ring.names, ring.grade, ring.laurent, ring.caps) == (
+        b.names, b.grade, b.laurent, b.caps)
+    if ring.order < b.order or not same:
+        raise VariableMismatch(f"cannot lift a series of {b} into {ring}")
     return TruncatedSeries(ring, a.packed)
 
 
