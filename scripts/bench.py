@@ -1,7 +1,7 @@
 """Measure stanlab end to end and layer by layer into one JSON file.
 
-    python3 scripts/bench.py --out BENCH_34.json
-    python3 scripts/bench.py --out BENCH_34.json --root ../parent --root .
+    python3 scripts/bench.py --out BENCH_35.json
+    python3 scripts/bench.py --out BENCH_35.json --root ../parent --root .
 
 Each --root is a checkout (default: the one holding this script).  For each
 root the file records:
@@ -11,13 +11,14 @@ root the file records:
 - the median time to ``import stanlab.cli`` over fresh interpreters;
 - the Tier-1 wall time and pytest's summary line;
 - in process, in wall seconds: each suite at its default size
-  (``bijections`` at 12), each ``gf_*`` builder at its ``series`` cap, and
-  objects per second from each generator.
+  (``bijections`` at 12), the bijections suite's fountain-physics check on
+  its own, each ``gf_*`` builder at its ``series`` cap, and objects per
+  second from each generator.
 
 With several roots every timed part but Tier-1 alternates between roots, so
 a change in the machine's load reaches all of them alike.  The in-process
-timings run in a fresh interpreter that imports the root's sources, three
-times per root; each is the least of the three, since load from other
+timings run in a fresh interpreter that imports the root's sources, five
+times per root; each is the least of the five, since load from other
 processes only ever adds time.  Standard library only.
 """
 
@@ -36,7 +37,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("count-grouped", "verify-suites", "series-build", "map-stream")
 IMPORT_STARTS = 20
 PERFBENCH_SECONDS = 8  # perfbench's --seconds for each workload run
-REPEATS = 3  # in-process timings are the least of this many runs
+REPEATS = 5  # in-process timings are the least of this many runs
 
 # builder -> the `series --gf` choice whose cap it is built at
 BUILDERS = {
@@ -78,6 +79,9 @@ def in_process() -> dict:
         size = 12 if name == "bijections" else size
         suites[f"{name}@{size}"], _ = _timed(
             lambda: verification.run_suite(name, size))
+    checks = {}
+    checks["fountain_physics"], _ = _timed(
+        lambda: verification._fountain_brute_checks([]))
     for name, gf in BUILDERS.items():
         cap = cli.SERIES[gf].cap
         builders[f"{name}@{cap}"], _ = _timed(
@@ -86,7 +90,7 @@ def in_process() -> dict:
         bound = enumeration.FamilyBound(family, measure, value)
         s, n = _timed(lambda: enumeration.count(bound))
         generators[f"{family}/{measure}@{value}"] = n / s
-    return {"suites_s": suites, "builders_s": builders,
+    return {"suites_s": suites, "checks_s": checks, "builders_s": builders,
             "generators_objects_per_s": generators}
 
 

@@ -272,43 +272,52 @@ def dyck_stats(d: DyckPath) -> DyckStats:
 
 # -- coin fountains ----------------------------------------------------------
 
-def fountain_fault(d: tuple) -> InvalidObject | None:
-    """The first fountain rule the diagonal sizes d break, as an unraised
-    error, or None when d is a fountain.
+def fountain_fault(d: tuple) -> tuple | None:
+    """The first fountain rule the diagonal sizes d break, or None when d is
+    a fountain.
 
     Every coin above level 0 rests on two adjacent coins below, which forces
     each diagonal to be a contiguous run from the bottom and bounds each size
     by the next size plus one.  The faults are found in this order: no
     diagonal, then each size's type and sign, then the last size, then the
-    drops, left to right.
+    drops, left to right.  A fault is a plain record, (error class, message
+    template, *template arguments): no error is built and no message is
+    formatted, so asking whether d is a fountain costs little either way.
+    fountain_error turns the record into the error make_fountain raises.
     """
     if not d:
-        return EmptyInput("a fountain needs at least one diagonal")
+        return (EmptyInput, "a fountain needs at least one diagonal")
     for x in d:
         if type(x) is not int:
-            return InvalidObject(f"diagonal size {x!r} must be an integer")
+            return (InvalidObject, "diagonal size %r must be an integer", x)
         if x <= 0:
-            return NegativeOrZeroLength(f"diagonal size {x} must be positive")
+            return (NegativeOrZeroLength, "diagonal size %s must be positive",
+                    x)
     if d[-1] != 1:
-        return BadLastDiagonal(f"last diagonal must be 1, got {d[-1]}")
+        return (BadLastDiagonal, "last diagonal must be 1, got %s", d[-1])
     for j in range(len(d) - 1):
         if d[j] > d[j + 1] + 1:
-            return DiagonalDrop(
-                f"diagonal {j + 1} of size {d[j]} exceeds neighbour {d[j + 1]} + 1"
-            )
+            return (DiagonalDrop,
+                    "diagonal %s of size %s exceeds neighbour %s + 1",
+                    j + 1, d[j], d[j + 1])
     return None
 
 
+def fountain_error(fault: tuple) -> InvalidObject:
+    """The error a fountain_fault record stands for, its message formatted."""
+    return fault[0](fault[1] % fault[2:])
+
+
 def make_fountain(diagonals: Iterable[int]) -> CoinFountain:
-    """Validate a northeast-diagonal size sequence: raise the error
-    fountain_fault returns for it, if any."""
+    """Validate a northeast-diagonal size sequence: raise the error of the
+    first rule fountain_fault finds it breaks, if any."""
     try:
         d = tuple(diagonals)
     except TypeError:
         raise InvalidObject("diagonals must be a list of integers") from None
     fault = fountain_fault(d)
     if fault is not None:
-        raise fault
+        raise fountain_error(fault)
     return CoinFountain(d)
 
 
@@ -343,10 +352,11 @@ def levels_support_ok(levels: Sequence[int]) -> bool:
     of the level below."""
     if not levels:
         return False
-    below = levels[0]
+    rest = iter(levels)
+    below = next(rest)
     if below != (1 << below.bit_length()) - 2:
         return False
-    for cur in levels[1:]:
+    for cur in rest:
         if (cur | cur << 1) & ~below:
             return False
         below = cur

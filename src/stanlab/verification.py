@@ -431,9 +431,9 @@ def _fountain_brute_checks(checks: list) -> None:
     # its diagonals and the levels the walk carried.  comp + (h,) has the
     # levels of comp + (h - 1,) plus the new diagonal's bit on level h - 1 (a
     # new top level past the height), so a node's list is updated in place.
-    # The rule's fault is returned, not raised, because raising it for the
-    # 247,073 rejected compositions cost more than the rest of the check;
-    # make_fountain builds only the compositions the rule accepts.
+    # The rule returns its fault as a plain record, so the 247,073 rejected
+    # compositions cost no error object and no message; make_fountain
+    # builds only the compositions the rule accepts.
     limit = 18
     fault, make = objects.fountain_fault, objects.make_fountain
     support_ok = objects.levels_support_ok

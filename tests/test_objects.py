@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stanlab
-from stanlab import objects, verification
+from stanlab import errors, objects, verification
 from stanlab.enumeration import FamilyBound, enumerate_family, iter_raw
 from stanlab.errors import (
     BadLastDiagonal,
@@ -497,7 +497,8 @@ class TestFountains:
             fault = objects.fountain_fault(d)
             assert (fault is None) == isinstance(new, objects.CoinFountain)
             if fault is not None:
-                assert (type(fault), str(fault)) == new, data
+                error = objects.fountain_error(fault)
+                assert (type(error), str(error)) == new, data
         assert built == 788  # the fountains among the inputs
 
     def test_coin_parities(self):
@@ -620,6 +621,20 @@ def old_make_fountain(diagonals):
                 f"diagonal {j + 1} of size {d[j]} exceeds neighbour {d[j + 1]} + 1"
             )
     return objects.CoinFountain(d)
+
+
+def slice_levels_support_ok(levels):
+    """levels_support_ok as it was, walking a copy of all but the bottom."""
+    if not levels:
+        return False
+    below = levels[0]
+    if below != (1 << below.bit_length()) - 2:
+        return False
+    for cur in levels[1:]:
+        if (cur | cur << 1) & ~below:
+            return False
+        below = cur
+    return True
 
 
 def old_diagonals_from_levels(levels):
@@ -769,6 +784,62 @@ class TestFountainPhysicsCheck:
             "fountain_fault": 262143 + 15070, "levels_support_ok": 262143,
             "make_fountain": 15070, "diagonals_from_levels": 15070,
             "fountain_levels": 15070}
+
+    def test_no_error_object_is_built(self, monkeypatch):
+        # the rule reports its faults as records, so the whole check builds
+        # no InvalidObject; make_fountain still builds one to raise
+        made = []
+        real = errors.InvalidObject.__init__
+
+        def init(self, *args):
+            made.append(type(self))
+            real(self, *args)
+
+        monkeypatch.setattr(errors.InvalidObject, "__init__", init)
+        check = self.run_check()
+        assert check["status"] == "pass"
+        assert made == []
+        with pytest.raises(BadLastDiagonal) as caught:
+            objects.make_fountain((2,))
+        assert str(caught.value) == "last diagonal must be 1, got 2"
+        assert made == [BadLastDiagonal]
+
+    def test_support_rule_matches_the_slice_form(self, monkeypatch):
+        # every level list the check asks about, then seeded masks with
+        # the empty list and a bottom level of 0 among them
+        real = objects.levels_support_ok
+        asked, unlike = Counter(), []
+
+        def compared(levels):
+            verdict = real(levels)
+            asked[verdict] += 1
+            if verdict != slice_levels_support_ok(levels):
+                unlike.append(list(levels))
+            return verdict
+
+        monkeypatch.setattr(objects, "levels_support_ok", compared)
+        assert self.run_check()["status"] == "pass"
+        assert unlike == []
+        assert asked == {True: 15070, False: 247073}
+        rng = random.Random(35)
+        masks = [[], [0]]
+        for _ in range(20000):
+            # a full or random bottom, then levels mostly held up by the
+            # level below, sometimes anything
+            width = rng.randint(0, 8)
+            below = rng.choice(((2 << width) - 2, rng.getrandbits(width + 2)))
+            levels = [below]
+            for _ in range(rng.randint(0, 6)):
+                held = below & below >> 1 if rng.random() < 0.9 else -1
+                below = rng.getrandbits(width + 2) & held
+                levels.append(below)
+            masks.append(levels)
+        verdicts = Counter()
+        for levels in masks:
+            verdict = real(levels)
+            assert verdict == slice_levels_support_ok(levels), levels
+            verdicts[verdict] += 1
+        assert min(verdicts[True], verdicts[False]) > 5000, verdicts
 
     def test_diagonals_match_the_old_formula(self, physics_run):
         # the level lists the check accepts, then seeded masks with bit 0
