@@ -15,11 +15,12 @@ root the file records:
   its own, each ``gf_*`` builder at its ``series`` cap, and objects per
   second from each generator.
 
-With several roots every timed part but Tier-1 alternates between roots, so
-a change in the machine's load reaches all of them alike.  The in-process
-timings run in a fresh interpreter that imports the root's sources, five
-times per root; each is the least of the five, since load from other
-processes only ever adds time.  Standard library only.
+With several roots every timed part but Tier-1 alternates between roots,
+and which root goes first alternates from turn to turn, so a change in the
+machine's load reaches all of them alike.  The in-process timings run in a
+fresh interpreter that imports the root's sources, five times per root;
+each is the least of the five, since load from other processes only ever
+adds time.  Standard library only.
 """
 
 from __future__ import annotations
@@ -132,6 +133,12 @@ def tier1(root: str) -> dict:
     return {"wall_s": wall, "summary": summary.strip("= ")}
 
 
+def _in_turn(roots: list, turn: int) -> list:
+    """The roots in their order for one turn: reversed on odd turns, so no
+    root always runs first."""
+    return roots if turn % 2 == 0 else roots[::-1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
@@ -142,8 +149,8 @@ def main(argv=None) -> int:
     roots = [os.path.abspath(r) for r in args.root or [os.path.dirname(HERE)]]
     found = {r: {"perfbench": {}} for r in roots}
 
-    for workload in WORKLOADS:
-        for root in roots:
+    for turn, workload in enumerate(WORKLOADS):
+        for root in _in_turn(roots, turn):
             metrics, prov = perfbench(root, workload)
             found[root]["perfbench"][workload] = metrics
             found[root].update(git_commit=prov["git_commit"],
@@ -151,14 +158,14 @@ def main(argv=None) -> int:
             print(f"{os.path.basename(root)} {workload}: {metrics}",
                   file=sys.stderr, flush=True)
     starts = {r: [] for r in roots}
-    for _ in range(IMPORT_STARTS):
-        for root in roots:
+    for turn in range(IMPORT_STARTS):
+        for root in _in_turn(roots, turn):
             starts[root].append(import_ms(root))
     code = (f"import json, sys; sys.path.insert(0, {HERE!r}); "
             "import bench; print(json.dumps(bench.in_process()))")
     runs = {r: [] for r in roots}
-    for _ in range(REPEATS):
-        for root in roots:
+    for turn in range(REPEATS):
+        for root in _in_turn(roots, turn):
             proc = subprocess.run([sys.executable, "-c", code],
                                   env=_env(root), capture_output=True,
                                   text=True, check=True)
