@@ -291,8 +291,8 @@ def fountain_fault(d: tuple) -> tuple | None:
         if type(x) is not int:
             return (InvalidObject, "diagonal size %r must be an integer", x)
         if x <= 0:
-            return (NegativeOrZeroLength, "diagonal size %s must be positive",
-                    x)
+            return (NegativeOrZeroLength,
+                    "diagonal size %s must be positive", x)
     if d[-1] != 1:
         return (BadLastDiagonal, "last diagonal must be 1, got %s", d[-1])
     for j in range(len(d) - 1):
