@@ -22,15 +22,14 @@ from .objects import (
 )
 from .bijections import (
     chi,
+    chi_inv,
     chi_prime,
     f_inv,
     f_map,
     h_map,
     phi,
     phi_inv,
-    preimages,
     psi,
-    table_inverse,
 )
 from .enumeration import FamilyBound, count_grouped, enumerate_family
 from .catalog import (
@@ -42,7 +41,7 @@ from .catalog import (
     gf_full,
     gf_semiperimeter,
 )
-from .verification import run_suite
+from .verification import preimages, run_suite
 
 __version__ = "0.1.0"
 
@@ -53,8 +52,8 @@ __all__ = [
     "make_stanley", "make_dyck", "make_motzkin", "make_fountain",
     "make_parallelogram",
     "stanley_stats", "dyck_stats", "fountain_stats", "parallelogram_stats",
-    "phi", "phi_inv", "chi", "chi_prime", "f_map", "f_inv", "h_map", "psi",
-    "preimages", "table_inverse",
+    "phi", "phi_inv", "chi", "chi_inv", "chi_prime", "f_map", "f_inv",
+    "h_map", "psi", "preimages",
     "FamilyBound", "enumerate_family", "count_grouped",
     "gf_columns", "gf_semiperimeter", "gf_area", "gf_full",
     "gf_continued_fractions", "coeff_columns", "coeff_semiperimeter",

@@ -13,21 +13,19 @@ column j + (k + 3) // 2, and an even size k widens the next k // 2 rows by
 one cell on the left.  f_inv reads the sizes back off the row starts in one
 pass: row i is the i-th odd size, and starts[i + 1] - starts[i] - 1
 widenings end at row i, in the order they began.
+
+chi_inv reads chi's peel back off the rows in one pass: the F's before each
+U come from the row starts, the blocks inside each U from the row ends, and
+a preorder walk of those counts writes the word.  chi_prime has no inverse:
+from semilength 5 on, distinct sources share an image and some polyominoes
+of the target semiperimeter get none (verification.preimages groups them).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from . import enumeration
-from .errors import (
-    ContainsTriple,
-    InvariantViolation,
-    MultiplePreimages,
-    NoPreimage,
-    NotPeakless,
-    TooSmall,
-)
+from .errors import ContainsTriple, InvariantViolation, NotPeakless, TooSmall
 from .objects import (
     CoinFountain,
     DyckPath,
@@ -38,9 +36,9 @@ from .objects import (
     is_peakless,
     make_dyck,
     make_fountain,
+    make_motzkin,
     make_stanley,
     parallelogram_stats,
-    stanley_stats,
 )
 
 
@@ -127,6 +125,33 @@ def chi(m: MotzkinPath) -> StanleyPolyomino:
             blocks += inside[i]
     sizes.append(-1)  # the one-cell top row
     return _rows(sizes)
+
+
+def chi_inv(p: StanleyPolyomino) -> MotzkinPath:
+    rows = p.rows
+    # chi peels the blocks in the order of their first letters: row b below
+    # the top is made by U number b, after starts[b + 1] - starts[b] - 1 F's;
+    # the top row by the length - 1 F's after the last U; and each U holds as
+    # many blocks as the row above its row ends further right
+    inside: list[int] = []  # per block in that order; 0 is an F
+    for (s, l), (t, m) in zip(rows, rows[1:]):
+        inside += [0] * (t - s - 1)
+        inside.append(t + m - s - l)
+    inside += [0] * (rows[-1][1] - 1)
+    word: list[str] = []
+    open_: list[int] = []  # blocks still to write inside each open U
+    for k in inside:
+        if open_:
+            open_[-1] -= 1
+        if k:
+            word.append("U")
+            open_.append(k)
+        else:
+            word.append("F")
+        while open_ and open_[-1] == 0:
+            open_.pop()
+            word.append("D")
+    return make_motzkin("".join(word))
 
 
 # -- chi_prime: Dyck paths avoiding UUU and DDD -> Stanley polyominoes ----------
@@ -216,50 +241,3 @@ def h_map(q: ParallelogramPolyomino) -> DyckPath:
 
 def psi(q: ParallelogramPolyomino) -> CoinFountain:
     return f_inv(phi_inv(h_map(q)))
-
-
-# -- generic inversion by enumeration --------------------------------------------
-
-# map name -> (the map, its sources of size m, target semiperimeter less
-# source size).  Plain tuples read by index, like objects.FAMILIES.
-SCANNED = {
-    "chi": (chi, lambda m: enumeration.enumerate_family(
-        enumeration.FamilyBound("peaklessMotzkin", "steps", m)), 2),
-    # the walk emits valid words only, so they are wrapped unvalidated
-    "chi_prime": (chi_prime, lambda m: map(DyckPath, enumeration._capped(
-        enumeration._gen_dyck(m, 2),
-        f"triple-free Dyck words of semilength {m}")), 3),
-}
-
-# the largest source size table_inverse scans; raising it changes which
-# targets are refused.  On 2 vCPUs under Python 3.11, preimages of chi_prime
-# takes 0.28 s at 14 and 1.9 s at 16; of chi 0.08, 0.56 and 3.7 s at 14, 16, 18
-MAX_SOURCE_SIZE = 14
-
-
-def preimages(map_name: str, size: int) -> dict[tuple, list]:
-    """Every source of the given size, grouped by the rows of its image."""
-    forward, sources, _ = SCANNED[map_name]
-    groups: dict[tuple, list] = {}
-    for s in sources(size):
-        groups.setdefault(forward(s).rows, []).append(s)
-    return groups
-
-
-def table_inverse(map_name: str, target: StanleyPolyomino):
-    """Invert chi or chi_prime by scanning all sources of the matching size.
-
-    The source size is read off the target semiperimeter, so the scan is
-    finite.  Raises NoPreimage when nothing maps to the target and
-    MultiplePreimages if the scan ever finds two sources, which would
-    disprove injectivity on that size.
-    """
-    size = stanley_stats(target).sper - SCANNED[map_name][2]
-    if size < 0 or size > MAX_SOURCE_SIZE:
-        raise NoPreimage(f"source size {size} outside bound {MAX_SOURCE_SIZE}")
-    hits = preimages(map_name, size).get(target.rows, [])
-    if not hits:
-        raise NoPreimage(f"no {map_name} source of size {size} maps to the target")
-    if len(hits) > 1:
-        raise MultiplePreimages(f"{len(hits)} sources map to the target")
-    return hits[0]

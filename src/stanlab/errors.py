@@ -75,14 +75,6 @@ class TooSmall(StanlabError, ValueError):
     """Map undefined for this input size (e.g. single-column polyomino)."""
 
 
-class NoPreimage(StanlabError, LookupError):
-    pass
-
-
-class MultiplePreimages(StanlabError, LookupError):
-    pass
-
-
 # -- enumeration ------------------------------------------------------------
 
 class UnsupportedPair(StanlabError, ValueError):

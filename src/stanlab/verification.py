@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from operator import attrgetter
 
-from . import bijections, catalog, objects
+from . import bijections, catalog, enumeration, objects
 from .enumeration import (
     FamilyBound,
     count,
@@ -298,17 +298,39 @@ def _steps_on_axis(word: str) -> int:
     return n
 
 
+# map name -> (the map, its sources of size m, target semiperimeter less
+# source size).  Plain tuples read by index, like objects.FAMILIES.
+SCANNED = {
+    "chi": (bijections.chi, lambda m: enumerate_family(
+        FamilyBound("peaklessMotzkin", "steps", m)), 2),
+    # the walk emits valid words only, so they are wrapped unvalidated
+    "chi_prime": (bijections.chi_prime, lambda m: map(
+        objects.DyckPath, enumeration._capped(
+            enumeration._gen_dyck(m, 2),
+            f"triple-free Dyck words of semilength {m}")), 3),
+}
+
+
+def preimages(map_name: str, size: int) -> dict[tuple, list]:
+    """Every source of the given size, grouped by the rows of its image."""
+    forward, sources, _ = SCANNED[map_name]
+    groups: dict[tuple, list] = {}
+    for s in sources(size):
+        groups.setdefault(forward(s).rows, []).append(s)
+    return groups
+
+
 def _scan_sizes(name: str, max_size: int, first_row) -> tuple[int, list]:
     """Run every source of size 0 .. max_size through a scanned map.  Returns
     how many images miss the target semiperimeter or first_row(word), and
     per size (sources, distinct images, polyominoes of that semiperimeter)."""
-    offset = bijections.SCANNED[name][2]
+    offset = SCANNED[name][2]
     sper = objects.STATISTICS[("stanley", "sper")]
     first = objects.STATISTICS[("stanley", "first")]
     bad = 0
     sizes = []
     for m in range(max_size + 1):
-        groups = bijections.preimages(name, m)
+        groups = preimages(name, m)
         for rows, paths in groups.items():
             bad += sum(sper(rows) != m + offset
                        or first(rows) != first_row(p.word) for p in paths)

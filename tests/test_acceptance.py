@@ -15,13 +15,13 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 
-from stanlab.bijections import preimages
 from stanlab.catalog import catalan
 from stanlab.enumeration import FamilyBound, count
 from stanlab.series import SeriesRing, divide
 from stanlab.verification import (
     _fountain_brute_checks,
     edge_free_count,
+    preimages,
     run_suite,
 )
 

@@ -1,4 +1,4 @@
-"""Round trips, statistic transport, and inverse lookup for the bijections."""
+"""Round trips, statistic transport, and preimage lookup for the bijections."""
 
 from __future__ import annotations
 
@@ -11,23 +11,20 @@ from hypothesis import given, settings, strategies as st
 from stanlab import bijections, enumeration, verification
 from stanlab.bijections import (
     chi,
+    chi_inv,
     chi_prime,
     f_inv,
     f_map,
     h_map,
     phi,
     phi_inv,
-    preimages,
     psi,
-    table_inverse,
 )
 from stanlab.enumeration import FamilyBound, count, iter_raw
 from stanlab.errors import (
     CapExceeded,
     ContainsTriple,
     InvariantViolation,
-    MultiplePreimages,
-    NoPreimage,
     NotPeakless,
     TooSmall,
 )
@@ -45,7 +42,7 @@ from stanlab.objects import (
     parallelogram_stats,
     stanley_stats,
 )
-from stanlab.verification import TABLE1_IDENTITIES
+from stanlab.verification import SCANNED, TABLE1_IDENTITIES, preimages
 
 WORKED = ((0, 6), (3, 6), (4, 7), (10, 3), (11, 5))
 WORKED_WORD = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
@@ -366,7 +363,8 @@ class TestChiPrime:
             assert ps.first == dyck_stats(d).hills + 2
 
     def test_known_collision_pair(self):
-        # The recursion merges these two sources; inverse lookup must refuse.
+        # The recursion merges these two sources; preimages lists both
+        # under the shared image (TestPreimages::test_collision_group).
         a = chi_prime(make_dyck("UUDUDDUUDD"))
         b = chi_prime(make_dyck("UUDUUDDUDD"))
         assert a == b
@@ -491,9 +489,11 @@ class TestTupleReference:
             c = f_inv(q)
             assert c == tuple_f_inv(q)
             assert f_map(c) == q
+            assert chi(chi_inv(q)) == q
             m = make_motzkin(build_word(randint, "UFD", 1, 400))
             d = make_dyck(build_word(randint, "UD", 1, 400))
             assert chi(m) == word_peel_chi(m)
+            assert chi_inv(chi(m)) == m
             assert chi_prime(d) == word_peel_chi_prime(d)
 
     def test_one_column_too_small(self):
@@ -570,7 +570,7 @@ class TestPreimages:
     @pytest.mark.parametrize("m", range(11))
     def test_chi_prime_sources_keep_the_dyck_order(self, m: int):
         # the pruned walk yields the filtered full enumeration, in order
-        _, sources, _ = bijections.SCANNED["chi_prime"]
+        _, sources, _ = SCANNED["chi_prime"]
         assert [d.word for d in sources(m)] == [
             w for w in iter_raw(FamilyBound("dyck", "semilength", m))
             if "UUU" not in w and "DDD" not in w]
@@ -599,46 +599,70 @@ class TestPreimages:
 
 
 class TestTableInverse:
+    """Fixed chi targets go through chi_inv, whatever their size, and fixed
+    chi_prime targets are read off preimages.  The names are those of the
+    tests of the source-scanning inverse this replaced."""
+
     def test_chi_round_trip(self):
         w = make_motzkin("UFFFD")
         target = chi(w)
-        assert table_inverse("chi", target) == w
+        assert chi_inv(target) == w
 
     def test_chi_prime_round_trip_small(self):
         d = make_dyck("UUDDUD")
-        assert table_inverse("chi_prime", chi_prime(d)) == d
+        assert preimages("chi_prime", 3)[chi_prime(d).rows] == [d]
 
     def test_no_preimage(self):
         missed = make_stanley(((0, 2), (1, 3), (2, 3)))
-        with pytest.raises(NoPreimage):
-            table_inverse("chi_prime", missed)
+        assert stanley_stats(missed).sper == 5 + 3
+        assert missed.rows not in preimages("chi_prime", 5)
 
     def test_multiple_preimages(self):
         doubled = make_stanley(((0, 2), (1, 3), (3, 2)))
-        with pytest.raises(MultiplePreimages):
-            table_inverse("chi_prime", doubled)
+        assert len(preimages("chi_prime", 5)[doubled.rows]) == 2
 
     def test_unknown_map_name(self):
         with pytest.raises(KeyError):
-            table_inverse("phi", make_stanley(((0, 1),)))
+            preimages("phi", 0)
 
     def test_size_bound(self):
-        # one past the bound: refused before any scan
-        steps = bijections.MAX_SOURCE_SIZE + 1
-        target = chi(make_motzkin("U" + "F" * (steps - 2) + "D"))
-        with pytest.raises(NoPreimage):
-            table_inverse("chi", target)
+        # the source has the target's semiperimeter less 2 steps
+        w = make_motzkin("U" + "F" * 13 + "D")
+        target = chi(w)
+        assert stanley_stats(target).sper == 15 + 2
+        assert chi_inv(target) == w
 
-    def test_large_source_refused_at_once(self):
-        # a scan of the 40-step paths would run until the enumeration cap
-        target = chi(make_motzkin("U" + "F" * 38 + "D"))
-        with pytest.raises(NoPreimage, match="outside bound"):
-            table_inverse("chi", target)
+    def test_large_source_inverted_at_once(self):
+        # too many 40-step paths to scan before the enumeration cap
+        w = make_motzkin("U" + "F" * 38 + "D")
+        assert chi_inv(chi(w)) == w
 
     def test_chi_round_trip_at_the_bound(self):
         w = make_motzkin("UFUFFDFFDUFFFD")
-        assert len(w.word) == bijections.MAX_SOURCE_SIZE
-        assert table_inverse("chi", chi(w)) == w
+        assert chi_inv(chi(w)) == w
+
+
+class TestChiInverse:
+    """chi_inv undoes chi on every peakless path of 0-14 steps and chi on
+    chi_inv for every polyomino of semiperimeter 2-16, 22,130 of each."""
+
+    @pytest.mark.parametrize("m", range(15))
+    def test_exhaustive_from_paths(self, m: int):
+        for w in motzkins(m):
+            assert chi_inv(chi(w)) == w
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_exhaustive_from_polyominoes(self, n: int):
+        for r in iter_raw(FamilyBound("stanley", "semiperimeter", n)):
+            p = make_stanley(r)
+            assert chi(chi_inv(p)) == p
+
+    @given(long_word("UFD"), large_stanley())
+    @settings(max_examples=40, deadline=None)
+    def test_large(self, w, p):
+        m = make_motzkin(w)
+        assert chi_inv(chi(m)) == m
+        assert chi(chi_inv(p)) == p
 
 
 @pytest.mark.parametrize("name, checks_of, check, pair", [

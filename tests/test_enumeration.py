@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from stanlab import bijections, enumeration, objects
+from stanlab import enumeration, objects, verification
 from stanlab.catalog import catalan
 from stanlab.enumeration import (
     SUPPORTED_PAIRS,
@@ -120,7 +120,7 @@ class TestStreaming:
     # the chi-prime sources, which call the cap directly
     @pytest.mark.parametrize("stream, size", [
         (lambda: iter_raw(FamilyBound("dyck", "semilength", 5)), 42),
-        (lambda: bijections.SCANNED["chi_prime"][1](7), 82),
+        (lambda: verification.SCANNED["chi_prime"][1](7), 82),
     ], ids=["iter_raw", "chi_prime_sources"])
     def test_cap_is_checked_item_by_item(self, monkeypatch, stream, size):
         monkeypatch.setattr(enumeration, "DEFAULT_CAP", size)
