@@ -6,7 +6,9 @@ columns).  Each walk expands only prefixes that complete and emits a forced
 tail in one step.  All eight walks share one driver over lazy child
 iterators on an explicit stack, so no recursion limit bounds an object's
 length; it finishes each node with little left from a per-walk table of its
-state's completions.  Re-invoking an iterator restarts the same stream.  A
+state's completions, as one run of objects: ``chain.from_iterable`` flattens
+the runs in C.  Streams are lazy iterators, not generators; they walk nothing
+before the first draw, and re-invoking one's function restarts the stream.  A
 safety cap, counted in ``islice`` at no Python call per object, bounds
 stream length.  ``count`` counts a stream and ``count_grouped`` reads one
 statistic per object straight from the raw encoding; no table outlives its
@@ -36,18 +38,24 @@ TABLE_LIMIT = 1024  # the most completions a table holds, whatever the bound
 def _walk(roots: Iterable[tuple], children, near: int = 0) -> Iterator:
     """Depth-first over nodes (object, *state, left): a node with nothing
     left is a leaf and its object is yielded; any other is expanded by
-    children(*node).  The stack holds one lazy child iterator per level, so
-    objects come out in the order the children are listed.  A node with at
-    most near left is finished from its state's completion suffixes, listed
-    in child order on first use by walking from the empty object and kept
-    for this walk only; a state with over TABLE_LIMIT of them is expanded."""
+    children(*node).  The objects are _runs' runs, flattened in C."""
+    return chain.from_iterable(_runs(roots, children, near))
+
+
+def _runs(roots: Iterable[tuple], children, near: int) -> Iterator:
+    """_walk's objects in runs, a leaf's a run of one.  The stack holds one
+    lazy child iterator per level, so objects come out in the order the
+    children are listed.  A node with at most near left is finished in one
+    run from its state's completion suffixes, listed in child order on first
+    use by walking from the empty object and kept for this walk only; a
+    state with over TABLE_LIMIT of them is expanded."""
     tables = {}
     stack = [iter(roots)]
     while stack:
         for node in stack[-1]:
             left = node[-1]
             if not left:
-                yield node[0]
+                yield (node[0],)
                 continue
             if left <= near:
                 table = tables.get(node[1:])
@@ -58,7 +66,7 @@ def _walk(roots: Iterable[tuple], children, near: int = 0) -> Iterator:
                         table = ()
                     tables[node[1:]] = table
                 if table:
-                    yield from map(node[0].__add__, table)
+                    yield map(node[0].__add__, table)
                     continue
             stack.append(children(*node))
             break
@@ -113,7 +121,7 @@ def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
             else:
                 yield word + "U" + "D" * (h + 1), 0, 0, 0
 
-    return _walk([("", 0, 0, 2 * n)], children, 8)
+    return _walk([("", 0, 0, 2 * n)], children, 9)
 
 
 def _gen_peakless_motzkin(n: int) -> Iterator[str]:
@@ -160,7 +168,7 @@ def _parallelogram_children(cols: tuple, b: int, top: int, left: int):
             yield cols + ((b2, h2),), b2, b2 + h2 - 1, left - h2
 
 
-# each walk's near (8 for both paths) is the fastest at the benchmark's sizes
+# each walk's near (9 Dyck, 8 Motzkin) is the fastest at the benchmark's sizes
 _GENERATORS = {
     ("stanley", "columns"): lambda n: _gen_stanley(n, 0, 0, 3),
     ("stanley", "semiperimeter"): lambda n: _gen_stanley(n, 1, 0, 5),
@@ -206,16 +214,16 @@ def _capped(stream: Iterable, what: object) -> Iterator:
 
 
 def iter_raw(bound: FamilyBound) -> Iterator:
-    """Stream raw encodings in canonical order, enforcing DEFAULT_CAP."""
-    yield from _capped(
-        _GENERATORS[(bound.family, bound.measure)](bound.value), bound)
+    """Stream raw encodings in canonical order, enforcing DEFAULT_CAP.  The
+    stream is a lazy iterator: its walk starts on the first draw."""
+    walk = _GENERATORS[(bound.family, bound.measure)]
+    return _capped(chain.from_iterable(map(walk, (bound.value,))), bound)
 
 
 def enumerate_family(bound: FamilyBound) -> Iterator:
-    """Stream the bound's objects in canonical order; the generators only
-    build valid objects, so they are wrapped without validation."""
-    cls = objects.FAMILIES[bound.family][0]
-    yield from map(cls, iter_raw(bound))
+    """Stream the bound's objects lazily in canonical order; the generators
+    only build valid objects, so they are wrapped without validation."""
+    return map(objects.FAMILIES[bound.family][0], iter_raw(bound))
 
 
 # -- statistics access ---------------------------------------------------------

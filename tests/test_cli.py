@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -86,6 +87,19 @@ class TestEnumerate:
                            "--measure", "semilength", "--value", "5",
                            "--limit", "0")
         assert (code, out) == (0, "")
+
+    def test_zero_limit_walks_nothing(self, capsys):
+        # the stream is lazy, so the walk of a bound far past the cap, which
+        # would first list its 2,000,001 heights, never starts
+        tracemalloc.start()
+        try:
+            result = run(capsys, "enumerate", "--family", "dyck", "--measure",
+                         "semilength", "--value", "1000000", "--limit", "0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "", "")
+        assert peak < 2**20, peak
 
     def test_limit_draws_no_object_past_it(self, capsys, monkeypatch):
         # 14 Dyck words of semilength 4: a cap of 5 refuses the sixth, which
@@ -781,6 +795,51 @@ def test_benchmark_hooks_see_every_line(capsys, monkeypatch):
                        "--measure", "columns", "--value", "4")
     assert (code, len(out.splitlines())) == (0, 5)
     assert calls == {"emit": 5, "stats_json": 5}
+
+
+# -- one parser serves every call in a process -------------------------------
+
+def test_reused_parser_prints_what_a_fresh_one_does(capsys, monkeypatch):
+    calls = [("enumerate", "--family", "stanley", "--value", "x"),
+             ("enumerate", "--family", "stanley", "--measure", "columns",
+              "--value", "4")]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert fresh[0][:2] == (2, "") and "invalid int value" in fresh[0][2]
+    assert fresh[1] == (0, ENUMERATE_COLUMNS_4, "")
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(capsys, *argv) for argv in calls] == fresh
+
+
+def test_help_then_group_by_prints_the_pinned_bytes(capsys, monkeypatch):
+    # the order of perfbench's child: --help at set-up, then the commands
+    monkeypatch.setattr(cli, "_parser", None)
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: stanlab")
+    assert run(capsys, "enumerate", "--family", "stanley", "--measure",
+               "area", "--value", "6", "--group-by", "row") == \
+        (0, '{"1":1,"2":4,"3":1}\n', "")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    build = cli._build_parser
+    builds = []
+
+    def counted():
+        builds.append(build())
+        return builds[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "series", "--gf", "nope", "--order", "1")[0] == 2
+    # an entry rebound after the parser is built still reaches main
+    monkeypatch.setitem(cli.SERIES, "area", cli.SERIES["area"]._replace(cap=0))
+    code, _, err = run(capsys, "series", "--gf", "area", "--order", "1")
+    assert code == 3 and "cap of 0" in err
+    assert len(builds) == 1
 
 
 # -- README stays in step with the code --------------------------------------

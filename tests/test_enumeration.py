@@ -102,6 +102,24 @@ class TestStreaming:
         bound = FamilyBound("stanley", "area", 7)
         assert list(iter_raw(bound)) == list(iter_raw(bound))
 
+    @pytest.mark.parametrize("stream", [iter_raw, enumerate_family])
+    def test_streams_walk_nothing_before_the_first_draw(self, stream,
+                                                        monkeypatch):
+        pair = ("dyck", "semilength")
+        real = enumeration._GENERATORS[pair]
+        calls = []
+
+        def recorded(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setitem(enumeration._GENERATORS, pair, recorded)
+        items = stream(FamilyBound(*pair, 3))
+        assert calls == []
+        next(items)
+        assert calls == [3]
+        assert len(list(items)) == 4 and calls == [3]
+
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(enumeration, "DEFAULT_CAP", 100)
         with pytest.raises(CapExceeded):
@@ -467,21 +485,27 @@ class TestDriver:
         # At columns 100 a row on the first row (0, 96) may start anywhere on
         # it, so states near the end have far more than TABLE_LIMIT
         # completions; they are expanded, not tabled.
-        walk = enumeration._walk
+        # The tables live in the top-level walk's run generator, the first
+        # one made.
+        walk, runs = enumeration._walk, enumeration._runs
 
         def first_objects(tabled: bool):
-            walks = []
+            made = []
 
             def from_row_96(roots, children, near=0):
                 if near:  # the top-level walk, not a table's
                     roots = [r for r in roots if r[0] == ((0, 96),)]
                     near = near if tabled else 0
-                walks.append(walk(roots, children, near))
-                return walks[-1]
+                return walk(roots, children, near)
+
+            def recorded(*args):
+                made.append(runs(*args))
+                return made[-1]
 
             monkeypatch.setattr(enumeration, "_walk", from_row_96)
+            monkeypatch.setattr(enumeration, "_runs", recorded)
             stream = enumeration._GENERATORS["stanley", "columns"](100)
-            return list(islice(stream, 1000)), walks[0]
+            return list(islice(stream, 1000)), made[0]
 
         tracemalloc.start()
         try:
