@@ -16,9 +16,10 @@ widenings end at row i, in the order they began.
 
 chi_inv reads chi's peel back off the rows in one pass: the F's before each
 U come from the row starts, the blocks inside each U from the row ends, and
-a preorder walk of those counts writes the word.  chi_prime has no inverse:
-from semilength 5 on, distinct sources share an image and some polyominoes
-of the target semiperimeter get none (verification.preimages groups them).
+a preorder walk of those counts writes the word.  chi_prime alone has no
+inverse: from semilength 5 on, distinct sources share an image and some
+polyominoes of the target semiperimeter get none (verification.preimages(m)
+groups its sources of semilength m by image).
 """
 
 from __future__ import annotations

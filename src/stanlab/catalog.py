@@ -42,7 +42,6 @@ from .series import (
     lift,
     pochhammer,
     series_json,
-    solve_fixed_point,
 )
 
 
@@ -92,8 +91,8 @@ def _first_row(kind: str, order_x: int):
     root of the kernel F(r) = x r^2 - t r + 1 = 0 (the column-by-column
     method of Bousquet-Melou, Discrete Math. 154, 1996), found by Newton's
     step r - F(r) / F'(r): a root right through p // 2 comes out right
-    through p, so the step runs at orders 1, 2, 4, ... below order_x, then
-    to a fixed point at order_x (Brent and Kung, J. ACM 25, 1978).
+    through p, so the step runs once at each of orders 1, 2, 4, ... below
+    order_x and once at order_x (Brent and Kung, J. ACM 25, 1978).
     Asserts the kernel equation, G(1) r = r - 1 and the identity
     G (1 - u x r) = x^lead u.  As 1 - u x r is a unit, that identity holds
     exactly when every u^k slice of G is x^lead (x r)^(k-1)."""
@@ -108,10 +107,10 @@ def _first_row(kind: str, order_x: int):
         return w + divide(w * (xw - t) + 1, t - xw - xw)
 
     ring = SeriesRing(("x", "u"), grade="x", order=order_x)
-    r, p = ring.at_order(0).one(), 1
+    r, p = ring.at_order(0).one(), 0
     while p < order_x:
-        r, p = newton(lift(r, ring.at_order(p))), 2 * p
-    r = solve_fixed_point(newton, lift(r, ring))
+        p = min(2 * p or 1, order_x)
+        r = newton(lift(r, ring.at_order(p)))
     x, u = ring.gens()
     if not (x * r * r - t_of(x) * r + 1).is_zero():
         raise MismatchBetweenForms(f"{kind} kernel root fails its equation")

@@ -103,10 +103,6 @@ class UnsoundSubstitution(StanlabError, ValueError):
     """Substitution would shift terms below the truncation order."""
 
 
-class NoContraction(StanlabError, RuntimeError):
-    """Fixed-point iteration failed to stabilize."""
-
-
 class Unstable(StanlabError, RuntimeError):
     """Continued-fraction evaluation did not stabilize between depths."""
 

@@ -42,7 +42,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CancellationFailure,
-    NoContraction,
     NotInteger,
     NotInvertible,
     OutOfRange,
@@ -490,20 +489,6 @@ def collapse(a: TruncatedSeries, weights: Mapping[str, int],
             raise UnsoundSubstitution("collapse produced a negative exponent")
         out[(n,)] = out.get((n,), 0) + c
     return SeriesRing((new_var,), new_var, a.ring.order)._build(out)
-
-
-def solve_fixed_point(phi: Callable[[TruncatedSeries], TruncatedSeries],
-                      seed: TruncatedSeries) -> TruncatedSeries:
-    """Iterate phi, at most order + 2 times, until two successive series
-    agree exactly."""
-    rounds = seed.ring.order + 2
-    cur = seed
-    for _ in range(rounds):
-        nxt = phi(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise NoContraction(f"no fixed point after {rounds} rounds")
 
 
 def lift(a: TruncatedSeries, ring: SeriesRing) -> TruncatedSeries:

@@ -298,50 +298,51 @@ def _steps_on_axis(word: str) -> int:
     return n
 
 
-# map name -> (the map, its sources of size m, target semiperimeter less
-# source size).  Plain tuples read by index, like objects.FAMILIES.
-SCANNED = {
-    "chi": (bijections.chi, lambda m: enumerate_family(
-        FamilyBound("peaklessMotzkin", "steps", m)), 2),
-    # the walk emits valid words only, so they are wrapped unvalidated
-    "chi_prime": (bijections.chi_prime, lambda m: map(
-        objects.DyckPath, enumeration._capped(
-            enumeration._gen_dyck(m, 2),
-            f"triple-free Dyck words of semilength {m}")), 3),
-}
+def chi_prime_sources(size: int):
+    """chi-prime's sources, the triple-run-free Dyck words of the given
+    semilength.  The walk emits valid words only, so they are wrapped
+    unvalidated."""
+    return map(objects.DyckPath, enumeration._capped(
+        enumeration._gen_dyck(size, 2),
+        f"triple-free Dyck words of semilength {size}"))
 
 
-def preimages(map_name: str, size: int) -> dict[tuple, list]:
-    """Every source of the given size, grouped by the rows of its image."""
-    forward, sources, _ = SCANNED[map_name]
+def preimages(size: int) -> dict[tuple, list]:
+    """Every chi-prime source of the given semilength, grouped by the rows of
+    its image: chi-prime is the one map with no inverse."""
     groups: dict[tuple, list] = {}
-    for s in sources(size):
-        groups.setdefault(forward(s).rows, []).append(s)
+    for d in chi_prime_sources(size):
+        groups.setdefault(bijections.chi_prime(d).rows, []).append(d)
     return groups
 
 
-def _scan_sizes(name: str, max_size: int, first_row) -> tuple[int, list]:
-    """Run every source of size 0 .. max_size through a scanned map.  Returns
-    how many images miss the target semiperimeter or first_row(word), and
-    per size (sources, distinct images, polyominoes of that semiperimeter)."""
-    offset = SCANNED[name][2]
+def _scan_sizes(forward, sources, offset: int, max_size: int,
+                first_row) -> tuple[int, list]:
+    """Run sources(m), for each m = 0 .. max_size, through forward, whose
+    images should have semiperimeter m + offset.  Returns how many images
+    miss that semiperimeter or first_row(word), and per size (sources,
+    distinct images, polyominoes of that semiperimeter)."""
     sper = objects.STATISTICS[("stanley", "sper")]
     first = objects.STATISTICS[("stanley", "first")]
     bad = 0
     sizes = []
     for m in range(max_size + 1):
-        groups = preimages(name, m)
-        for rows, paths in groups.items():
-            bad += sum(sper(rows) != m + offset
-                       or first(rows) != first_row(p.word) for p in paths)
+        images, total = set(), 0
+        for s in sources(m):
+            rows = forward(s).rows
+            images.add(rows)
+            total += 1
+            bad += sper(rows) != m + offset or first(rows) != first_row(s.word)
         want = count(FamilyBound("stanley", "semiperimeter", m + offset))
-        sizes.append((sum(map(len, groups.values())), len(groups), want))
+        sizes.append((total, len(images), want))
     return bad, sizes
 
 
 def _chi_checks(checks: list, max_size: int) -> None:
-    bad, sizes = _scan_sizes("chi", max_size,
-                             lambda w: _steps_on_axis(w) + 1)
+    bad, sizes = _scan_sizes(
+        bijections.chi, lambda m: enumerate_family(
+            FamilyBound("peaklessMotzkin", "steps", m)), 2, max_size,
+        lambda w: _steps_on_axis(w) + 1)
     _check(checks, "flat-step map carries steps to semiperimeter and "
            "axis landings to the first row",
            "0 mismatches", f"{bad} mismatches")
@@ -356,7 +357,8 @@ def _chi_checks(checks: list, max_size: int) -> None:
 
 def _chi_prime_checks(checks: list, max_size: int) -> None:
     hills = objects.STATISTICS[("dyck", "hills")]
-    bad, sizes = _scan_sizes("chi_prime", max_size, lambda w: hills(w) + 2)
+    bad, sizes = _scan_sizes(bijections.chi_prime, chi_prime_sources, 3,
+                             max_size, lambda w: hills(w) + 2)
     _check(checks, "triple-run-free map carries semilength to semiperimeter "
            "and hills to the first row",
            "0 mismatches", f"{bad} mismatches")
@@ -402,13 +404,12 @@ def _f_checks(checks: list, max_size: int) -> None:
 
 
 def _h_psi_checks(checks: list, max_size: int) -> None:
-    limit = min(max_size, 12)
     bad_h = 0
     bad_psi = 0
     total = 0
     h_images_ok = True
     psi_detail = ""
-    for n in range(1, limit + 1):
+    for n in range(1, max_size + 1):
         bound = FamilyBound("parallelogram", "area", n)
         h_words: set[str] = set()
         psi_images: set[tuple] = set()

@@ -219,7 +219,7 @@ def test_edge_free_series_fails_under_a_one_term_change(which, i, delta):
 def test_chi_prime_image_counts_through_semilength_14():
     images, merged = [], []
     for m in range(15):
-        groups = preimages("chi_prime", m)
+        groups = preimages(m)
         sources = sum(map(len, groups.values()))
         assert sources == count(FamilyBound("stanley", "semiperimeter", m + 3)), m
         images.append(len(groups))

@@ -42,7 +42,11 @@ from stanlab.objects import (
     parallelogram_stats,
     stanley_stats,
 )
-from stanlab.verification import SCANNED, TABLE1_IDENTITIES, preimages
+from stanlab.verification import (
+    TABLE1_IDENTITIES,
+    chi_prime_sources,
+    preimages,
+)
 
 WORKED = ((0, 6), (3, 6), (4, 7), (10, 3), (11, 5))
 WORKED_WORD = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
@@ -559,7 +563,7 @@ class TestParallelogramMaps:
 class TestPreimages:
     @pytest.mark.parametrize("m", range(10))
     def test_chi_prime_sources_are_the_triple_free_words(self, m: int):
-        groups = preimages("chi_prime", m)
+        groups = preimages(m)
         words = [d.word for ds in groups.values() for d in ds]
         assert sorted(words) == sorted(
             w for w in iter_raw(FamilyBound("dyck", "semilength", m))
@@ -570,30 +574,33 @@ class TestPreimages:
     @pytest.mark.parametrize("m", range(11))
     def test_chi_prime_sources_keep_the_dyck_order(self, m: int):
         # the pruned walk yields the filtered full enumeration, in order
-        _, sources, _ = SCANNED["chi_prime"]
-        assert [d.word for d in sources(m)] == [
+        assert [d.word for d in chi_prime_sources(m)] == [
             w for w in iter_raw(FamilyBound("dyck", "semilength", m))
             if "UUU" not in w and "DDD" not in w]
 
     def test_chi_prime_sources_stop_at_the_cap(self, monkeypatch):
         # the cap counts the triple-free words: 82 at semilength 7, 185 at 8
         monkeypatch.setattr(enumeration, "DEFAULT_CAP", 100)
-        assert sum(map(len, preimages("chi_prime", 7).values())) == 82
+        assert sum(map(len, preimages(7).values())) == 82
         with pytest.raises(CapExceeded):
-            preimages("chi_prime", 8)
+            preimages(8)
 
     @pytest.mark.parametrize("m", range(10))
-    def test_chi_sources_are_every_peakless_path(self, m: int):
-        groups = preimages("chi", m)
-        words = [p.word for ps in groups.values() for p in ps]
+    def test_chi_sources_are_every_peakless_path(self, monkeypatch, m: int):
+        # the chi check scans every peakless path of each size through chi
+        scans = []
+        monkeypatch.setattr(verification, "_scan_sizes",
+                            lambda *args: scans.append(args) or (0, []))
+        verification._chi_checks([], m)
+        ((forward, sources, offset, max_size, _),) = scans
+        assert (forward, offset, max_size) == (chi, 2, m)
+        words = [p.word for p in sources(m)]
         assert len(set(words)) == len(words)
         assert len(words) == count(FamilyBound("peaklessMotzkin", "steps", m))
         assert all(len(w) == m and "UD" not in w for w in words)
-        for rows, ps in groups.items():
-            assert all(chi(p).rows == rows for p in ps)
 
     def test_collision_group(self):
-        groups = preimages("chi_prime", 5)
+        groups = preimages(5)
         assert [d.word for d in groups[((0, 2), (1, 3), (3, 2))]] == [
             "UUDUDDUUDD", "UUDUUDDUDD"]
 
@@ -610,19 +617,20 @@ class TestTableInverse:
 
     def test_chi_prime_round_trip_small(self):
         d = make_dyck("UUDDUD")
-        assert preimages("chi_prime", 3)[chi_prime(d).rows] == [d]
+        assert preimages(3)[chi_prime(d).rows] == [d]
 
     def test_no_preimage(self):
         missed = make_stanley(((0, 2), (1, 3), (2, 3)))
         assert stanley_stats(missed).sper == 5 + 3
-        assert missed.rows not in preimages("chi_prime", 5)
+        assert missed.rows not in preimages(5)
 
     def test_multiple_preimages(self):
         doubled = make_stanley(((0, 2), (1, 3), (3, 2)))
-        assert len(preimages("chi_prime", 5)[doubled.rows]) == 2
+        assert len(preimages(5)[doubled.rows]) == 2
 
     def test_unknown_map_name(self):
-        with pytest.raises(KeyError):
+        # preimages serves chi-prime alone and takes no map name
+        with pytest.raises(TypeError):
             preimages("phi", 0)
 
     def test_size_bound(self):
@@ -687,3 +695,20 @@ def test_round_trip_checks_count_each_miss(monkeypatch, name, checks_of,
     (got,) = (c for c in checks if c["name"] == check)
     total = int(got["expected"].split()[0])
     assert (got["status"], got["actual"]) == ("fail", f"{total - 2} round-trips")
+
+
+def test_h_psi_checks_sweep_every_area_asked_for(monkeypatch):
+    # each area's fountain classes are counted once, so the areas counted
+    # are the areas swept; the walks are stubbed out to keep this cheap
+    areas = []
+
+    def recording(bound, name):
+        areas.append(bound.value)
+        return {}
+
+    monkeypatch.setattr(verification, "enumerate_family", lambda bound: ())
+    monkeypatch.setattr(verification, "count_grouped", recording)
+    checks = []
+    verification._h_psi_checks(checks, 13)
+    assert areas == list(range(1, 14))
+    assert [c["status"] for c in checks] == ["pass"] * 4

@@ -27,7 +27,7 @@ from stanlab.catalog import (
     record_json,
 )
 from stanlab.errors import MismatchBetweenForms, OutOfRange
-from stanlab.series import TruncatedSeries, solve_fixed_point
+from stanlab.series import TruncatedSeries, evaluate_at_one
 from stanlab.verification import full_tally
 
 
@@ -46,41 +46,86 @@ class TestNumberSequences:
     def test_catalan(self):
         assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
+    @pytest.mark.parametrize("sequence", [fibonacci, catalan])
+    def test_negative_index_refused(self, sequence):
+        with pytest.raises(OutOfRange, match=f"^{sequence.__name__} index -1 "
+                           "is negative$"):
+            sequence(-1)
+
+
+def fixed_point(phi, w):
+    """phi iterated from w until it gives w back, within order + 2 rounds."""
+    for _ in range(w.ring.order + 2):
+        if (nxt := phi(w)) == w:
+            return w
+        w = nxt
+    raise AssertionError("no fixed point")
+
+
+def kernel_root(kind: str, r: TruncatedSeries) -> TruncatedSeries:
+    """The first-row root in r's ring by the fixed point of
+    w = 1 + x w^2 + (1 - t) w, which gains one order of x per round."""
+    t_of, _ = catalog._FIRST_ROW[kind]
+    x, one = r.ring.var("x"), r.ring.one()
+    slack = 1 - t_of(x)
+    return fixed_point(lambda w: 1 + x * w * w + slack * w, one)
+
+
+def newton_divisions(den) -> bool:
+    # Newton's denominator t - 2 x r carries no u; G's 1 - u x r does
+    return not any(e[1] for e in den.terms)
+
 
 class TestFirstRowKernel:
     @pytest.mark.parametrize("kind", ["columns", "semiperimeter"])
     def test_newton_root_matches_one_order_per_round(self, kind, monkeypatch):
-        rounds = []
-
-        def counting(phi, seed):
-            def counted(w):
-                rounds[-1] += 1
-                return phi(w)
-            rounds.append(0)
-            return solve_fixed_point(counted, seed)
-
         orders, real_divide = [], catalog.divide
 
         def recording(num, den):
-            orders.append(den.ring.order)
+            if newton_divisions(den):
+                orders.append(den.ring.order)
             return real_divide(num, den)
 
-        monkeypatch.setattr(catalog, "solve_fixed_point", counting)
         monkeypatch.setattr(catalog, "divide", recording)
-        t_of, _ = catalog._FIRST_ROW[kind]
-        for order in range(2, 61):
+        for order in range(catalog._FIRST_ROW[kind][1], 61):
             orders.clear()
             r, _, _ = catalog._first_row(kind, order)
-            # one Newton step at each power of 2 below the order
-            assert [o for o in orders if o < order] == [
-                1 << k for k in range((order - 1).bit_length())], order
-            x, one = r.ring.var("x"), r.ring.one()
-            slack = 1 - t_of(x)
-            # the reference gains one order of x per round
-            want = solve_fixed_point(lambda w: 1 + x * w * w + slack * w, one)
-            assert r == want, order
-            # Newton's steps below the order leave one step and its check
-            assert rounds.pop() <= 2, order
+            # one Newton step at each power of 2 below the order, one at it
+            assert orders == [1 << k for k in range(
+                (order - 1).bit_length())] + [order], order
+            assert r == kernel_root(kind, r), order
+
+    # at orders on both sides of powers of 2, up to the largest the CLI
+    # admits, the root is the kernel's fixed point and G's slices through
+    # x^16 are the closed coefficient formulas
+    @pytest.mark.parametrize("kind, order", [
+        (kind, order) for kind in ("columns", "semiperimeter")
+        for order in (2, 3, 8, 31, 64, 65, 150)])
+    def test_root_and_slices_at_a_spread_of_orders(self, kind, order):
+        r, G, G1 = catalog._first_row(kind, order)
+        assert r == kernel_root(kind, r)
+        assert G1 == evaluate_at_one(G, "u")
+        coeff = coeff_columns if kind == "columns" else coeff_semiperimeter
+        low = {(n, k): c for (n, k), c in G.terms.items() if 2 <= n <= 16}
+        assert low == {(n, k): coeff(n, k) for n in range(2, min(order, 16) + 1)
+                       for k in range(1, n + (kind == "columns"))
+                       if coeff(n, k)}
+
+    @pytest.mark.parametrize("kind", ["columns", "semiperimeter"])
+    def test_kernel_check_can_fail(self, kind, monkeypatch):
+        # skip Newton's last step: the root is right only through order 4
+        real = catalog.divide
+
+        def skipping(num, den):
+            q = real(num, den)
+            if newton_divisions(den) and den.ring.order == 8:
+                q = q.ring.zero()
+            return q
+
+        monkeypatch.setattr(catalog, "divide", skipping)
+        with pytest.raises(MismatchBetweenForms,
+                           match=f"^{kind} kernel root fails its equation$"):
+            catalog._first_row(kind, 8)
 
     @pytest.mark.parametrize("kind", ["columns", "semiperimeter"])
     def test_slice_identity_can_fail(self, kind, monkeypatch):

@@ -15,12 +15,18 @@ import sys
 import tracemalloc
 import typing
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
 import stanlab.cli as cli
 from stanlab import enumeration, objects, verification
-from stanlab.errors import CapExceeded, InvariantViolation, MismatchBetweenForms
+from stanlab.errors import (
+    CapExceeded,
+    InvariantViolation,
+    MismatchBetweenForms,
+    OutOfRange,
+)
 
 WORKED_ROWS = [[0, 6], [3, 6], [4, 7], [10, 3], [11, 5]]
 WORKED_WORD = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
@@ -208,6 +214,23 @@ class TestEnumerate:
         assert len(err.splitlines()) == 1
 
 
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "dyck", "--measure", "semilength", "--value", "2"],
+    ["series", "--gf", "columns", "--order", "2"],
+    ["verify", "--suite", "table1", "--max-size", "2"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_zero(capsys, monkeypatch, argv):
+    # a reader that stops early, like `| head`, is no error
+    monkeypatch.setattr(cli.sys, "stdout", _ClosedPipe())
+    code = cli.main(argv)
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--family", "dyck", "--measure", "semilength", "--value", "1"],
     ["map", "--bijection", "phi"],
@@ -342,6 +365,25 @@ class TestMap:
         assert code == 0
         assert len(lines(out)) == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("name", ["missing.jsonl", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_input_file_exit_two(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, "map", "--bijection", "phi-inv",
+                             "--in", str(tmp_path / name))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {tmp_path / name}: ")
+
+    @pytest.mark.parametrize("blank", ["\n", "   \n", "\t\r\n"],
+                             ids=["empty", "spaces", "tab-cr"])
+    def test_blank_lines_are_skipped(self, capsys, monkeypatch, blank):
+        self.feed(monkeypatch, blank + '{"word": "UD"}\n' + blank + "x\n")
+        code, out, err = run(capsys, "map", "--bijection", "phi-inv")
+        # blank lines are read past but still counted
+        assert code == 4
+        assert [r["in"] for r in lines(out)] == [{"word": "UD"}]
+        assert err.startswith("line 4: invalid input")
 
     UNDECODABLE = b'{"word": "UD"}\n\xff\xfe\n{"word": "UUDD"}\n'
     OVER_DEEP = ('{"word": "UD"}\n' + "[" * 100_000 + '\n{"word": "UUDD"}\n'
@@ -644,6 +686,43 @@ VERIFY_DEFAULT_SIZE = {
     "thm-full":
         (0, "f2d7bbeeca312b3a4913e4513133c933698708d4f43d296142207e5a035af8f2"),
 }
+
+
+# `verify --suite all --max-size 5`: every suite's checks in one report
+VERIFY_ALL_SIZE_5 = (
+    1, "e9ad17488c83c6afd55e80bb2c22f931727d2127dc361eaef5e659535286d836")
+
+
+def test_verify_all_is_every_suite_in_order(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-size", "5")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_ALL_SIZE_5
+    merged = {"suite": "all", "checks": [
+        {**c, "name": f"{name}: {c['name']}"} for name in verification.SUITES
+        for c in verification.run_suite(name, 5)["checks"]]}
+    assert lines(out) == [json.loads(json.dumps(merged))]
+
+
+def test_unknown_suite_refused():
+    with pytest.raises(OutOfRange, match="^unknown suite 'nope'$"):
+        verification.run_suite("nope")
+
+
+@pytest.mark.parametrize("suite, builder, name", [
+    ("thm-full", "gf_full",
+     "closed and iterated forms agree with no stray negative exponents"),
+    ("cf", "gf_continued_fractions", "continued fraction record"),
+], ids=["thm-full", "cf"])
+def test_a_failed_build_is_one_failed_check(capsys, monkeypatch, suite,
+                                            builder, name):
+    def broken(order):
+        raise MismatchBetweenForms("the two forms disagree")
+
+    monkeypatch.setattr(verification.catalog, builder, broken)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-size", "4")
+    assert code == 1
+    assert lines(out)[0]["checks"] == [{
+        "name": name, "status": "fail", "expected": ANY,
+        "actual": "MismatchBetweenForms: the two forms disagree"}]
 
 
 def test_verify_digests_cover_every_suite():

@@ -138,7 +138,7 @@ class TestStreaming:
     # the chi-prime sources, which call the cap directly
     @pytest.mark.parametrize("stream, size", [
         (lambda: iter_raw(FamilyBound("dyck", "semilength", 5)), 42),
-        (lambda: verification.SCANNED["chi_prime"][1](7), 82),
+        (lambda: verification.chi_prime_sources(7), 82),
     ], ids=["iter_raw", "chi_prime_sources"])
     def test_cap_is_checked_item_by_item(self, monkeypatch, stream, size):
         monkeypatch.setattr(enumeration, "DEFAULT_CAP", size)

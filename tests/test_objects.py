@@ -965,6 +965,10 @@ MESSAGES = [
      "column height -1 must be positive"),
     (objects.make_parallelogram, [(0, 1, 2)], InvalidObject,
      "columns must be a list of pairs"),
+    (objects.make_parallelogram, [], EmptyInput,
+     "a parallelogram polyomino needs at least one column"),
+    (objects.make_parallelogram, [(1, 2), (1, 3)], NonMonotoneBoundary,
+     "first column must start at row 0, got 1"),
     (objects.make_fountain, 7, InvalidObject,
      "diagonals must be a list of integers"),
     (objects.make_fountain, [], EmptyInput,
@@ -1049,6 +1053,19 @@ class TestJsonRoundTrip:
         # the parallelogram's overlaps is the one tuple field
         assert objects.stats_json(objects.make_parallelogram(
             [(0, 2), (1, 2)]))["overlaps"] == [1]
+
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: objects.to_json_obj(5), TypeError,
+         "not a family object: int"),
+        (lambda: objects.from_json_obj("nope", {}), ValueError,
+         "unknown family 'nope'"),
+    ], ids=["to-json-of-an-int", "from-json-of-an-unknown-family"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def test_package_has_no_assert_statements():

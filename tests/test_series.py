@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stanlab import series
 from stanlab.errors import (
     CancellationFailure,
-    NoContraction,
     NotInteger,
     NotInvertible,
     OutOfRange,
@@ -27,12 +26,20 @@ from stanlab.series import (
     lift,
     pochhammer,
     series_json,
-    solve_fixed_point,
 )
 
 
 def ring2(order=8):
     return SeriesRing(("x", "y"), grade="x", order=order)
+
+
+def fixed_point(phi, w):
+    """phi iterated from w until it gives w back, within order + 2 rounds."""
+    for _ in range(w.ring.order + 2):
+        if (nxt := phi(w)) == w:
+            return w
+        w = nxt
+    raise AssertionError("no fixed point")
 
 
 class TestArithmetic:
@@ -524,25 +531,44 @@ class TestCollapse:
         assert collapse(s, {"x": 1}, "t").terms == {(0,): 1, (1,): 1, (2,): 1}
 
 
+class TestRefusals:
+    """Refusals at the edges of the ring, each with its typed error."""
+
+    def test_negative_exponent_on_a_plain_variable(self):
+        r = SeriesRing(("x", "y"), grade="x", order=4, laurent=("y",))
+        assert r.monomial(1, y=-1).terms == {(0, -1): 1}
+        with pytest.raises(NotInvertible, match="non-Laurent variable 'x'"):
+            r.monomial(1, x=-1)
+
+    def test_monomial_in_an_unknown_variable(self):
+        with pytest.raises(VariableMismatch, match=r"unknown variables \['w'\]"):
+            ring2().monomial(1, w=1)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_power(self, n):
+        s = 1 - ring2().var("x")
+        with pytest.raises(NotInvertible, match="use divide"):
+            s ** n
+
+    @pytest.mark.parametrize("ring, term, weights, error, message", [
+        (ring2(), {}, {"w": 1, "x": 1}, VariableMismatch,
+         r"unknown collapse variables \['w'\]"),
+        (ring2(), {}, {"x": 1, "y": -1}, UnsoundSubstitution,
+         "weights must be nonnegative"),
+        (SeriesRing(("x", "y"), grade="x", order=4, laurent=("x",)), {"x": -1},
+         {"x": 1}, UnsoundSubstitution, "negative exponent"),
+    ], ids=["unknown", "negative-weight", "negative-result"])
+    def test_collapse_refusals(self, ring, term, weights, error, message):
+        with pytest.raises(error, match=message):
+            collapse(ring.monomial(1, **term), weights, "t")
+
+
 class TestFixedPointAndPochhammer:
     def test_catalan_fixed_point(self):
         r = SeriesRing(("x",), grade="x", order=10)
         x = r.var("x")
-        c = solve_fixed_point(lambda w: r.one() + x * w * w, r.one())
+        c = fixed_point(lambda w: r.one() + x * w * w, r.one())
         assert [int(c.coeff({"x": n})) for n in range(6)] == [1, 1, 2, 5, 14, 42]
-
-    def test_no_fixed_point_after_order_plus_two_rounds(self):
-        r = SeriesRing(("x",), grade="x", order=6)
-        one = r.one()
-        rounds = []
-
-        def shift(w):
-            rounds.append(w)
-            return w + one
-
-        with pytest.raises(NoContraction, match="after 8 rounds"):
-            solve_fixed_point(shift, one)
-        assert len(rounds) == r.order + 2
 
     def test_pochhammer_telescopes(self):
         r = SeriesRing(("z",), grade="z", order=9)
@@ -928,7 +954,7 @@ class TestRangeGuard:
     def test_small_fixed_point_through_order_60(self):
         r = SeriesRing(("x",), grade="x", order=60)
         x, one = r.var("x"), r.one()
-        c = solve_fixed_point(lambda w: one + x * w * w, one)
+        c = fixed_point(lambda w: one + x * w * w, one)
         assert [c.coeff({"x": n}) for n in range(61)] == [
             comb(2 * n, n) // (n + 1) for n in range(61)]
 
