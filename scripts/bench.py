@@ -4,23 +4,27 @@
     python3 scripts/bench.py --out BENCH_35.json --root ../parent --root .
 
 Each --root is a checkout (default: the one holding this script).  For each
-root the file records:
+root the file records the path as given and:
 
 - the four perfbench workloads' end-to-end metrics: ``perfbench/run.py
   --trace 0`` of that root, run as a subprocess (reference seconds);
 - the median time to ``import stanlab.cli`` over fresh interpreters;
 - the Tier-1 wall time and pytest's summary line;
-- in process, in wall seconds: each suite at its default size
-  (``bijections`` at 12), the bijections suite's fountain-physics check on
-  its own, each ``gf_*`` builder at its ``series`` cap, and objects per
-  second from each generator.
+- in process: each suite at its default size (``bijections`` at 12), the
+  bijections suite's fountain-physics check on its own, each ``gf_*``
+  builder at its ``series`` cap, and a count with each generator.  Each
+  part gets its wall seconds (``raw_s``), the median of
+  ``perfbench/child.py``'s ``calibrate()`` loop timed around it
+  (``calibration_s``), and the wall seconds scaled as perfbench scales
+  ``run_s`` (``reference_s``); each generator also gets its object count.
 
 With several roots every timed part but Tier-1 alternates between roots,
 and which root goes first alternates from turn to turn, so a change in the
 machine's load reaches all of them alike.  The in-process timings run in a
 fresh interpreter that imports the root's sources, five times per root;
-each is the least of the five, since load from other processes only ever
-adds time.  Standard library only.
+each part keeps the run of the five with the least reference seconds, since
+load from other processes only ever adds time.  Every root is calibrated
+by the loop of this script's checkout.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,10 +39,13 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 WORKLOADS = ("count-grouped", "verify-suites", "series-build", "map-stream")
 IMPORT_STARTS = 20
 PERFBENCH_SECONDS = 8  # perfbench's --seconds for each workload run
 REPEATS = 5  # in-process timings are the least of this many runs
+CALIBRATIONS = 4  # calibration loops timed before and again after each part
+REFERENCE_S = 0.002  # perfbench/run.py's nominal calibration time
 
 # builder -> the `series --gf` choice whose cap it is built at
 BUILDERS = {
@@ -64,35 +71,45 @@ GENERATORS = {
 }
 
 
-def _timed(fn) -> tuple[float, object]:
-    """Wall time of one call of fn, and its result."""
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
-
-
 def in_process() -> dict:
-    """One in-process timing of each part of the stanlab on sys.path."""
+    """One in-process timing of each part of the stanlab on sys.path.
+
+    Importing perfbench's child builds the CLI parser and writes ``ready``
+    on stdout before the caller prints its JSON line."""
+    sys.path.insert(0, PERFBENCH)
+    from child import calibrate
     from stanlab import catalog, cli, enumeration, verification
+
+    def timed(fn) -> dict:
+        samples = [calibrate() for _ in range(CALIBRATIONS)]
+        t0 = time.perf_counter()
+        out = fn()
+        raw = time.perf_counter() - t0
+        samples += [calibrate() for _ in range(CALIBRATIONS)]
+        cal = statistics.median(samples)
+        part = {"raw_s": raw, "calibration_s": cal,
+                "reference_s": raw * REFERENCE_S / cal}
+        if type(out) is int:
+            part["objects"] = out
+        return part
 
     suites, builders, generators = {}, {}, {}
     for name, size in verification.SUITE_DEFAULT_SIZE.items():
         size = 12 if name == "bijections" else size
-        suites[f"{name}@{size}"], _ = _timed(
+        suites[f"{name}@{size}"] = timed(
             lambda: verification.run_suite(name, size))
-    checks = {}
-    checks["fountain_physics"], _ = _timed(
-        lambda: verification._fountain_brute_checks([]))
+    checks = {"fountain_physics": timed(
+        lambda: verification._fountain_brute_checks([]))}
     for name, gf in BUILDERS.items():
         cap = cli.SERIES[gf].cap
-        builders[f"{name}@{cap}"], _ = _timed(
+        builders[f"{name}@{cap}"] = timed(
             lambda: getattr(catalog, name)(cap))
     for (family, measure), value in GENERATORS.items():
         bound = enumeration.FamilyBound(family, measure, value)
-        s, n = _timed(lambda: enumeration.count(bound))
-        generators[f"{family}/{measure}@{value}"] = n / s
+        generators[f"{family}/{measure}@{value}"] = timed(
+            lambda: enumeration.count(bound))
     return {"suites_s": suites, "checks_s": checks, "builders_s": builders,
-            "generators_objects_per_s": generators}
+            "generators_s": generators}
 
 
 def _env(root: str) -> dict:
@@ -146,8 +163,9 @@ def main(argv=None) -> int:
                         help="a checkout to measure (repeatable; default: "
                              "this script's checkout)")
     args = parser.parse_args(argv)
-    roots = [os.path.abspath(r) for r in args.root or [os.path.dirname(HERE)]]
-    found = {r: {"perfbench": {}} for r in roots}
+    given = args.root or [os.path.dirname(HERE)]
+    roots = [os.path.abspath(r) for r in given]
+    found = {r: {"root": g, "perfbench": {}} for r, g in zip(roots, given)}
 
     for turn, workload in enumerate(WORKLOADS):
         for root in _in_turn(roots, turn):
@@ -169,15 +187,16 @@ def main(argv=None) -> int:
             proc = subprocess.run([sys.executable, "-c", code],
                                   env=_env(root), capture_output=True,
                                   text=True, check=True)
-            runs[root].append(json.loads(proc.stdout))
+            # the last line: importing child.py writes "ready" first
+            runs[root].append(json.loads(proc.stdout.splitlines()[-1]))
     for root in roots:
         found[root]["import_stanlab_cli_ms"] = {
             "median": statistics.median(starts[root]),
             "samples": starts[root]}
         for part, values in runs[root][0].items():
-            best = max if part == "generators_objects_per_s" else min
             found[root][part] = {
-                key: best(run[part][key] for run in runs[root])
+                key: min((run[part][key] for run in runs[root]),
+                         key=lambda timing: timing["reference_s"])
                 for key in values}
     for root in roots:
         found[root]["tier1"] = tier1(root)
@@ -188,7 +207,9 @@ def main(argv=None) -> int:
                     "platform": platform.platform()},
         "settings": {"perfbench_seconds": PERFBENCH_SECONDS, "seed": 1,
                      "import_starts": IMPORT_STARTS,
-                     "in_process_repeats": REPEATS},
+                     "in_process_repeats": REPEATS,
+                     "calibrations_around_each_part": 2 * CALIBRATIONS,
+                     "reference_s": REFERENCE_S},
         "checkouts": [found[r] for r in roots],
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -276,14 +276,14 @@ def fountain_fault(d: tuple) -> tuple | None:
     """The first fountain rule the diagonal sizes d break, or None when d is
     a fountain.
 
-    Every coin above level 0 rests on two adjacent coins below, which forces
-    each diagonal to be a contiguous run from the bottom and bounds each size
-    by the next size plus one.  The faults are found in this order: no
-    diagonal, then each size's type and sign, then the last size, then the
-    drops, left to right.  A fault is a plain record, (error class, message
-    template, *template arguments): no error is built and no message is
-    formatted, so asking whether d is a fountain costs little either way.
-    fountain_error turns the record into the error make_fountain raises.
+    The input checks come first: no diagonal, then each size's type and
+    sign, left to right.  The rest is diagonal_fault's.  A fault is a plain
+    record, (error class, message template, *template arguments): no error
+    is built and no message is formatted, so asking whether d is a fountain
+    costs little either way.  fountain_error turns the record into the error
+    make_fountain raises.  The physics check walks compositions, tuples of
+    positive ints, so it asks diagonal_fault alone and leaves this full rule
+    to make_fountain on the compositions it accepts.
     """
     if not d:
         return (EmptyInput, "a fountain needs at least one diagonal")
@@ -293,6 +293,18 @@ def fountain_fault(d: tuple) -> tuple | None:
         if x <= 0:
             return (NegativeOrZeroLength,
                     "diagonal size %s must be positive", x)
+    return diagonal_fault(d)
+
+
+def diagonal_fault(d: tuple) -> tuple | None:
+    """The first diagonal inequality the positive sizes d break, as a
+    fountain_fault record, or None.
+
+    Every coin above level 0 rests on two adjacent coins below, which forces
+    each diagonal to be a contiguous run from the bottom: the last size is 1
+    and each size is at most the next size plus one.  The last size is
+    checked first, then the drops, left to right.
+    """
     if d[-1] != 1:
         return (BadLastDiagonal, "last diagonal must be 1, got %s", d[-1])
     for j in range(len(d) - 1):

@@ -118,15 +118,22 @@ def _check_all_equal(checks: list, name: str, bad: list[str],
                   where + ", ".join(bad) if bad else "all equal")
 
 
-def _check_built(checks: list, name: str, want: str, build):
-    """Run build() and record whether it finished: a StanlabError it raises
+def _try_build(checks: list, name: str, want: str, build):
+    """Run build() and return what it built; a StanlabError it raises
     becomes a failed check and None is returned."""
     try:
-        built = build()
+        return build()
     except StanlabError as exc:
         _check(checks, name, want, f"{type(exc).__name__}: {exc}")
         return None
-    _check(checks, name, want, want)
+
+
+def _check_built(checks: list, name: str, want: str, build):
+    """As _try_build, and record a passing check when build() gives
+    something back."""
+    built = _try_build(checks, name, want, build)
+    if built is not None:
+        _check(checks, name, want, want)
     return built
 
 
@@ -454,11 +461,12 @@ def _fountain_brute_checks(checks: list) -> None:
     # its diagonals and the levels the walk carried.  comp + (h,) has the
     # levels of comp + (h - 1,) plus the new diagonal's bit on level h - 1 (a
     # new top level past the height), so a node's list is updated in place.
-    # The rule returns its fault as a plain record, so the 247,073 rejected
-    # compositions cost no error object and no message; make_fountain
-    # builds only the compositions the rule accepts.
+    # Compositions are tuples of positive ints, so the walk asks only the
+    # diagonal inequalities, which return a fault as a plain record: the
+    # 247,073 rejected compositions cost no error object and no message.
+    # make_fountain applies the full rule to the 15,070 they accept.
     limit = 18
-    fault, make = objects.fountain_fault, objects.make_fountain
+    fault, make = objects.diagonal_fault, objects.make_fountain
     support_ok = objects.levels_support_ok
     diagonals, levels_of = objects.diagonals_from_levels, objects.fountain_levels
     bad = total = 0
@@ -641,11 +649,9 @@ def suite_area(checks: list, max_size: int) -> None:
 # -- continued fraction --------------------------------------------------------------
 
 def suite_cf(checks: list, max_size: int) -> None:
-    try:
-        rec = catalog.gf_continued_fractions(max_size)
-    except StanlabError as exc:
-        _check(checks, "continued fraction record", "built",
-               f"{type(exc).__name__}: {exc}")
+    rec = _try_build(checks, "continued fraction record", "built",
+                     lambda: catalog.gf_continued_fractions(max_size))
+    if rec is None:
         return
     a = rec["a"]
 

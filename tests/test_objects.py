@@ -501,6 +501,26 @@ class TestFountains:
                 assert (type(error), str(error)) == new, data
         assert built == 788  # the fountains among the inputs
 
+    def test_inequalities_are_the_rule_on_positive_sizes(self):
+        # on tuples of positive ints the input checks cannot fire, so the
+        # diagonal inequalities give the full rule's record, or None, for
+        # every composition of at most 12 coins and every such input of
+        # MESSAGES
+        inputs = [c for n in range(1, 13) for c in old_compositions(n)]
+        positive = [tuple(data) for make, data, *_ in MESSAGES
+                    if make is objects.make_fountain and type(data) is list
+                    and data and all(type(x) is int and x > 0 for x in data)]
+        assert positive == [(2, 2), (1, 3, 1)]
+        faults = Counter()
+        for d in inputs + positive:
+            fault = objects.diagonal_fault(d)
+            assert fault == objects.fountain_fault(d), d
+            faults[fault and fault[0]] += 1
+        # 554 fountains among the compositions; one fault of each kind in
+        # MESSAGES
+        assert faults == {None: 554, BadLastDiagonal: 2047 + 1,
+                          DiagonalDrop: 1494 + 1}
+
     def test_coin_parities(self):
         s = objects.fountain_stats(objects.make_fountain((2, 3, 2, 1)))
         # ceil halves on even levels, floor halves above
@@ -687,17 +707,18 @@ def physics_run():
     the set model.  Levels are compared as each composition is checked,
     because the walk updates its level lists in place."""
     real = {name: getattr(objects, name) for name in (
-        "fountain_fault", "make_fountain", "levels_support_ok",
-        "diagonals_from_levels", "fountain_levels")}
+        "diagonal_fault", "fountain_fault", "make_fountain",
+        "levels_support_ok", "diagonals_from_levels", "fountain_levels")}
     run = SimpleNamespace(calls=Counter(), totals=Counter(), small=[],
                           levels_unlike_masks=[], levels_unlike_sets=[],
                           accepted=[])
     pending = []
 
     def meet(comp):
-        # the walk asks fountain_fault right after levels_support_ok, so the
+        # the walk asks diagonal_fault right after levels_support_ok, so the
         # levels that call left are this composition's; make_fountain asks
-        # the rule again with nothing pending
+        # the inequalities again, through fountain_fault, with nothing
+        # pending
         if not pending:
             return
         comp, levels = tuple(comp), pending.pop()
@@ -720,7 +741,8 @@ def physics_run():
         return wrapper
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(objects, "fountain_fault", counted("fountain_fault", meet))
+        m.setattr(objects, "diagonal_fault", counted("diagonal_fault", meet))
+        m.setattr(objects, "fountain_fault", counted("fountain_fault"))
         m.setattr(objects, "make_fountain", counted("make_fountain"))
         m.setattr(objects, "levels_support_ok", counted(
             "levels_support_ok", lambda levels: pending.append(list(levels))))
@@ -750,14 +772,14 @@ class TestFountainPhysicsCheck:
         return check
 
     def test_looser_inequality_is_caught(self, monkeypatch):
-        # make_fountain reads the rule from the module, so it builds what
-        # the looser rule accepts
+        # fountain_fault reads the inequalities from the module, so
+        # make_fountain builds what the looser rule accepts
         def loose(d):
             if d[-1] != 1 or any(a > b + 2 for a, b in zip(d, d[1:])):
                 return DiagonalDrop(f"{d} drops by more than 2")
             return None
 
-        monkeypatch.setattr(objects, "fountain_fault", loose)
+        monkeypatch.setattr(objects, "diagonal_fault", loose)
         check = self.run_check()
         assert check["status"] == "fail"
         assert check["actual"] == "43718 disagreements over 262143 compositions"
@@ -777,11 +799,13 @@ class TestFountainPhysicsCheck:
         assert check["actual"] == "15070 disagreements over 262143 compositions"
 
     def test_every_composition_goes_through_each_check(self, physics_run):
-        # fountain_fault sees every composition from the walk and each of
-        # the 15,070 fountains again inside make_fountain
+        # diagonal_fault sees every composition from the walk and each of
+        # the 15,070 fountains again inside make_fountain, which alone asks
+        # the full rule
         assert physics_run.check["status"] == "pass"
         assert physics_run.calls == {
-            "fountain_fault": 262143 + 15070, "levels_support_ok": 262143,
+            "diagonal_fault": 262143 + 15070, "fountain_fault": 15070,
+            "levels_support_ok": 262143,
             "make_fountain": 15070, "diagonals_from_levels": 15070,
             "fountain_levels": 15070}
 
