@@ -14,9 +14,15 @@ root the file records the path as given and:
   bijections suite's fountain-physics check on its own, each ``gf_*``
   builder at its ``series`` cap, and a count with each generator.  Each
   part gets its wall seconds (``raw_s``), the median of
-  ``perfbench/child.py``'s ``calibrate()`` loop timed around it
+  ``perfbench/child.py``'s ``calibrate()`` loop timed just before, during
+  (from a timer, through child.py's ``Speed``) and just after it
   (``calibration_s``), and the wall seconds scaled as perfbench scales
-  ``run_s`` (``reference_s``); each generator also gets its object count.
+  ``run_s`` (``reference_s``); each generator also gets its object count;
+- in process, ``maps_us``: the library map of each ``map --bijection``
+  choice that perfbench's ``map-stream`` runs, over that workload's seed-1
+  inputs (decoded before the clock starts), as microseconds per object,
+  raw (``raw_us``) and scaled (``reference_us``), with the calibration
+  median and the object count.
 
 With several roots every timed part but Tier-1 alternates between roots,
 and which root goes first alternates from turn to turn, so a change in the
@@ -33,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -44,7 +51,7 @@ WORKLOADS = ("count-grouped", "verify-suites", "series-build", "map-stream")
 IMPORT_STARTS = 20
 PERFBENCH_SECONDS = 8  # perfbench's --seconds for each workload run
 REPEATS = 5  # in-process timings are the least of this many runs
-CALIBRATIONS = 4  # calibration loops timed before and again after each part
+MAP_PASSES = 10  # passes of each map over map-stream's inputs
 REFERENCE_S = 0.002  # perfbench/run.py's nominal calibration time
 
 # builder -> the `series --gf` choice whose cap it is built at
@@ -77,23 +84,35 @@ def in_process() -> dict:
     Importing perfbench's child builds the CLI parser and writes ``ready``
     on stdout before the caller prints its JSON line."""
     sys.path.insert(0, PERFBENCH)
-    from child import calibrate
-    from stanlab import catalog, cli, enumeration, verification
+    from child import BRACKET_SAMPLES, SAMPLE_EVERY_S, Speed
+    from workloads import commands
+    from stanlab import catalog, cli, enumeration, objects, verification
+
+    # as in child.py: each part's samples are the bracket before it (the
+    # last part's after), those its timer takes and the bracket after it,
+    # and the time the timer takes is not the part's
+    speed = Speed()
+    signal.signal(signal.SIGALRM, speed.on_timer)
+    speed.bracket()
 
     def timed(fn) -> dict:
-        samples = [calibrate() for _ in range(CALIBRATIONS)]
+        first = len(speed.samples) - BRACKET_SAMPLES
+        stolen = speed.stolen_s
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY_S, SAMPLE_EVERY_S)
         t0 = time.perf_counter()
         out = fn()
         raw = time.perf_counter() - t0
-        samples += [calibrate() for _ in range(CALIBRATIONS)]
-        cal = statistics.median(samples)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        raw -= speed.stolen_s - stolen
+        speed.bracket()
+        cal = statistics.median(speed.samples[first:])
         part = {"raw_s": raw, "calibration_s": cal,
                 "reference_s": raw * REFERENCE_S / cal}
         if type(out) is int:
             part["objects"] = out
         return part
 
-    suites, builders, generators = {}, {}, {}
+    suites, builders, generators, maps = {}, {}, {}, {}
     for name, size in verification.SUITE_DEFAULT_SIZE.items():
         size = 12 if name == "bijections" else size
         suites[f"{name}@{size}"] = timed(
@@ -108,8 +127,30 @@ def in_process() -> dict:
         bound = enumeration.FamilyBound(family, measure, value)
         generators[f"{family}/{measure}@{value}"] = timed(
             lambda: enumeration.count(bound))
-    return {"suites_s": suites, "checks_s": checks, "builders_s": builders,
-            "generators_s": generators}
+    for cmd in commands("map-stream", 1):
+        if cmd["argv"][0] != "map":
+            continue
+        name = cmd["argv"][-1]
+        family, func = cli.BIJECTIONS[name]
+        sources = [objects.from_json_obj(family, json.loads(line))
+                   for line in cmd["input"]]
+
+        def run() -> int:
+            for _ in range(MAP_PASSES):
+                for x in sources:
+                    func(x)
+            return MAP_PASSES * len(sources)
+
+        part = timed(run)
+        per = 1e6 / part["objects"]
+        maps[name] = {"raw_us": part["raw_s"] * per,
+                      "calibration_s": part["calibration_s"],
+                      "reference_us": part["reference_s"] * per,
+                      "objects": len(sources)}
+    return {"calibration": {"samples_before_and_after": BRACKET_SAMPLES,
+                            "sample_every_s": SAMPLE_EVERY_S},
+            "suites_s": suites, "checks_s": checks, "builders_s": builders,
+            "generators_s": generators, "maps_us": maps}
 
 
 def _env(root: str) -> dict:
@@ -148,6 +189,11 @@ def tier1(root: str) -> dict:
     wall = time.perf_counter() - t0
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
     return {"wall_s": wall, "summary": summary.strip("= ")}
+
+
+def _reference(timing: dict) -> float:
+    """A part's scaled time, in seconds or in microseconds per object."""
+    return timing.get("reference_s", timing.get("reference_us"))
 
 
 def _in_turn(roots: list, turn: int) -> list:
@@ -189,6 +235,9 @@ def main(argv=None) -> int:
                                   text=True, check=True)
             # the last line: importing child.py writes "ready" first
             runs[root].append(json.loads(proc.stdout.splitlines()[-1]))
+    # every run reports the same calibration settings of child.py
+    calibration = [run.pop("calibration") for root in roots
+                   for run in runs[root]][0]
     for root in roots:
         found[root]["import_stanlab_cli_ms"] = {
             "median": statistics.median(starts[root]),
@@ -196,7 +245,7 @@ def main(argv=None) -> int:
         for part, values in runs[root][0].items():
             found[root][part] = {
                 key: min((run[part][key] for run in runs[root]),
-                         key=lambda timing: timing["reference_s"])
+                         key=_reference)
                 for key in values}
     for root in roots:
         found[root]["tier1"] = tier1(root)
@@ -208,7 +257,8 @@ def main(argv=None) -> int:
         "settings": {"perfbench_seconds": PERFBENCH_SECONDS, "seed": 1,
                      "import_starts": IMPORT_STARTS,
                      "in_process_repeats": REPEATS,
-                     "calibrations_around_each_part": 2 * CALIBRATIONS,
+                     "calibration": calibration,
+                     "map_passes": MAP_PASSES,
                      "reference_s": REFERENCE_S},
         "checkouts": [found[r] for r in roots],
     }

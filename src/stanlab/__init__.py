@@ -26,10 +26,12 @@ from .bijections import (
     chi_prime,
     f_inv,
     f_map,
+    h_inv,
     h_map,
     phi,
     phi_inv,
     psi,
+    psi_inv,
 )
 from .enumeration import FamilyBound, count_grouped, enumerate_family
 from .catalog import (
@@ -53,7 +55,7 @@ __all__ = [
     "make_parallelogram",
     "stanley_stats", "dyck_stats", "fountain_stats", "parallelogram_stats",
     "phi", "phi_inv", "chi", "chi_inv", "chi_prime", "f_map", "f_inv",
-    "h_map", "psi", "preimages",
+    "h_map", "h_inv", "psi", "psi_inv", "preimages",
     "FamilyBound", "enumerate_family", "count_grouped",
     "gf_columns", "gf_semiperimeter", "gf_area", "gf_full",
     "gf_continued_fractions", "coeff_columns", "coeff_semiperimeter",

@@ -4,8 +4,16 @@ phi encodes a Stanley polyomino as a Dyck word from its a/b sequences and
 phi_inv rebuilds the rows from the run lengths.  chi sends peakless Motzkin
 paths to Stanley polyominoes; chi_prime sends Dyck paths avoiding UUU and
 DDD.  f_map sends coin fountains to Stanley polyominoes one column up, and
-h_map reads a parallelogram polyomino as a Dyck path through its column
-heights and overlaps.  psi chains h_map, phi_inv and f_inv.
+h_map reads a parallelogram polyomino as a Dyck path, one D run and one U
+run from each two neighbouring columns.
+
+psi is f_inv of the shear that makes column i, (b, h), row (b + i, h + 1).
+That shear is phi_inv of h_map: with t = b + h a column's top, h_map writes
+U^h_0, then D^(b_{i+1} - b_i + 1) U^(t_{i+1} - t_i + 1) for each two
+neighbouring columns, then D^h_last; phi_inv makes row 0 (0, h_0 + 1) and
+starts each next row one D run further right, one U run less one D run
+longer, which puts row i at (b_i + i, h_i + 1).  h_inv and psi_inv undo the
+shear of phi_inv and of f_map.
 
 f_map, chi and chi_prime build rows bottom up in one pass over a list of
 diagonal sizes: an odd size k at position j makes the next row, ending at
@@ -38,8 +46,8 @@ from .objects import (
     make_dyck,
     make_fountain,
     make_motzkin,
+    make_parallelogram,
     make_stanley,
-    parallelogram_stats,
 )
 
 
@@ -227,18 +235,44 @@ def f_inv(p: StanleyPolyomino) -> CoinFountain:
     return make_fountain(sizes)
 
 
-# -- h: parallelogram polyominoes -> Dyck paths ----------------------------------
+# -- h and psi: parallelogram polyominoes -> Dyck paths and coin fountains -----
+#
+# The shear sends column i, (b, h), to row (b + i, h + 1): rows then start
+# and end strictly right of the row below exactly when the columns' bottoms
+# and tops never go down, and share a column exactly when the columns share
+# a row, so it is a bijection onto the Stanley polyominoes other than the
+# single cell.
+
+def _sheared(q: ParallelogramPolyomino) -> StanleyPolyomino:
+    return make_stanley([(b + i, h + 1)
+                         for i, (b, h) in enumerate(q.columns)])
+
+
+def _unsheared(p: StanleyPolyomino) -> ParallelogramPolyomino:
+    return make_parallelogram([(s - i, l - 1)
+                               for i, (s, l) in enumerate(p.rows)])
+
 
 def h_map(q: ParallelogramPolyomino) -> DyckPath:
-    heights = [h for _, h in q.columns]
-    st = parallelogram_stats(q)
-    parts = ["U" * heights[0]]
-    for i, o in enumerate(st.overlaps):
-        parts.append("D" * (heights[i] - o + 1))
-        parts.append("U" * (heights[i + 1] - o + 1))
-    parts.append("D" * heights[-1])
+    cols = q.columns
+    # each two neighbouring columns give a D run one longer than the rise
+    # of their bottoms and a U run one longer than the rise of their tops
+    parts = ["U" * cols[0][1]]
+    for (b0, h0), (b1, h1) in zip(cols, cols[1:]):
+        parts.append("D" * (b1 - b0 + 1) + "U" * (b1 + h1 - b0 - h0 + 1))
+    parts.append("D" * cols[-1][1])
     return make_dyck("".join(parts))
 
 
+def h_inv(d: DyckPath) -> ParallelogramPolyomino:
+    if not d.word:
+        raise TooSmall("h_inv needs a nonempty Dyck path")
+    return _unsheared(phi_inv(d))
+
+
 def psi(q: ParallelogramPolyomino) -> CoinFountain:
-    return f_inv(phi_inv(h_map(q)))
+    return f_inv(_sheared(q))
+
+
+def psi_inv(c: CoinFountain) -> ParallelogramPolyomino:
+    return _unsheared(f_map(c))

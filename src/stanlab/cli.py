@@ -29,11 +29,14 @@ BIJECTIONS = {
     "phi": ("stanley", bijections.phi),
     "phi-inv": ("dyck", bijections.phi_inv),
     "chi": ("peaklessMotzkin", bijections.chi),
+    "chi-inv": ("stanley", bijections.chi_inv),
     "chi-prime": ("dyck", bijections.chi_prime),
     "f": ("fountain", bijections.f_map),
     "f-inv": ("stanley", bijections.f_inv),
     "h": ("parallelogram", bijections.h_map),
+    "h-inv": ("dyck", bijections.h_inv),
     "psi": ("parallelogram", bijections.psi),
+    "psi-inv": ("fountain", bijections.psi_inv),
 }
 
 # one encoder for every line writes json.dumps' bytes; the circular check is

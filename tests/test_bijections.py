@@ -15,10 +15,12 @@ from stanlab.bijections import (
     chi_prime,
     f_inv,
     f_map,
+    h_inv,
     h_map,
     phi,
     phi_inv,
     psi,
+    psi_inv,
 )
 from stanlab.enumeration import FamilyBound, count, iter_raw
 from stanlab.errors import (
@@ -277,6 +279,35 @@ def word_peel_chi_prime(d):
     return tuple_replay(reversed(ops), 2)
 
 
+# -- h and psi against the formula and composition the shear replaced -----------
+
+def old_h_map(q):
+    """The overlap formula h_map replaced: the runs between two columns come
+    from their heights less the rows they share."""
+    heights = [h for _, h in q.columns]
+    parts = ["U" * heights[0]]
+    for i, o in enumerate(parallelogram_stats(q).overlaps):
+        parts.append("D" * (heights[i] - o + 1))
+        parts.append("U" * (heights[i + 1] - o + 1))
+    parts.append("D" * heights[-1])
+    return make_dyck("".join(parts))
+
+
+def check_shear(q) -> None:
+    """h_map is the overlap formula, phi_inv of it is the shear of q's
+    columns, and psi is f_inv of that polyomino."""
+    d = h_map(q)
+    assert d == old_h_map(q)
+    assert phi_inv(d).rows == tuple((b + i, h + 1)
+                                    for i, (b, h) in enumerate(q.columns))
+    assert psi(q) == f_inv(phi_inv(d))
+
+
+def parallelograms(area: int):
+    bound = FamilyBound("parallelogram", "area", area)
+    return (make_parallelogram(cols) for cols in iter_raw(bound))
+
+
 def fountains(diagonals: int):
     bound = FamilyBound("fountain", "diagonals", diagonals)
     return (make_fountain(d) for d in iter_raw(bound))
@@ -433,6 +464,20 @@ class TestLargeObjects:
         cs = fountain_stats(psi(q))
         assert (cs.e, cs.o) == (qs.area, qs.area - qs.colCount)
 
+    @given(large_parallelogram())
+    @settings(max_examples=60, deadline=None)
+    def test_h_and_psi_are_the_shear(self, q):
+        check_shear(q)
+
+    @given(large_parallelogram(), long_word("UD"), large_fountain())
+    @settings(max_examples=40, deadline=None)
+    def test_h_and_psi_round_trips(self, q, w, c):
+        assert h_inv(h_map(q)) == q
+        assert psi_inv(psi(q)) == q
+        d = make_dyck(w)
+        assert h_map(h_inv(d)) == d
+        assert psi(psi_inv(c)) == c
+
     @given(long_word("UFD"))
     @settings(max_examples=40, deadline=None)
     def test_chi_semiperimeter(self, w):
@@ -558,6 +603,41 @@ class TestParallelogramMaps:
             cs = fountain_stats(psi(q))
             assert cs.e == qs.area
             assert cs.o == qs.area - qs.colCount
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_h_and_psi_are_the_shear(self, n: int):
+        for q in parallelograms(n):
+            check_shear(q)
+
+
+class TestParallelogramInverses:
+    """h_inv and psi_inv undo h and psi on every parallelogram polyomino of
+    area 1-12 (12,077), h_inv is undone by h on every nonempty Dyck path of
+    semilength 1-10 (23,713) and psi_inv by psi on every fountain with 1-12
+    coins on even rows (12,077)."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_exhaustive_from_polyominoes(self, n: int):
+        for q in parallelograms(n):
+            assert h_inv(h_map(q)) == q
+            assert psi_inv(psi(q)) == q
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_exhaustive_from_paths(self, m: int):
+        for d in dycks(m):
+            assert h_map(h_inv(d)) == d
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_exhaustive_from_fountains(self, n: int):
+        bound = FamilyBound("fountain", "evenCoins", n)
+        for diagonals in iter_raw(bound):
+            c = make_fountain(diagonals)
+            assert psi(psi_inv(c)) == c
+
+    def test_empty_path_too_small(self):
+        # its polyomino is the single cell, the one row of length 1
+        with pytest.raises(TooSmall):
+            h_inv(make_dyck(""))
 
 
 class TestPreimages:

@@ -296,6 +296,15 @@ class TestMap:
         assert "line 1: invalid input (chi expects a Motzkin path with no " \
             "UD factor)" in err
 
+    def test_h_inv_on_empty_path_exit_four(self, capsys, monkeypatch):
+        # the empty path is the one-cell polyomino, which is no shear of
+        # a parallelogram polyomino
+        self.feed(monkeypatch, '{"word": ""}\n')
+        code, out, err = run(capsys, "map", "--bijection", "h-inv")
+        assert (code, out) == (4, "")
+        assert "line 1: invalid input (h_inv needs a nonempty Dyck path)" \
+            in err
+
     @pytest.mark.parametrize("bijection, line", [
         ("phi-inv", '{"word": 5}'),
         ("chi", '{"word": ["U", "D"]}'),
@@ -783,6 +792,11 @@ MAP_LINES = {
             '"stats_in":{"steps":6,"peakless":true},'
             '"stats_out":{"col":5,"row":3,"sper":8,"area":7,"point":0,'
             '"edgint":0,"adja":2,"first":2,"firstD":2}}'),
+    "chi-inv": ('{"rows":[[0,2],[1,3],[3,2]]}',
+                '{"in":{"rows":[[0,2],[1,3],[3,2]]},"out":{"word":"UFUFDD"},'
+                '"stats_in":{"col":5,"row":3,"sper":8,"area":7,"point":0,'
+                '"edgint":0,"adja":2,"first":2,"firstD":2},'
+                '"stats_out":{"steps":6,"peakless":true}}'),
     "chi-prime": ('{"word":"UUDUDD"}',
                   '{"in":{"word":"UUDUDD"},"out":{"rows":[[0,2],[1,3]]},'
                   '"stats_in":{"semilength":3,"nbp":2,"sump":4,"nbv":1,'
@@ -804,11 +818,22 @@ MAP_LINES = {
           '"stats_out":{"semilength":6,"nbp":3,"sump":7,"nbv":2,"sumv":1,'
           '"hills":0,"oneValleys":1,"sumOneValleys":1,"firstPeakHeight":2,'
           '"avoids3":false}}'),
+    "h-inv": ('{"word":"UUDDUUDUUDDD"}',
+              '{"in":{"word":"UUDDUUDUUDDD"},"out":{"columns":[[0,2],[1,2],[1,3]]},'
+              '"stats_in":{"semilength":6,"nbp":3,"sump":7,"nbv":2,"sumv":1,'
+              '"hills":0,"oneValleys":1,"sumOneValleys":1,"firstPeakHeight":2,'
+              '"avoids3":false},'
+              '"stats_out":{"area":7,"colCount":3,"overlaps":[1,2]}}'),
     "psi": ('{"columns":[[0,2],[1,2],[1,3]]}',
             '{"in":{"columns":[[0,2],[1,2],[1,3]]},'
             '"out":{"diagonals":[2,1,3,2,2,1]},'
             '"stats_in":{"area":7,"colCount":3,"overlaps":[1,2]},'
             '"stats_out":{"e":7,"o":4,"m":6,"firstDiag":2}}'),
+    "psi-inv": ('{"diagonals":[2,1,3,2,2,1]}',
+                '{"in":{"diagonals":[2,1,3,2,2,1]},'
+                '"out":{"columns":[[0,2],[1,2],[1,3]]},'
+                '"stats_in":{"e":7,"o":4,"m":6,"firstDiag":2},'
+                '"stats_out":{"area":7,"colCount":3,"overlaps":[1,2]}}'),
 }
 ENUMERATE_COLUMNS_4 = (
     '{"object":{"rows":[[0,2],[1,2],[2,2]]},"stats":{"col":4,"row":3,'
