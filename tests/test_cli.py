@@ -27,6 +27,7 @@ from stanlab.errors import (
     MismatchBetweenForms,
     OutOfRange,
 )
+from test_acceptance import suite as acceptance_suite
 
 WORKED_ROWS = [[0, 6], [3, 6], [4, 7], [10, 3], [11, 5]]
 WORKED_WORD = "UUUUUDDDUUUDUUDDDDDDUUDUUUDDDD"
@@ -746,6 +747,51 @@ def test_verify_digests_cover_every_suite():
 def test_verify_stdout_bytes_pinned(capsys, name, size, pinned):
     code, out, _ = run(capsys, "verify", "--suite", name, *size)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned
+
+
+# sha256 of the stdout of each deterministic benchmark command, read from
+# the benchmark's own table, which these tests never write
+BENCHMARK_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_commands_stdout_pinned(capsys, command):
+    _, out, _ = run(capsys, *command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        BENCHMARK_DIGESTS[command]
+
+
+# exit code and sha256 of the stdout of `verify --suite bijections
+# --max-size 12` and of `verify --suite all`, printed from the reports that
+# tests/test_acceptance.py builds (every suite at its default size), so no
+# suite runs twice
+VERIFY_BIJECTIONS_SIZE_12 = (
+    1, "9fb5950a722bf14b53f578268703a65d16589c5c2a31595e25ddf1ccf15356e6")
+VERIFY_ALL_DEFAULT_SIZE = (
+    1, "c54f40ad8b9390d6819af9d8baebd950fa4d6f9837aa6a114607be38d1a8438f")
+
+
+def printed(capsys, report: dict) -> tuple[int, str]:
+    """The exit code and stdout sha256 of `verify` on this report."""
+    cli._emit(report)
+    out = capsys.readouterr().out
+    return (int(verification.report_failed(report)),
+            hashlib.sha256(out.encode()).hexdigest())
+
+
+def test_bijections_at_size_12_pinned(capsys):
+    assert printed(capsys, acceptance_suite("bijections", 12)) == \
+        VERIFY_BIJECTIONS_SIZE_12
+
+
+def test_verify_all_at_default_sizes_pinned(capsys):
+    merged = {"suite": "all", "checks": [
+        {**c, "name": f"{name}: {c['name']}"} for name in verification.SUITES
+        for c in acceptance_suite(
+            name, verification.SUITE_DEFAULT_SIZE[name])["checks"]]}
+    assert printed(capsys, merged) == VERIFY_ALL_DEFAULT_SIZE
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
