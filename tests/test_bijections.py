@@ -777,6 +777,67 @@ def test_round_trip_checks_count_each_miss(monkeypatch, name, checks_of,
     assert (got["status"], got["actual"]) == ("fail", f"{total - 2} round-trips")
 
 
+TWO_BY_ONE, ONE_BY_TWO = (make_parallelogram(((0, 2),)),
+                          make_parallelogram(((0, 1), (0, 1))))
+
+
+@pytest.mark.parametrize("name, checks_of, size, a, b, swap, check, actual", [
+    ("phi", "_phi_checks", 5, make_stanley(((0, 3),)),
+     make_stanley(((0, 2), (1, 2))), True,
+     "staircase word map round-trips from polyominoes", "21 round-trips"),
+    ("phi", "_phi_checks", 5, make_stanley(((0, 3),)),
+     make_stanley(((0, 2), (1, 2))), False,
+     "staircase word map is injective on polyominoes", 22),
+    ("chi", "_chi_checks", 5, make_motzkin("FFF"), make_motzkin("UFD"), True,
+     "flat-step map carries steps to semiperimeter and axis landings to the "
+     "first row", "2 mismatches"),
+    ("chi", "_chi_checks", 5, make_motzkin("FFF"), make_motzkin("UFD"), False,
+     "flat-step map is bijective at each size",
+     "steps 3: 2 paths, 1 images, 2 polyominoes"),
+    ("chi_prime", "_chi_prime_checks", 4, make_dyck("UDUD"), make_dyck("UUDD"),
+     True, "triple-run-free map carries semilength to semiperimeter and hills "
+     "to the first row", "2 mismatches"),
+    ("chi_prime", "_chi_prime_checks", 4, make_dyck("UDUD"), make_dyck("UUDD"),
+     False, "triple-run-free map is injective at each source size",
+     "semilength 2: 2 words, 1 distinct images"),
+    ("chi_prime", "_chi_prime_checks", 4, make_dyck("UDUD"), make_dyck("UUDD"),
+     False, "triple-run-free map image counts match semiperimeter counts",
+     "semilength 2: 1 images, 2 polyominoes"),
+    ("f_map", "_f_checks", 5, make_fountain((1, 1)), make_fountain((2, 1)),
+     True, "coin diagonal map round-trips with the stated column and area "
+     "marks", "62 clean round-trips"),
+    ("h_map", "_h_psi_checks", 5, TWO_BY_ONE, ONE_BY_TWO, True,
+     "boundary word map sends area to peak height sum and columns to peaks",
+     "2 mismatches"),
+    ("h_map", "_h_psi_checks", 5, TWO_BY_ONE, ONE_BY_TWO, False,
+     "boundary word map is injective per area", False),
+    ("psi", "_h_psi_checks", 5, TWO_BY_ONE, ONE_BY_TWO, True,
+     "composed fountain map lands on the stated coin counts", "2 mismatches"),
+    ("psi", "_h_psi_checks", 5, TWO_BY_ONE, ONE_BY_TWO, False,
+     "composed fountain map is bijective onto coin-count classes",
+     "area 2: class counts differ"),
+], ids=["phi-from-polyominoes", "phi-injective", "chi-marks", "chi-bijective",
+        "chi-prime-marks", "chi-prime-injective", "chi-prime-counts",
+        "f-marks", "h-marks", "h-injective", "psi-marks", "psi-classes"])
+def test_every_map_check_can_fail(monkeypatch, name, checks_of, size, a, b,
+                                  swap, check, actual):
+    # the map swaps the images of two sources of one size, or sends the
+    # first to the second's image; the check names exactly what broke
+    real = getattr(bijections, name)
+    image_a, image_b = real(a), real(b)
+    change = {image_a: image_b, image_b: image_a} if swap else {image_a: image_b}
+
+    def broken(x):
+        y = real(x)
+        return change.get(y, y)
+
+    monkeypatch.setattr(bijections, name, broken)
+    checks = []
+    getattr(verification, checks_of)(checks, size)
+    (got,) = (c for c in checks if c["name"] == check)
+    assert (got["status"], got["actual"]) == ("fail", actual)
+
+
 def test_h_psi_checks_sweep_every_area_asked_for(monkeypatch):
     # each area's fountain classes are counted once, so the areas counted
     # are the areas swept; the walks are stubbed out to keep this cheap
