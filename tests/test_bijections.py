@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from stanlab import bijections, enumeration, verification
 from stanlab.bijections import (
@@ -424,9 +424,15 @@ class TestFountainMap:
             assert f_map(f_inv(p)) == p
 
 
+# A failing large draw is reported as found: large_parallelogram() builds its
+# columns in an open loop, which hypothesis shrinks poorly (one failing h/psi
+# run was still shrinking after 5 minutes).
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 class TestLargeObjects:
     @given(large_fountain())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_fountain_round_trip_and_marks(self, c):
         p = f_map(c)
         ps = stanley_stats(p)
@@ -436,12 +442,12 @@ class TestLargeObjects:
         assert f_inv(p) == c
 
     @given(large_stanley())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_polyomino_round_trip(self, p):
         assert f_map(f_inv(p)) == p
 
     @given(large_stanley())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_phi_round_trip_and_table1_transport(self, p):
         d = phi(p)
         assert phi_inv(d) == p
@@ -450,13 +456,13 @@ class TestLargeObjects:
             assert getattr(ps, attr) == rhs(ds), label
 
     @given(long_word("UD"))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_phi_inv_round_trip(self, w):
         d = make_dyck(w)
         assert phi(phi_inv(d)) == d
 
     @given(large_parallelogram())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_h_and_psi_transport(self, q):
         qs = parallelogram_stats(q)
         ds = dyck_stats(h_map(q))
@@ -465,12 +471,12 @@ class TestLargeObjects:
         assert (cs.e, cs.o) == (qs.area, qs.area - qs.colCount)
 
     @given(large_parallelogram())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_h_and_psi_are_the_shear(self, q):
         check_shear(q)
 
     @given(large_parallelogram(), long_word("UD"), large_fountain())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_h_and_psi_round_trips(self, q, w, c):
         assert h_inv(h_map(q)) == q
         assert psi_inv(psi(q)) == q
@@ -479,12 +485,12 @@ class TestLargeObjects:
         assert psi(psi_inv(c)) == c
 
     @given(long_word("UFD"))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_chi_semiperimeter(self, w):
         assert stanley_stats(chi(make_motzkin(w))).sper == len(w) + 2
 
     @given(long_word("UD"))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_chi_prime_semiperimeter_and_first_row(self, w):
         d = make_dyck(w)
         ps = stanley_stats(chi_prime(d))
@@ -494,8 +500,10 @@ class TestLargeObjects:
 
 class TestTupleReference:
     """f_map and f_inv, which read diagonal sizes in one pass, agree with the
-    tuple rewrites of the recursive definition, one diagonal per step; chi
-    and chi_prime agree with the word peels, whose rows are tuple rewrites."""
+    tuple rewrites of the recursive definition, one diagonal per step.  The
+    seeded objects also hold chi and chi_prime to the word peels, whose rows
+    are tuple rewrites; TestWordPeelReference checks them exhaustively and on
+    hypothesis draws."""
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_f_map_exhaustive(self, m: int):
@@ -507,25 +515,11 @@ class TestTupleReference:
         for p in stanleys(n):
             assert f_inv(p) == tuple_f_inv(p)
 
-    @pytest.mark.parametrize("size", range(0, 9))
-    def test_chi_and_chi_prime_exhaustive(self, size: int):
-        for m in motzkins(size):
-            assert chi(m) == word_peel_chi(m)
-        for d in triple_free_dycks(size):
-            assert chi_prime(d) == word_peel_chi_prime(d)
-
     @given(large_fountain(), large_stanley())
     @settings(max_examples=40, deadline=None)
     def test_f_maps_large(self, c, p):
         assert f_map(c) == tuple_f_map(c)
         assert f_inv(p) == tuple_f_inv(p)
-
-    @given(long_word("UFD"), long_word("UD"))
-    @settings(max_examples=40, deadline=None)
-    def test_chi_maps_large(self, w, v):
-        m, d = make_motzkin(w), make_dyck(v)
-        assert chi(m) == word_peel_chi(m)
-        assert chi_prime(d) == word_peel_chi_prime(d)
 
     def test_seeded_objects_of_200_to_400(self):
         randint = random.Random(31).randint
