@@ -261,35 +261,49 @@ def suite_table1(checks: list, max_size: int) -> None:
 
 # -- bijections --------------------------------------------------------------------
 
+def _sweep(sources, sizes, there, ok, key=None) -> tuple[int, list]:
+    """Run each object x of sources(n), for each n in sizes, through there.
+    Returns how many x fail ok(n, x, there(x)) and, per size, the number of
+    objects swept with the set of key(image), or None when key is None."""
+    bad, swept = 0, []
+    for n in sizes:
+        total, images = 0, set() if key else None
+        for x in sources(n):
+            y = there(x)
+            total += 1
+            if not ok(n, x, y):
+                bad += 1
+            if key:
+                images.add(key(y))
+        swept.append((total, images))
+    return bad, swept
+
+
+def _family(family: str, measure: str):
+    """The sources of a sweep over the family's objects of measure n."""
+    return lambda n: enumerate_family(FamilyBound(family, measure, n))
+
+
 def _round_trips(checks: list, name: str, family: str, measure: str, sizes,
                  there, back) -> None:
     """Check that back(there(x)) gives back each object x of the sizes."""
-    total = good = 0
-    for n in sizes:
-        for x in enumerate_family(FamilyBound(family, measure, n)):
-            total += 1
-            good += back(there(x)) == x
-    _check(checks, name, f"{total} round-trips", f"{good} round-trips")
+    bad, swept = _sweep(_family(family, measure), sizes, there,
+                        lambda n, x, y: back(y) == x)
+    total = sum(t for t, _ in swept)
+    _check(checks, name, f"{total} round-trips", f"{total - bad} round-trips")
 
 
 def _phi_checks(checks: list, max_size: int) -> None:
-    bad_round = 0
-    words: set[str] = set()
-    total = 0
-    for n in range(1, max_size + 1):
-        bound = FamilyBound("stanley", "columns", n)
-        for p in enumerate_family(bound):
-            d = bijections.phi(p)
-            total += 1
-            words.add(d.word)
-            if len(d.word) != 2 * (n - 1):
-                bad_round += 1
-            elif bijections.phi_inv(d).rows != p.rows:
-                bad_round += 1
+    bad, swept = _sweep(
+        _family("stanley", "columns"), range(1, max_size + 1), bijections.phi,
+        lambda n, p, d: (len(d.word) == 2 * (n - 1)
+                         and bijections.phi_inv(d).rows == p.rows),
+        attrgetter("word"))
+    total = sum(t for t, _ in swept)
     _check(checks, "staircase word map round-trips from polyominoes",
-           f"{total} round-trips", f"{total - bad_round} round-trips")
+           f"{total} round-trips", f"{total - bad} round-trips")
     _check(checks, "staircase word map is injective on polyominoes",
-           total, len(words))
+           total, len(set().union(*(words for _, words in swept))))
     _round_trips(checks, "staircase word map round-trips from words", "dyck",
                  "semilength", range(max_size), bijections.phi_inv,
                  bijections.phi)
@@ -331,24 +345,19 @@ def _scan_sizes(forward, sources, offset: int, max_size: int,
     distinct images, polyominoes of that semiperimeter)."""
     sper = objects.STATISTICS[("stanley", "sper")]
     first = objects.STATISTICS[("stanley", "first")]
-    bad = 0
-    sizes = []
-    for m in range(max_size + 1):
-        images, total = set(), 0
-        for s in sources(m):
-            rows = forward(s).rows
-            images.add(rows)
-            total += 1
-            bad += sper(rows) != m + offset or first(rows) != first_row(s.word)
-        want = count(FamilyBound("stanley", "semiperimeter", m + offset))
-        sizes.append((total, len(images), want))
-    return bad, sizes
+    bad, swept = _sweep(
+        sources, range(max_size + 1), forward,
+        lambda m, s, p: (sper(p.rows) == m + offset
+                         and first(p.rows) == first_row(s.word)),
+        attrgetter("rows"))
+    return bad, [(total, len(images),
+                  count(FamilyBound("stanley", "semiperimeter", m + offset)))
+                 for m, (total, images) in enumerate(swept)]
 
 
 def _chi_checks(checks: list, max_size: int) -> None:
     bad, sizes = _scan_sizes(
-        bijections.chi, lambda m: enumerate_family(
-            FamilyBound("peaklessMotzkin", "steps", m)), 2, max_size,
+        bijections.chi, _family("peaklessMotzkin", "steps"), 2, max_size,
         lambda w: _steps_on_axis(w) + 1)
     _check(checks, "flat-step map carries steps to semiperimeter and "
            "axis landings to the first row",
@@ -390,18 +399,13 @@ def _f_checks(checks: list, max_size: int) -> None:
     area = objects.STATISTICS[("stanley", "area")]
     coins_e = objects.STATISTICS[("fountain", "e")]
     coins_o = objects.STATISTICS[("fountain", "o")]
-    bad = 0
-    total = 0
-    for m in range(1, max_size + 1):
-        bound = FamilyBound("fountain", "diagonals", m)
-        for c in enumerate_family(bound):
-            p = bijections.f_map(c)
-            rows, diagonals = p.rows, c.diagonals
-            total += 1
-            if (col(rows) != m + 1
-                    or area(rows) != 2 * coins_e(diagonals) - coins_o(diagonals)
-                    or bijections.f_inv(p).diagonals != diagonals):
-                bad += 1
+    bad, swept = _sweep(
+        _family("fountain", "diagonals"), range(1, max_size + 1),
+        bijections.f_map, lambda m, c, p: (
+            col(p.rows) == m + 1
+            and area(p.rows) == 2 * coins_e(c.diagonals) - coins_o(c.diagonals)
+            and bijections.f_inv(p).diagonals == c.diagonals))
+    total = sum(t for t, _ in swept)
     _check(checks, "coin diagonal map round-trips with the stated column "
            "and area marks", f"{total} clean round-trips",
            f"{total - bad} clean round-trips")
@@ -411,47 +415,33 @@ def _f_checks(checks: list, max_size: int) -> None:
 
 
 def _h_psi_checks(checks: list, max_size: int) -> None:
-    bad_h = 0
-    bad_psi = 0
-    total = 0
-    h_images_ok = True
-    psi_detail = ""
-    for n in range(1, max_size + 1):
-        bound = FamilyBound("parallelogram", "area", n)
-        h_words: set[str] = set()
-        psi_images: set[tuple] = set()
-        class_counts: dict[int, int] = defaultdict(int)
-        size = 0
-        for q in enumerate_family(bound):
-            qs = objects.parallelogram_stats(q)
-            d = bijections.h_map(q)
-            ds = objects.dyck_stats(d)
-            total += 1
-            size += 1
-            h_words.add(d.word)
-            if ds.sump != qs.area or ds.nbp != qs.colCount:
-                bad_h += 1
-            c = bijections.psi(q)
-            fs = objects.fountain_stats(c)
-            psi_images.add(c.diagonals)
-            if fs.e != n or fs.o != n - qs.colCount:
-                bad_psi += 1
-            class_counts[fs.o] += 1
-        if len(h_words) != size:
-            h_images_ok = False
-        fountain_classes = count_grouped(
-            FamilyBound("fountain", "evenCoins", n), "o")
-        if len(psi_images) != size or dict(class_counts) != fountain_classes:
-            psi_detail = psi_detail or f"area {n}: class counts differ"
+    areas = range(1, max_size + 1)
+    sump_nbp, e_o = attrgetter("sump", "nbp"), attrgetter("e", "o")
+    bad_h, swept_h = _sweep(
+        _family("parallelogram", "area"), areas, bijections.h_map,
+        lambda n, q, d: sump_nbp(objects.dyck_stats(d)) == (n, len(q.columns)),
+        attrgetter("word"))
+    bad_psi, swept_psi = _sweep(
+        _family("parallelogram", "area"), areas, bijections.psi,
+        lambda n, q, c: (e_o(objects.fountain_stats(c))
+                         == (n, n - len(q.columns))), attrgetter("diagonals"))
+    coins_o = objects.STATISTICS[("fountain", "o")]
+    classes = [count_grouped(FamilyBound("fountain", "evenCoins", n), "o")
+               for n in areas]
     _check(checks, "boundary word map sends area to peak height sum and "
            "columns to peaks", "0 mismatches", f"{bad_h} mismatches")
     _check(checks, "boundary word map is injective per area", True,
-           h_images_ok)
+           all(len(words) == total for total, words in swept_h))
     _check(checks, "composed fountain map lands on the stated coin counts",
            "0 mismatches", f"{bad_psi} mismatches")
+    # once the images are distinct, their coin classes are every image's
     _check(checks, "composed fountain map is bijective onto coin-count "
-           "classes", "classes match at every area",
-           psi_detail or "classes match at every area")
+           "classes", "classes match at every area", next(
+               (f"area {n}: class counts differ"
+                for n, (total, images), want in zip(areas, swept_psi, classes)
+                if len(images) != total
+                or Counter(map(coins_o, images)) != want),
+               "classes match at every area"))
 
 
 def _fountain_brute_checks(checks: list) -> None:
