@@ -11,8 +11,9 @@ root the file records the path as given and:
 - the median time to ``import stanlab.cli`` over fresh interpreters;
 - the Tier-1 wall time and pytest's summary line;
 - in process: each suite at its default size (``bijections`` at 12), the
-  bijections suite's fountain-physics check on its own, each ``gf_*``
-  builder at its ``series`` cap, and a count with each generator.  Each
+  bijections suite's fountain-physics check and each of its per-map checks
+  at size 10 on their own, each ``gf_*`` builder at its ``series`` cap, and
+  a count with each generator.  Each
   part gets its wall seconds (``raw_s``), the median of
   ``perfbench/child.py``'s ``calibrate()`` loop timed just before, during
   (from a timer, through child.py's ``Speed``) and just after it
@@ -53,6 +54,10 @@ PERFBENCH_SECONDS = 8  # perfbench's --seconds for each workload run
 REPEATS = 5  # in-process timings are the least of this many runs
 MAP_PASSES = 10  # passes of each map over map-stream's inputs
 REFERENCE_S = 0.002  # perfbench/run.py's nominal calibration time
+# the bijections suite's per-map checks, each timed alone at one size
+MAP_CHECKS = ("_phi_checks", "_chi_checks", "_chi_prime_checks", "_f_checks",
+              "_h_psi_checks")
+MAP_CHECK_SIZE = 10
 
 # builder -> the `series --gf` choice whose cap it is built at
 BUILDERS = {
@@ -119,6 +124,9 @@ def in_process() -> dict:
             lambda: verification.run_suite(name, size))
     checks = {"fountain_physics": timed(
         lambda: verification._fountain_brute_checks([]))}
+    for name in MAP_CHECKS:
+        checks[f"{name}@{MAP_CHECK_SIZE}"] = timed(
+            lambda: getattr(verification, name)([], MAP_CHECK_SIZE))
     for name, gf in BUILDERS.items():
         cap = cli.SERIES[gf].cap
         builders[f"{name}@{cap}"] = timed(
@@ -259,6 +267,7 @@ def main(argv=None) -> int:
                      "in_process_repeats": REPEATS,
                      "calibration": calibration,
                      "map_passes": MAP_PASSES,
+                     "map_check_size": MAP_CHECK_SIZE,
                      "reference_s": REFERENCE_S},
         "checkouts": [found[r] for r in roots],
     }
