@@ -819,7 +819,9 @@ def test_every_map_check_can_fail(monkeypatch, name, checks_of, size, a, b,
     # first to the second's image; the check names exactly what broke
     real = getattr(bijections, name)
     image_a, image_b = real(a), real(b)
-    change = {image_a: image_b, image_b: image_a} if swap else {image_a: image_b}
+    change = {image_a: image_b}
+    if swap:
+        change[image_b] = image_a
 
     def broken(x):
         y = real(x)
