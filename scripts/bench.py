@@ -12,8 +12,9 @@ root the file records the path as given and:
 - the Tier-1 wall time and pytest's summary line;
 - in process: each suite at its default size (``bijections`` at 12), the
   bijections suite's fountain-physics check and each of its per-map checks
-  at size 10 on their own, each ``gf_*`` builder at its ``series`` cap, and
-  a count with each generator.  Each
+  at size 10 on their own, the ``cf`` suite's brute-force tally at peak
+  height sum 16, each ``gf_*`` builder at its ``series`` cap, and a count
+  with each generator.  Each
   part gets its wall seconds (``raw_s``), the median of
   ``perfbench/child.py``'s ``calibrate()`` loop timed just before, during
   (from a timer, through child.py's ``Speed``) and just after it
@@ -58,6 +59,7 @@ REFERENCE_S = 0.002  # perfbench/run.py's nominal calibration time
 MAP_CHECKS = ("_phi_checks", "_chi_checks", "_chi_prime_checks", "_f_checks",
               "_h_psi_checks")
 MAP_CHECK_SIZE = 10
+CF_TALLY_SIZE = 16  # the peak height sum cf_tally is timed at: 342,908 paths
 
 # builder -> the `series --gf` choice whose cap it is built at
 BUILDERS = {
@@ -127,6 +129,8 @@ def in_process() -> dict:
     for name in MAP_CHECKS:
         checks[f"{name}@{MAP_CHECK_SIZE}"] = timed(
             lambda: getattr(verification, name)([], MAP_CHECK_SIZE))
+    checks[f"cf_tally@{CF_TALLY_SIZE}"] = timed(
+        lambda: sum(verification.cf_tally(CF_TALLY_SIZE).values()))
     for name, gf in BUILDERS.items():
         cap = cli.SERIES[gf].cap
         builders[f"{name}@{cap}"] = timed(

@@ -1,19 +1,16 @@
 """Bijections between the combinatorial families.
 
-phi encodes a Stanley polyomino as a Dyck word from its a/b sequences and
-phi_inv rebuilds the rows from the run lengths.  chi sends peakless Motzkin
-paths to Stanley polyominoes; chi_prime sends Dyck paths avoiding UUU and
-DDD.  f_map sends coin fountains to Stanley polyominoes one column up, and
-h_map reads a parallelogram polyomino as a Dyck path, one D run and one U
-run from each two neighbouring columns.
+phi writes a Stanley polyomino's rows as a Dyck word, one U run for each
+row's cells right of the row below and one D run for its cells left of the
+row above, and phi_inv rebuilds the rows from the run lengths.  chi sends
+peakless Motzkin paths to Stanley polyominoes; chi_prime sends Dyck paths
+avoiding UUU and DDD.  f_map sends coin fountains to Stanley polyominoes one
+column up.
 
-psi is f_inv of the shear that makes column i, (b, h), row (b + i, h + 1).
-That shear is phi_inv of h_map: with t = b + h a column's top, h_map writes
-U^h_0, then D^(b_{i+1} - b_i + 1) U^(t_{i+1} - t_i + 1) for each two
-neighbouring columns, then D^h_last; phi_inv makes row 0 (0, h_0 + 1) and
-starts each next row one D run further right, one U run less one D run
-longer, which puts row i at (b_i + i, h_i + 1).  h_inv and psi_inv undo the
-shear of phi_inv and of f_map.
+h_map and psi go through the shear that makes column i of a parallelogram
+polyomino, (b, h), the row (b + i, h + 1): h_map is phi's run writer on the
+sheared rows, and psi is f_inv of the sheared polyomino.  h_inv and psi_inv
+undo the shear of phi_inv and of f_map.
 
 f_map, chi and chi_prime build rows bottom up in one pass over a list of
 diagonal sizes: an odd size k at position j makes the next row, ending at
@@ -41,7 +38,6 @@ from .objects import (
     MotzkinPath,
     ParallelogramPolyomino,
     StanleyPolyomino,
-    ab_sequences,
     is_peakless,
     make_dyck,
     make_fountain,
@@ -53,10 +49,22 @@ from .objects import (
 
 # -- phi: Stanley polyominoes <-> Dyck paths ----------------------------------
 
+def _word(rows) -> str:
+    """The Dyck word of (start, length) rows, bottom first: U for each cell
+    of a row not above the row below (less the first row's first cell) and
+    D for each cell not below the row above (less the top row's last)."""
+    s0, l0 = rows[0]
+    e0 = s0 + l0
+    parts = ["U" * (l0 - 1)]
+    for s, l in rows[1:]:
+        parts.append("D" * (s - s0) + "U" * (s + l - e0))
+        s0, e0 = s, s + l
+    parts.append("D" * (rows[-1][1] - 1))
+    return "".join(parts)
+
+
 def phi(p: StanleyPolyomino) -> DyckPath:
-    a, b = ab_sequences(p)
-    word = "".join(["U" * ai + "D" * bi for ai, bi in zip(a, b)])
-    return make_dyck(word)
+    return make_dyck(_word(p.rows))
 
 
 def phi_inv(d: DyckPath) -> StanleyPolyomino:
@@ -243,9 +251,12 @@ def f_inv(p: StanleyPolyomino) -> CoinFountain:
 # a row, so it is a bijection onto the Stanley polyominoes other than the
 # single cell.
 
+def _shear(q: ParallelogramPolyomino) -> list[tuple[int, int]]:
+    return [(b + i, h + 1) for i, (b, h) in enumerate(q.columns)]
+
+
 def _sheared(q: ParallelogramPolyomino) -> StanleyPolyomino:
-    return make_stanley([(b + i, h + 1)
-                         for i, (b, h) in enumerate(q.columns)])
+    return make_stanley(_shear(q))
 
 
 def _unsheared(p: StanleyPolyomino) -> ParallelogramPolyomino:
@@ -254,14 +265,8 @@ def _unsheared(p: StanleyPolyomino) -> ParallelogramPolyomino:
 
 
 def h_map(q: ParallelogramPolyomino) -> DyckPath:
-    cols = q.columns
-    # each two neighbouring columns give a D run one longer than the rise
-    # of their bottoms and a U run one longer than the rise of their tops
-    parts = ["U" * cols[0][1]]
-    for (b0, h0), (b1, h1) in zip(cols, cols[1:]):
-        parts.append("D" * (b1 - b0 + 1) + "U" * (b1 + h1 - b0 - h0 + 1))
-    parts.append("D" * cols[-1][1])
-    return make_dyck("".join(parts))
+    # phi of the shear, whose rows need no validation
+    return make_dyck(_word(_shear(q)))
 
 
 def h_inv(d: DyckPath) -> ParallelogramPolyomino:

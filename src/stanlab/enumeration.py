@@ -3,11 +3,12 @@
 Streams are generated by DFS over canonical prefixes and arrive in
 lexicographic order of the canonical field encoding (rows, word, diagonals,
 columns).  Each walk expands only prefixes that complete and emits a forced
-tail in one step.  All eight walks share one driver over lazy child
-iterators on an explicit stack, so no recursion limit bounds an object's
-length; it finishes each node with little left from a per-walk table of its
-state's completions, as one run of objects: ``chain.from_iterable`` flattens
-the runs in C.  Streams are lazy iterators, not generators; they walk nothing
+tail in one step.  All nine walks (the eight pairs and the Dyck paths by
+peak height sum that the continued-fraction check tallies) share one driver
+over lazy child iterators on an explicit stack, so no recursion limit bounds
+an object's length; it finishes each node with little left from a per-walk
+table of its state's completions, as one run of objects:
+``chain.from_iterable`` flattens the runs in C.  Streams are lazy iterators, not generators; they walk nothing
 before the first draw, and re-invoking one's function restarts the stream.  A
 safety cap, counted in ``islice`` at no Python call per object, bounds
 stream length.  ``count`` counts a stream and ``count_grouped`` reads one
@@ -122,6 +123,25 @@ def _gen_dyck(n: int, max_run: int | None = None) -> Iterator[str]:
                 yield word + "U" + "D" * (h + 1), 0, 0, 0
 
     return _walk([("", 0, 0, 2 * n)], children, 9)
+
+
+def _gen_dyck_peak_sum(n: int) -> Iterator[str]:
+    """Nonempty Dyck words whose peak heights sum to at most n."""
+    # Node (word, h, up, left), up after a U, left 1 plus the budget: n less
+    # the heights of the peaks passed.  A U from height h promises a peak at
+    # least h + 1 high, so it is taken only while h < budget; a D after a U
+    # spends the peak's height.  Every prefix closes by D steps, and a prefix
+    # back on the axis is also a leaf.
+    def children(word: str, h: int, up: bool, left: int):
+        budget = left - 1
+        if h:
+            yield word + "D", h - 1, False, left - h if up else left
+        else:
+            yield word, 0, False, 0
+        if h < budget:
+            yield word + "U", h + 1, True, left
+
+    return _walk([("U", 1, True, n + 1)] if n > 0 else [], children, 6)
 
 
 def _gen_peakless_motzkin(n: int) -> Iterator[str]:

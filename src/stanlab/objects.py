@@ -12,7 +12,8 @@ columns sharing at least one row.
 
 A coin fountain is stored by the sizes of its northeast diagonals, read left
 to right from the bottom row.  Valid sequences are characterized by
-d_j <= d_{j+1} + 1 for all j and d_m = 1.
+d_j <= d_{j+1} + 1 for all j and d_m = 1: make_fountain checks its input's
+shape and then asks diagonal_fault for these two inequalities.
 
 Objects are immutable one-field values (``frozen.Frozen``); each family's
 statistics record is a named tuple, read by field name.
@@ -189,17 +190,6 @@ def stanley_stats(p: StanleyPolyomino) -> StanleyStats:
     return stanley_fields(p.rows)
 
 
-def ab_sequences(p: StanleyPolyomino) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cells of each row not above the previous row (a) and not below the
-    next row (b); these drive the Dyck path encoding."""
-    rows = p.rows
-    k = len(rows)
-    ends = [s + l for s, l in rows]
-    a = [rows[0][1] - 1] + [ends[i] - ends[i - 1] for i in range(1, k)]
-    b = [rows[i + 1][0] - rows[i][0] for i in range(k - 1)] + [rows[-1][1] - 1]
-    return tuple(a), tuple(b)
-
-
 # -- Dyck and Motzkin paths -------------------------------------------------
 
 def _path_word(word, name: str, steps: str) -> str:
@@ -272,38 +262,16 @@ def dyck_stats(d: DyckPath) -> DyckStats:
 
 # -- coin fountains ----------------------------------------------------------
 
-def fountain_fault(d: tuple) -> tuple | None:
-    """The first fountain rule the diagonal sizes d break, or None when d is
-    a fountain.
-
-    The input checks come first: no diagonal, then each size's type and
-    sign, left to right.  The rest is diagonal_fault's.  A fault is a plain
-    record, (error class, message template, *template arguments): no error
-    is built and no message is formatted, so asking whether d is a fountain
-    costs little either way.  fountain_error turns the record into the error
-    make_fountain raises.  The physics check walks compositions, tuples of
-    positive ints, so it asks diagonal_fault alone and leaves this full rule
-    to make_fountain on the compositions it accepts.
-    """
-    if not d:
-        return (EmptyInput, "a fountain needs at least one diagonal")
-    for x in d:
-        if type(x) is not int:
-            return (InvalidObject, "diagonal size %r must be an integer", x)
-        if x <= 0:
-            return (NegativeOrZeroLength,
-                    "diagonal size %s must be positive", x)
-    return diagonal_fault(d)
-
-
 def diagonal_fault(d: tuple) -> tuple | None:
-    """The first diagonal inequality the positive sizes d break, as a
-    fountain_fault record, or None.
+    """The first diagonal inequality the positive sizes d break, or None.
 
     Every coin above level 0 rests on two adjacent coins below, which forces
     each diagonal to be a contiguous run from the bottom: the last size is 1
     and each size is at most the next size plus one.  The last size is
-    checked first, then the drops, left to right.
+    checked first, then the drops, left to right.  A fault is a plain
+    record, (error class, message template, *template arguments), so the
+    physics check, which asks about every composition of up to 18 coins,
+    builds no error and formats no message for those it rejects.
     """
     if d[-1] != 1:
         return (BadLastDiagonal, "last diagonal must be 1, got %s", d[-1])
@@ -315,21 +283,24 @@ def diagonal_fault(d: tuple) -> tuple | None:
     return None
 
 
-def fountain_error(fault: tuple) -> InvalidObject:
-    """The error a fountain_fault record stands for, its message formatted."""
-    return fault[0](fault[1] % fault[2:])
-
-
 def make_fountain(diagonals: Iterable[int]) -> CoinFountain:
-    """Validate a northeast-diagonal size sequence: raise the error of the
-    first rule fountain_fault finds it breaks, if any."""
+    """Validate a northeast-diagonal size sequence: the input checks (no
+    diagonal, then each size's type and sign, left to right), then
+    diagonal_fault's inequalities; the first rule broken raises."""
     try:
         d = tuple(diagonals)
     except TypeError:
         raise InvalidObject("diagonals must be a list of integers") from None
-    fault = fountain_fault(d)
+    if not d:
+        raise EmptyInput("a fountain needs at least one diagonal")
+    for x in d:
+        if type(x) is not int:
+            raise InvalidObject(f"diagonal size {x!r} must be an integer")
+        if x <= 0:
+            raise NegativeOrZeroLength(f"diagonal size {x} must be positive")
+    fault = diagonal_fault(d)
     if fault is not None:
-        raise fountain_error(fault)
+        raise fault[0](fault[1] % fault[2:])
     return CoinFountain(d)
 
 

@@ -192,24 +192,13 @@ def full_tally(max_columns: int) -> dict[tuple, int]:
 
 def cf_tally(max_sump: int) -> dict[tuple, int]:
     """Dyck paths with peak height sum at most max_sump counted by
-    (peaks, peak height sum, valley height sum).  The walk takes a U from
-    height h only while the heights of the peaks already passed plus h + 1
-    fit max_sump, since that U promises a peak at least h + 1 high; so every
-    prefix it makes closes by D steps into a path it keeps."""
-    fields, key = objects.dyck_fields, attrgetter("nbp", "sump", "sumv")
-    counted = Counter()
-    # node (word, height, heights of the peaks passed, last step is a U)
-    stack = [("U", 1, 0, True)] if max_sump > 0 else []
-    while stack:
-        word, h, passed, up = stack.pop()
-        if h:
-            stack.append((word + "D", h - 1, passed + h if up else passed,
-                          False))
-        else:
-            counted[key(fields(word))] += 1
-        if passed + h < max_sump:
-            stack.append((word + "U", h + 1, passed, True))
-    return counted
+    (peaks, peak height sum, valley height sum); more than DEFAULT_CAP
+    paths raise CapExceeded."""
+    paths = enumeration._capped(
+        enumeration._gen_dyck_peak_sum(max_sump),
+        f"Dyck paths with peak height sum at most {max_sump}")
+    return Counter(map(attrgetter("nbp", "sump", "sumv"),
+                       map(objects.dyck_fields, paths)))
 
 
 def edge_free_count(semiperimeter: int) -> int:
@@ -397,13 +386,13 @@ def _chi_prime_checks(checks: list, max_size: int) -> None:
 def _f_checks(checks: list, max_size: int) -> None:
     col = objects.STATISTICS[("stanley", "col")]
     area = objects.STATISTICS[("stanley", "area")]
-    coins_e = objects.STATISTICS[("fountain", "e")]
     coins_o = objects.STATISTICS[("fountain", "o")]
+    # the area is 2e - o coins, and e = sum(d) - o: one odd-coin count
     bad, swept = _sweep(
         _family("fountain", "diagonals"), range(1, max_size + 1),
         bijections.f_map, lambda m, c, p: (
             col(p.rows) == m + 1
-            and area(p.rows) == 2 * coins_e(c.diagonals) - coins_o(c.diagonals)
+            and area(p.rows) == 2 * sum(c.diagonals) - 3 * coins_o(c.diagonals)
             and bijections.f_inv(p).diagonals == c.diagonals))
     total = sum(t for t, _ in swept)
     _check(checks, "coin diagonal map round-trips with the stated column "

@@ -441,8 +441,9 @@ class TestWideWalks:
 
 
 # Every generator through the sizes the tests above compare to a reference
-# (evenCoins through 16, which reaches its tables), then the run-limited
-# Dyck walks, whose completion check is TestPathWalks'.
+# (evenCoins through 16, which reaches its tables), the peak-sum walk of
+# the continued-fraction tally (its reference is in test_objects.py), then
+# the run-limited Dyck walks, whose completion check is TestPathWalks'.
 GENERATORS = [
     (f"{family}/{measure}", enumeration._GENERATORS[family, measure], top)
     for family, measure, top in [
@@ -454,7 +455,7 @@ GENERATORS = [
         ("fountain", "diagonals", 11),
         ("fountain", "evenCoins", 16),
         ("parallelogram", "area", 14),
-    ]]
+    ]] + [("dyck/peak-sum", enumeration._gen_dyck_peak_sum, 14)]
 DRIVEN = GENERATORS + [
     (f"dyck/max_run={k}", lambda n, k=k: enumeration._gen_dyck(n, k),
      14 if k == 2 else 12) for k in (1, 2, 3, 4)]

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stanlab
-from stanlab import errors, objects, verification
+from stanlab import enumeration, errors, objects, verification
 from stanlab.enumeration import FamilyBound, enumerate_family, iter_raw
 from stanlab.errors import (
     BadLastDiagonal,
+    CapExceeded,
     DiagonalDrop,
     DisconnectedColumns,
     EmptyInput,
@@ -102,9 +103,12 @@ class TestStanleyStats:
         assert (s.first, s.firstD) == (6, 1)
 
     def test_worked_example_boundary_sequences(self):
-        a, b = objects.ab_sequences(objects.make_stanley(WORKED))
-        assert a == (5, 3, 2, 2, 3)
-        assert b == (3, 1, 6, 1, 4)
+        # phi writes the paper's a_i as its U runs and b_i as its D runs
+        word = stanlab.phi(objects.make_stanley(WORKED)).word
+        a = [len(run) for run in word.replace("D", " ").split()]
+        b = [len(run) for run in word.replace("U", " ").split()]
+        assert a == [5, 3, 2, 2, 3]
+        assert b == [3, 1, 6, 1, 4]
 
     def test_single_cell_stats(self):
         s = objects.stanley_stats(objects.make_stanley([(0, 1)]))
@@ -430,6 +434,16 @@ class TestFieldTuplesReachTheChecks:
             assert len(set(words)) == len(words) == sum(expected.values())
             assert all(real(w).sump <= bound for w in words)
 
+    def test_cf_tally_stops_at_the_cap(self, monkeypatch):
+        # cf_tally(10) counts 2,271 paths: a cap of exactly that many lets
+        # it through, and the first path past it at 11 raises
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 2271)
+        assert sum(verification.cf_tally(10).values()) == 2271
+        with pytest.raises(CapExceeded) as caught:
+            verification.cf_tally(11)
+        assert str(caught.value) == ("Dyck paths with peak height sum at "
+                                     "most 11 exceeded cap of 2271 objects")
+
 
 class TestMotzkinPaths:
     def test_peakless(self):
@@ -469,8 +483,7 @@ class TestFountains:
         # every composition of at most 12 coins, the fountain inputs of
         # MESSAGES and seeded lists of small ints, non-ints, bools and ():
         # make_fountain raises what old_make_fountain raised, word for word,
-        # or builds the same fountain, and fountain_fault is None exactly
-        # when it builds
+        # or builds the same fountain
         def outcome(make, data):
             try:
                 return make(data)
@@ -490,22 +503,14 @@ class TestFountains:
             assert new == outcome(old_make_fountain, data), data
             if isinstance(new, objects.CoinFountain):
                 built += 1
-            try:
-                d = tuple(data)
-            except TypeError:
-                continue
-            fault = objects.fountain_fault(d)
-            assert (fault is None) == isinstance(new, objects.CoinFountain)
-            if fault is not None:
-                error = objects.fountain_error(fault)
-                assert (type(error), str(error)) == new, data
         assert built == 788  # the fountains among the inputs
 
     def test_inequalities_are_the_rule_on_positive_sizes(self):
         # on tuples of positive ints the input checks cannot fire, so the
-        # diagonal inequalities give the full rule's record, or None, for
-        # every composition of at most 12 coins and every such input of
-        # MESSAGES
+        # diagonal inequalities are the whole rule: for every composition of
+        # at most 12 coins and every such input of MESSAGES, diagonal_fault
+        # is None exactly when make_fountain builds, and its record formats
+        # to the error make_fountain raises
         inputs = [c for n in range(1, 13) for c in old_compositions(n)]
         positive = [tuple(data) for make, data, *_ in MESSAGES
                     if make is objects.make_fountain and type(data) is list
@@ -514,7 +519,12 @@ class TestFountains:
         faults = Counter()
         for d in inputs + positive:
             fault = objects.diagonal_fault(d)
-            assert fault == objects.fountain_fault(d), d
+            if fault is None:
+                assert objects.make_fountain(d).diagonals == d
+            else:
+                with pytest.raises(fault[0]) as caught:
+                    objects.make_fountain(d)
+                assert str(caught.value) == fault[1] % fault[2:], d
             faults[fault and fault[0]] += 1
         # 554 fountains among the compositions; one fault of each kind in
         # MESSAGES
@@ -621,7 +631,8 @@ class TestFountains:
 
 
 def old_make_fountain(diagonals):
-    """make_fountain as it was before its rule moved to fountain_fault."""
+    """make_fountain as it was before its inequalities moved to
+    diagonal_fault."""
     try:
         d = tuple(diagonals)
     except TypeError:
@@ -707,7 +718,7 @@ def physics_run():
     the set model.  Levels are compared as each composition is checked,
     because the walk updates its level lists in place."""
     real = {name: getattr(objects, name) for name in (
-        "diagonal_fault", "fountain_fault", "make_fountain",
+        "diagonal_fault", "make_fountain",
         "levels_support_ok", "diagonals_from_levels", "fountain_levels")}
     run = SimpleNamespace(calls=Counter(), totals=Counter(), small=[],
                           levels_unlike_masks=[], levels_unlike_sets=[],
@@ -717,8 +728,7 @@ def physics_run():
     def meet(comp):
         # the walk asks diagonal_fault right after levels_support_ok, so the
         # levels that call left are this composition's; make_fountain asks
-        # the inequalities again, through fountain_fault, with nothing
-        # pending
+        # the inequalities again with nothing pending
         if not pending:
             return
         comp, levels = tuple(comp), pending.pop()
@@ -742,7 +752,6 @@ def physics_run():
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(objects, "diagonal_fault", counted("diagonal_fault", meet))
-        m.setattr(objects, "fountain_fault", counted("fountain_fault"))
         m.setattr(objects, "make_fountain", counted("make_fountain"))
         m.setattr(objects, "levels_support_ok", counted(
             "levels_support_ok", lambda levels: pending.append(list(levels))))
@@ -772,8 +781,8 @@ class TestFountainPhysicsCheck:
         return check
 
     def test_looser_inequality_is_caught(self, monkeypatch):
-        # fountain_fault reads the inequalities from the module, so
-        # make_fountain builds what the looser rule accepts
+        # make_fountain reads the inequalities from the module, so it
+        # builds what the looser rule accepts
         def loose(d):
             if d[-1] != 1 or any(a > b + 2 for a, b in zip(d, d[1:])):
                 return DiagonalDrop(f"{d} drops by more than 2")
@@ -804,8 +813,7 @@ class TestFountainPhysicsCheck:
         # the full rule
         assert physics_run.check["status"] == "pass"
         assert physics_run.calls == {
-            "diagonal_fault": 262143 + 15070, "fountain_fault": 15070,
-            "levels_support_ok": 262143,
+            "diagonal_fault": 262143 + 15070, "levels_support_ok": 262143,
             "make_fountain": 15070, "diagonals_from_levels": 15070,
             "fountain_levels": 15070}
 
