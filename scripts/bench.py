@@ -10,6 +10,7 @@ root the file records the path as given and:
   --trace 0`` of that root, run as a subprocess (reference seconds);
 - the median time to ``import stanlab.cli`` over fresh interpreters;
 - the Tier-1 wall time and pytest's summary line;
+- the line count of each module of ``src/stanlab/`` and their total;
 - in process: each suite at its default size (``bijections`` at 12), the
   bijections suite's fountain-physics check and each of its per-map checks
   at size 10 on their own, the ``cf`` suite's brute-force tally at peak
@@ -203,6 +204,17 @@ def tier1(root: str) -> dict:
     return {"wall_s": wall, "summary": summary.strip("= ")}
 
 
+def source_lines(root: str) -> dict:
+    """Lines in each module of the root's src/stanlab/, and their total."""
+    package = os.path.join(root, "src", "stanlab")
+    lines = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                lines[name] = sum(1 for _ in fh)
+    return {**lines, "total": sum(lines.values())}
+
+
 def _reference(timing: dict) -> float:
     """A part's scaled time, in seconds or in microseconds per object."""
     return timing.get("reference_s", timing.get("reference_us"))
@@ -261,6 +273,7 @@ def main(argv=None) -> int:
                 for key in values}
     for root in roots:
         found[root]["tier1"] = tier1(root)
+        found[root]["source_lines"] = source_lines(root)
 
     record = {
         "machine": {"cpus": os.cpu_count(),

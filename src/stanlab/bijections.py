@@ -255,10 +255,6 @@ def _shear(q: ParallelogramPolyomino) -> list[tuple[int, int]]:
     return [(b + i, h + 1) for i, (b, h) in enumerate(q.columns)]
 
 
-def _sheared(q: ParallelogramPolyomino) -> StanleyPolyomino:
-    return make_stanley(_shear(q))
-
-
 def _unsheared(p: StanleyPolyomino) -> ParallelogramPolyomino:
     return make_parallelogram([(s - i, l - 1)
                                for i, (s, l) in enumerate(p.rows)])
@@ -276,7 +272,8 @@ def h_inv(d: DyckPath) -> ParallelogramPolyomino:
 
 
 def psi(q: ParallelogramPolyomino) -> CoinFountain:
-    return f_inv(_sheared(q))
+    # f_inv of the shear, whose rows need no validation
+    return f_inv(StanleyPolyomino(tuple(_shear(q))))
 
 
 def psi_inv(c: CoinFountain) -> ParallelogramPolyomino:

@@ -20,8 +20,11 @@ from . import bijections, catalog, objects, verification
 from .enumeration import FamilyBound, count_grouped, enumerate_family
 from .errors import (
     CapExceeded,
+    ContainsTriple,
+    NotPeakless,
     OutOfRange,
     StanlabError,
+    TooSmall,
     UnsupportedPair,
 )
 
@@ -38,6 +41,9 @@ BIJECTIONS = {
     "psi": ("parallelogram", bijections.psi),
     "psi-inv": ("fountain", bijections.psi_inv),
 }
+
+# the maps' refusals of a source outside their domain
+_REFUSALS = (ContainsTriple, NotPeakless, TooSmall)
 
 # one encoder for every line writes json.dumps' bytes; the circular check is
 # off because every record is a freshly built tree, which holds no cycle
@@ -84,17 +90,21 @@ def cmd_map(args) -> int:
         stream = sys.stdin.buffer
     with stream:
         for lineno, raw in enumerate(stream, start=1):
+            src = None  # until the line decodes
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                data = json.loads(line)
-                src = objects.from_json_obj(family, data)
+                src = objects.from_json_obj(family, json.loads(line))
                 dst = func(src)
-            # bad input raises ValueError (InvalidObject, TooSmall, the
-            # decoders' errors) or, from the JSON decoder on over-deep
-            # nesting, RecursionError; main maps code faults to 5 or 6
+            # a line that does not decode raises ValueError (InvalidObject,
+            # the decoders' errors) or, from the JSON decoder on over-deep
+            # nesting, RecursionError.  A decoded source is bad input only
+            # when the map refuses it; anything else a map raises is a fault
+            # in the map, which main reports with exit 5 or 6
             except (ValueError, RecursionError) as exc:
+                if src is not None and not isinstance(exc, _REFUSALS):
+                    raise
                 if args.skip_invalid:
                     _diag(f"line {lineno}: skipped ({exc})")
                     continue

@@ -222,13 +222,18 @@ class FamilyBound(Frozen):
         object.__setattr__(self, "value", value)
 
 
+def _over_cap(what: object, cap: int) -> CapExceeded:
+    """The error that refuses more than cap objects of what."""
+    return CapExceeded(f"{what} exceeded cap of {cap} objects")
+
+
 def _capped(stream: Iterable, what: object) -> Iterator:
     """The stream, raising CapExceeded on drawing item DEFAULT_CAP + 1."""
     cap = DEFAULT_CAP
     stream = iter(stream)
 
     def refuse(_item):
-        raise CapExceeded(f"{what} exceeded cap of {cap} objects")
+        raise _over_cap(what, cap)
 
     return chain(islice(stream, cap), map(refuse, stream))
 

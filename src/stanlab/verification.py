@@ -174,29 +174,26 @@ def count_mismatches(series, family: str, measure: str, sizes,
             != count(FamilyBound(family, measure, n - shift))]
 
 
-def _tally(family: str, measure: str, largest: int, fields, key) -> Counter:
-    """Objects of sizes 1 .. largest counted by key(fields(raw object))."""
-    counted = Counter()
-    for n in range(1, largest + 1):
-        counted.update(map(key, map(fields, iter_raw(
-            FamilyBound(family, measure, n)))))
-    return counted
-
-
 def full_tally(max_columns: int) -> dict[tuple, int]:
     """Polyominoes of 1 .. max_columns columns counted by
     (columns, rows, area, edgint, point), the five-variable series' exponents."""
-    return _tally("stanley", "columns", max_columns, objects.stanley_fields,
-                  attrgetter("col", "row", "area", "edgint", "point"))
+    key = attrgetter("col", "row", "area", "edgint", "point")
+    counted = Counter()
+    for n in range(1, max_columns + 1):
+        counted.update(map(key, map(objects.stanley_fields, iter_raw(
+            FamilyBound("stanley", "columns", n)))))
+    return counted
+
+
+_CF_PATHS = "Dyck paths with peak height sum at most {}"
 
 
 def cf_tally(max_sump: int) -> dict[tuple, int]:
     """Dyck paths with peak height sum at most max_sump counted by
     (peaks, peak height sum, valley height sum); more than DEFAULT_CAP
     paths raise CapExceeded."""
-    paths = enumeration._capped(
-        enumeration._gen_dyck_peak_sum(max_sump),
-        f"Dyck paths with peak height sum at most {max_sump}")
+    paths = enumeration._capped(enumeration._gen_dyck_peak_sum(max_sump),
+                                _CF_PATHS.format(max_sump))
     return Counter(map(attrgetter("nbp", "sump", "sumv"),
                        map(objects.dyck_fields, paths)))
 
@@ -326,44 +323,41 @@ def preimages(size: int) -> dict[tuple, list]:
     return groups
 
 
-def _scan_sizes(forward, sources, offset: int, max_size: int,
-                first_row) -> tuple[int, list]:
-    """Run sources(m), for each m = 0 .. max_size, through forward, whose
-    images should have semiperimeter m + offset.  Returns how many images
-    miss that semiperimeter or first_row(word), and per size (sources,
-    distinct images, polyominoes of that semiperimeter)."""
+def _chi_checks(checks: list, max_size: int) -> None:
     sper = objects.STATISTICS[("stanley", "sper")]
     first = objects.STATISTICS[("stanley", "first")]
+    sizes = range(max_size + 1)
     bad, swept = _sweep(
-        sources, range(max_size + 1), forward,
-        lambda m, s, p: (sper(p.rows) == m + offset
-                         and first(p.rows) == first_row(s.word)),
+        _family("peaklessMotzkin", "steps"), sizes, bijections.chi,
+        lambda m, w, p: (sper(p.rows) == m + 2
+                         and first(p.rows) == _steps_on_axis(w.word) + 1),
         attrgetter("rows"))
-    return bad, [(total, len(images),
-                  count(FamilyBound("stanley", "semiperimeter", m + offset)))
-                 for m, (total, images) in enumerate(swept)]
-
-
-def _chi_checks(checks: list, max_size: int) -> None:
-    bad, sizes = _scan_sizes(
-        bijections.chi, _family("peaklessMotzkin", "steps"), 2, max_size,
-        lambda w: _steps_on_axis(w) + 1)
+    wants = [count(FamilyBound("stanley", "semiperimeter", m + 2))
+             for m in sizes]
     _check(checks, "flat-step map carries steps to semiperimeter and "
            "axis landings to the first row",
            "0 mismatches", f"{bad} mismatches")
     _check(checks, "flat-step map is bijective at each size",
            "distinct images, counts equal", next(
-               (f"steps {m}: {total} paths, {images} images, "
+               (f"steps {m}: {total} paths, {len(images)} images, "
                 f"{want} polyominoes"
-                for m, (total, images, want) in enumerate(sizes)
-                if images != total or total != want),
+                for m, (total, images), want in zip(sizes, swept, wants)
+                if len(images) != total or total != want),
                "distinct images, counts equal"))
 
 
 def _chi_prime_checks(checks: list, max_size: int) -> None:
+    sper = objects.STATISTICS[("stanley", "sper")]
+    first = objects.STATISTICS[("stanley", "first")]
     hills = objects.STATISTICS[("dyck", "hills")]
-    bad, sizes = _scan_sizes(bijections.chi_prime, chi_prime_sources, 3,
-                             max_size, lambda w: hills(w) + 2)
+    # per semilength m: sources, images, polyominoes of semiperimeter m + 3
+    bad, sizes = 0, []
+    for m in range(max_size + 1):
+        groups = preimages(m)
+        bad += sum(sper(rows) != m + 3 or first(rows) != hills(d.word) + 2
+                   for rows, ds in groups.items() for d in ds)
+        sizes.append((sum(map(len, groups.values())), len(groups),
+                      count(FamilyBound("stanley", "semiperimeter", m + 3))))
     _check(checks, "triple-run-free map carries semilength to semiperimeter "
            "and hills to the first row",
            "0 mismatches", f"{bad} mismatches")
@@ -633,6 +627,12 @@ def suite_cf(checks: list, max_size: int) -> None:
     if rec is None:
         return
     a = rec["a"]
+    # cf_tally walks the paths these count: refuse a walk the cap would stop
+    peak_sums = {n: rec["a-1q1"].coeff({"q": n})
+                 for n in range(1, max_size + 1)}
+    if sum(peak_sums.values()) > enumeration.DEFAULT_CAP:
+        raise enumeration._over_cap(_CF_PATHS.format(max_size),
+                                    enumeration.DEFAULT_CAP)
 
     # full trivariate slice vs brute force
     counted = cf_tally(max_size)
@@ -652,8 +652,7 @@ def suite_cf(checks: list, max_size: int) -> None:
     for (_, sump, _), c in counted.items():
         by_sump[sump] += c
     _check(checks, f"peak-sum counts match the collapse through {max_size}",
-           {n: by_sump.get(n, 0) for n in range(1, max_size + 1)},
-           {n: rec["a-1q1"].coeff({"q": n}) for n in range(1, max_size + 1)})
+           {n: by_sump.get(n, 0) for n in range(1, max_size + 1)}, peak_sums)
 
     nine = min(9, max_size)
     _check(checks, "printed peak-sum expansion", REFERENCE_A_1Q1[:nine],

@@ -661,17 +661,20 @@ class TestPreimages:
 
     @pytest.mark.parametrize("m", range(10))
     def test_chi_sources_are_every_peakless_path(self, monkeypatch, m: int):
-        # the chi check scans every peakless path of each size through chi
-        scans = []
-        monkeypatch.setattr(verification, "_scan_sizes",
-                            lambda *args: scans.append(args) or (0, []))
+        # the chi check sweeps every peakless path of each size through chi,
+        # whose images should have semiperimeter steps + 2
+        sweeps = []
+        monkeypatch.setattr(verification, "_sweep",
+                            lambda *args: sweeps.append(args) or (0, []))
         verification._chi_checks([], m)
-        ((forward, sources, offset, max_size, _),) = scans
-        assert (forward, offset, max_size) == (chi, 2, m)
+        ((sources, sizes, forward, ok, _),) = sweeps
+        assert (forward, sizes) == (chi, range(m + 1))
         words = [p.word for p in sources(m)]
         assert len(set(words)) == len(words)
         assert len(words) == count(FamilyBound("peaklessMotzkin", "steps", m))
         assert all(len(w) == m and "UD" not in w for w in words)
+        assert all(ok(m, p, chi(p)) and not ok(m + 1, p, chi(p))
+                   for p in sources(m))
 
     def test_collision_group(self):
         groups = preimages(5)

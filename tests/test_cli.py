@@ -367,6 +367,22 @@ class TestMap:
         assert err == ("theorem check failed: InvariantViolation: rows do "
                        "not read as a fountain\n")
 
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_invalid_object_built_in_a_map_exits_five(self, capsys,
+                                                      monkeypatch, skip):
+        # a map that builds an invalid object is at fault, not its input:
+        # only the maps' domain refusals are reported as invalid input
+        def broken(d):
+            return objects.make_stanley([(1, 2)])
+
+        monkeypatch.setitem(cli.BIJECTIONS, "phi-inv", ("dyck", broken))
+        self.feed(monkeypatch, '{"word": "UD"}\n{"word": "UUDD"}\n')
+        code, out, err = run(capsys, "map", "--bijection", "phi-inv",
+                             *(["--skip-invalid"] if skip else []))
+        assert (code, out) == (5, "")
+        assert err == ("theorem check failed: NotLeftShifted: first row must "
+                       "start at column 0, got 1\n")
+
     def test_skip_invalid_keeps_going(self, capsys, monkeypatch):
         self.feed(monkeypatch,
                   '{"word": "UD"}\nbroken\n{"word": "UUDD"}\n')
@@ -661,6 +677,20 @@ class TestVerify:
                              "--max-size", size)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_cf_past_the_cap_exits_three_before_walking(self, capsys,
+                                                        monkeypatch):
+        # 22,508,258 paths have peak height sum at most 21: the suite
+        # refuses from its series before the walk draws a path
+        def walk(n):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_gen_dyck_peak_sum", walk)
+        code, out, err = run(capsys, "verify", "--suite", "cf",
+                             "--max-size", "21")
+        assert (code, out) == (3, "")
+        assert err == ("error: Dyck paths with peak height sum at most 21 "
+                       "exceeded cap of 10000000 objects\n")
 
 
 # exit code and sha256 of the stdout of `verify --suite NAME --max-size 5`,

@@ -13,7 +13,7 @@ from stanlab.enumeration import (
     enumerate_family,
     iter_raw,
 )
-from stanlab.errors import CapExceeded, UnsupportedPair
+from stanlab.errors import CapExceeded, InvalidObject, UnsupportedPair
 
 
 class TestBounds:
@@ -460,6 +460,45 @@ DRIVEN = GENERATORS + [
     (f"dyck/max_run={k}", lambda n, k=k: enumeration._gen_dyck(n, k),
      14 if k == 2 else 12) for k in (1, 2, 3, 4)]
 
+# the statistic that reads each pair's measure off a raw object
+MEASURED = {
+    ("stanley", "columns"): "col",
+    ("stanley", "semiperimeter"): "sper",
+    ("stanley", "area"): "area",
+    ("dyck", "semilength"): "semilength",
+    ("peaklessMotzkin", "steps"): "steps",
+    ("fountain", "diagonals"): "m",
+    ("fountain", "evenCoins"): "e",
+    ("parallelogram", "area"): "area",
+}
+
+
+def accepted(make, raw) -> bool:
+    try:
+        make(raw)
+    except InvalidObject:
+        return False
+    return True
+
+
+def finished(name: str, n: int):
+    """Whether a leaf of the named DRIVEN walk at size n is a finished
+    object: a Dyck word with peak heights summing to at most n, a Dyck word
+    of semilength n with runs of at most k, or an object of the pair with
+    measure n."""
+    if name == "dyck/peak-sum":
+        return lambda w: (w != "" and accepted(objects.make_dyck, w)
+                          and objects.dyck_fields(w).sump <= n)
+    if name.startswith("dyck/max_run="):
+        k = int(name.partition("=")[2])
+        too_long = ("U" * (k + 1), "D" * (k + 1))
+        return lambda w: (len(w) == 2 * n and accepted(objects.make_dyck, w)
+                          and not any(run in w for run in too_long))
+    family, measure = name.split("/")
+    make = objects.FAMILIES[family][1]
+    measure_of = objects.STATISTICS[family, MEASURED[family, measure]]
+    return lambda raw: accepted(make, raw) and measure_of(raw) == n
+
 
 class TestDriver:
     @pytest.mark.parametrize("name, generator, top", GENERATORS,
@@ -476,6 +515,10 @@ class TestDriver:
     def test_tables_on_and_off_give_the_same_stream(self, name, generator,
                                                     top, monkeypatch):
         with_tables = [list(generator(n)) for n in range(top + 1)]
+        for n, leaves in enumerate(with_tables):
+            done = finished(name, n)
+            unfinished = [x for x in leaves if not done(x)]
+            assert unfinished == [], (n, len(unfinished), unfinished[:3])
         walk = enumeration._walk
         monkeypatch.setattr(enumeration, "_walk",
                             lambda roots, children, near=0: walk(roots,

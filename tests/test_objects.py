@@ -444,6 +444,26 @@ class TestFieldTuplesReachTheChecks:
         assert str(caught.value) == ("Dyck paths with peak height sum at "
                                      "most 11 exceeded cap of 2271 objects")
 
+    def test_cf_suite_refuses_before_walking(self, monkeypatch):
+        # a-1q1 counts the paths cf_tally walks, 2,271 through peak height
+        # sum 10: one past the cap is refused before a path is drawn, and
+        # exactly the cap is walked
+        drawn = []
+        walk = enumeration._gen_dyck_peak_sum
+        monkeypatch.setattr(enumeration, "_gen_dyck_peak_sum",
+                            lambda n: (drawn.append(w) or w for w in walk(n)))
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 2270)
+        with pytest.raises(CapExceeded) as caught:
+            verification.suite_cf([], 10)
+        assert str(caught.value) == ("Dyck paths with peak height sum at "
+                                     "most 10 exceeded cap of 2270 objects")
+        assert drawn == []
+        monkeypatch.setattr(enumeration, "DEFAULT_CAP", 2271)
+        checks = []
+        verification.suite_cf(checks, 10)
+        assert len(drawn) == 2271
+        assert {c["status"] for c in checks} == {"pass"}
+
 
 class TestMotzkinPaths:
     def test_peakless(self):
